@@ -23,9 +23,7 @@ def main():
     Z = rng.standard_normal((n, d))
     ds = hyperopt.Dataset.from_data(X, Z)
 
-    kern = kernels.HvmKernel(
-        kernels.HvmHyperparams(1.2, (0.7, 1.1, 0.4), (0.2, 0.05, 0.3))
-    )
+    kern = kernels.HvmHyperparams(1.2, (0.7, 1.1, 0.4), (0.2, 0.05, 0.3)).kernel()
     A = rng.standard_normal((d, d))
     G = np.linalg.cholesky(A @ A.T + d * np.eye(d))
     sigma = np.array([0.4, 0.3])

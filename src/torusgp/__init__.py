@@ -25,23 +25,7 @@ from .gp import (
     save_model,
 )
 from .hyperopt import Dataset, OptResult, objective, gradient, optimize
-from .kernels import (
-    BaselineKernelParams,
-    HvmHyperparams,
-    HvmKernel,
-    ProductPeriodicKernel,
-    ProductSqExpKernel,
-    ProductVonMisesKernel,
-    VmHyperparams,
-    gram,
-    k_hvm,
-    k_pprd,
-    k_pse,
-    k_pvm,
-    k_vm,
-    kernel_from_family,
-    pair_order,
-)
+from .kernels import ExpLinearKernel, HvmHyperparams, kernel_from_family, pair_order
 from .manifold import (
     CirclePoint,
     TorusPoint,
@@ -92,19 +76,8 @@ __all__ = [
     "objective",
     "gradient",
     "optimize",
-    "BaselineKernelParams",
+    "ExpLinearKernel",
     "HvmHyperparams",
-    "HvmKernel",
-    "ProductPeriodicKernel",
-    "ProductSqExpKernel",
-    "ProductVonMisesKernel",
-    "VmHyperparams",
-    "gram",
-    "k_hvm",
-    "k_pprd",
-    "k_pse",
-    "k_pvm",
-    "k_vm",
     "kernel_from_family",
     "pair_order",
     "CirclePoint",

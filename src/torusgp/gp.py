@@ -171,7 +171,7 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     else:
         raise ValueError("obs must be 1-d or 2-d")
     K = system_matrix(kernel, X, noise_var, coreg)
-    L, jitter = cholesky_with_jitter(K, label=type(kernel).__name__)
+    L, jitter = cholesky_with_jitter(K, label=kernel.family)
     z = Y if Y.ndim == 1 else np.ravel(Y, order="F")
     alpha = cho_solve((L, True), z)
     return TrainedGp(
@@ -242,29 +242,18 @@ _MODEL_VERSION = 1
 
 
 def _kernel_to_dict(kernel) -> dict:
-    fam = kernel.family
-    if fam == "hvm":
-        p = kernel.params
-        params = {"omega": p.omega, "lam": list(p.lam), "corr": list(p.corr)}
-    elif fam == "pvm":
-        params = {"omega": kernel.omega, "lam": kernel.lam.tolist()}
-    else:
-        params = {"omega": kernel.omega, "ell": kernel.ell.tolist()}
-    return {"family": fam, "m": kernel.m, "params": params}
+    # omega as a number, every other coordinate group (lam, corr, ell) as a list
+    params = {"omega": float(kernel.theta[0])}
+    for name, value in zip(kernel.theta_names[1:], kernel.theta[1:].tolist()):
+        params.setdefault(name.split("_")[0], []).append(value)
+    return {"family": kernel.family, "m": kernel.m, "params": params}
 
 
 def _kernel_from_dict(doc: dict):
-    fam = doc["family"]
+    template = kernels.kernel_from_family(doc["family"], doc["m"])
+    groups = dict.fromkeys(name.split("_")[0] for name in template.theta_names[1:])
     p = doc["params"]
-    if fam == "hvm":
-        return kernels.HvmKernel(kernels.HvmHyperparams(p["omega"], p["lam"], p["corr"]))
-    if fam == "pvm":
-        return kernels.ProductVonMisesKernel(p["omega"], p["lam"])
-    if fam == "pprd":
-        return kernels.ProductPeriodicKernel(p["omega"], p["ell"])
-    if fam == "pse":
-        return kernels.ProductSqExpKernel(p["omega"], p["ell"])
-    raise ValueError(f"unknown kernel family {fam!r} in model file")
+    return template.with_theta([p["omega"]] + [x for g in groups for x in p[g]])
 
 
 def save_model(gp: TrainedGp, path) -> None:

@@ -5,32 +5,30 @@ data under the GP prior plus noise,
 
     F(theta) = -z^T K^-1 z - log|K| - N log(2 pi),
 
-with N the length of the (output-major) observation vector and K the full
-system matrix from torusgp.gp. Its gradient in a hyperparameter theta_i is
+with N the length of the (output-major) observation vector and K the system
+matrix B kron K_x + R kron I_n from torusgp.gp (a single output has B = 1).
+With alpha = K^-1 z and A = alpha alpha^T - K^-1 in n x n blocks A_ij, the
+gradient in a coordinate is sum(A * dK/dtheta_i). Every kernel is
+K_x = omega^2 exp(sum_f c_f F_f) (torusgp.kernels), so with
+Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
 
-    dF/dtheta_i = z^T K^-1 (dK/dtheta_i) K^-1 z - tr(K^-1 dK/dtheta_i)
-                = sum( (alpha alpha^T - K^-1) * dK/dtheta_i ),
+    d omega:   (2/omega) * sum(Abar * K_x)
+    d theta_f: c_f' * sum(Abar * K_x * F_f)
+    d B_ij:    sum(A_ij * K_x)                  (each entry independent)
+    d sigma_s: 2 sigma_s * tr(A_ss)
 
-with alpha = K^-1 z. Per-coordinate system-matrix derivatives:
-
-    d omega:   (2/omega) * B kron Kxx
-    d lam_s:   B kron (Kxx * D^s)
-    d corr_t:  2 * B kron (Kxx * D^i * D^j)   stored pair t = (i, j)
-    d B_ij:    E_ij kron Kxx                  (each entry treated independently)
-    d sigma_s: 2 sigma_s * E_ss kron I_n
-
-(single output drops B and keeps the scalar noise coordinate). K^-1 is formed
-once per gradient evaluation from the cached triangular factor and contracted
-blockwise against each derivative; a dense-oracle test pins the agreement.
+The feature stack F is built once per dataset and K^-1 once per gradient,
+from the triangular factor; no per-coordinate n x n matrix is formed.
 
 Optimization runs in unconstrained coordinates phi:
 
     omega, lam, corr, lengthscales, sigma  ->  log(.)
     B = G G^T with G lower triangular      ->  log on diag(G), raw off-diagonal
 
-and ascends with BFGS directions under monotone backtracking acceptance
-(only improving steps are ever accepted, so the trace of accepted objective
-values is nondecreasing by construction). Termination: gradient norm below
+(a free coordinate at exactly 0 has no log: pin it with fixed=), and ascends
+with BFGS directions under monotone backtracking acceptance (only improving
+steps are ever accepted, so the trace of accepted objective values is
+nondecreasing by construction). Termination: gradient norm below
 grad_tol * (1 + |F|), relative objective change below rel_tol, or the
 iteration budget. A run counts as converged when the gradient rule fired, or
 when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
@@ -125,11 +123,7 @@ class OptResult:
 
     def theta_vector(self):
         """Full constrained coordinate vector [kernel theta, vec(B), sigma]."""
-        parts = [self.kernel.theta]
-        if self.coreg is not None:
-            parts.append(np.ravel(self.coreg, order="F"))
-        parts.append(self.noise_sigma)
-        return np.concatenate(parts)
+        return _constrained(self.kernel.theta, self.coreg, self.noise_sigma)
 
     def summary(self) -> dict:
         return {
@@ -144,201 +138,147 @@ class OptResult:
         }
 
 
-def _kernel_context(kernel, X: np.ndarray):
-    if hasattr(kernel, "make_context"):
-        return kernel.make_context(X)
-    return kernels.component_distances(X, X)
-
-
 class _Problem:
     """Objective/gradient in unconstrained coordinates for one dataset.
 
     fixed maps kernel-coordinate names to pinned values; pinned coordinates
-    are evaluated at their values and dropped from phi.
+    are evaluated at their values and dropped from phi. The kernel's feature
+    stack is built once here, so an evaluation only recombines it.
     """
 
     def __init__(self, dataset: Dataset, kernel_template, fixed: dict | None = None):
         self.data = dataset
         self.template = kernel_template
         self.fixed = dict(fixed or {})
-        names = kernel_template.theta_names
-        unknown = set(self.fixed) - set(names)
+        self.names = kernel_template.theta_names
+        unknown = set(self.fixed) - set(self.names)
         if unknown:
             raise ValueError(f"fixed refers to unknown coordinates {sorted(unknown)}")
-        self.free_idx = [i for i, nm in enumerate(names) if nm not in self.fixed]
-        self.ctx = _kernel_context(kernel_template, dataset.inputs)
+        self.free_idx = [i for i, nm in enumerate(self.names) if nm not in self.fixed]
+        X = dataset.inputs
+        self.features = np.ascontiguousarray(kernel_template.features(X, X))
         self.d = dataset.d
         self.multi = dataset.multi_output
         self.n = dataset.n
         self.N = dataset.zvec.size
-        # lower-triangular (row, col) order for the mixing-matrix factor
-        self.tril = [(i, j) for i in range(self.d) for j in range(i + 1)] if self.multi else []
+        # lower triangle of the mixing-matrix factor, row by row (none for one output)
+        self.tril = np.tril_indices(self.d if self.multi else 0)
+        self.diag = self.tril[0] == self.tril[1]
 
     # -- packing ------------------------------------------------------------
 
     def pack(self, kernel, G: np.ndarray | None, sigma: np.ndarray) -> np.ndarray:
         theta = kernel.theta
-        parts = [np.log(theta[self.free_idx])]
-        if self.multi:
-            gvals = [np.log(G[i, i]) if i == j else G[i, j] for (i, j) in self.tril]
-            parts.append(np.asarray(gvals))
-        parts.append(np.log(np.atleast_1d(sigma)))
-        return np.concatenate(parts)
+        zero = [self.names[i] for i in self.free_idx if theta[i] == 0.0]
+        if zero:
+            raise ValueError(
+                f"free coordinate {zero[0]} is 0, which the log parametrization "
+                f"cannot represent; pin it with fixed={{{zero[0]!r}: 0.0}}"
+            )
+        g = G[self.tril] if self.multi else np.empty(0)
+        g[self.diag] = np.log(g[self.diag])
+        return np.concatenate([np.log(theta[self.free_idx]), g, np.log(np.atleast_1d(sigma))])
 
     def unpack(self, phi: np.ndarray):
+        """(kernel, G, B = G G^T, sigma) at phi; G and B are None for one output."""
         phi = np.asarray(phi, dtype=float)
-        names = self.template.theta_names
-        nk = len(self.free_idx)
-        theta = np.empty(len(names))
-        for i, nm in enumerate(names):
-            if nm in self.fixed:
-                theta[i] = self.fixed[nm]
+        nk, ng = len(self.free_idx), self.diag.size
+        theta = np.array([self.fixed.get(nm, 0.0) for nm in self.names])
         with np.errstate(over="ignore"):
             free = np.exp(phi[:nk])
-            pos = nk
-            G = None
-            if self.multi:
-                G = np.zeros((self.d, self.d))
-                for (i, j) in self.tril:
-                    G[i, j] = np.exp(phi[pos]) if i == j else phi[pos]
-                    pos += 1
-            sigma = np.exp(phi[pos:])
+            g = phi[nk : nk + ng].copy()
+            g[self.diag] = np.exp(g[self.diag])
+            sigma = np.exp(phi[nk + ng :])
         # A line-search probe can push exp() past the float range in either
         # direction; report that as a factorization failure so the caller
         # backs off instead of crashing inside a parameter constructor.
-        grown = np.concatenate([free, np.diag(G) if self.multi else [], sigma])
-        if (
-            not np.all(np.isfinite(phi))
-            or not np.all(np.isfinite(grown))
-            or np.any(grown == 0.0)
-        ):
-            raise FactorizationError(
-                f"{type(self.template).__name__}: hyperparameter coordinates "
+        grown = np.concatenate([free, g[self.diag], sigma])
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(grown) & (grown > 0.0))):
+            err = FactorizationError(
+                f"{self.template.family}: hyperparameter coordinates "
                 "left the representable positive range"
             )
+            err.theta = phi.copy()
+            raise err
         theta[self.free_idx] = free
-        kernel = self.template.with_theta(theta)
-        return kernel, G, sigma
+        G = B = None
+        if self.multi:
+            G = np.zeros((self.d, self.d))
+            G[self.tril] = g
+            B = G @ G.T
+        return self.template.with_theta(theta), G, B, sigma
 
     # -- evaluation ---------------------------------------------------------
 
-    def _system(self, kernel, G, sigma):
-        # Overflow is tolerated while assembling the matrix: the finiteness
-        # check below turns it into a FactorizationError for the line search.
-        with np.errstate(over="ignore"):
-            K_x, parts = kernel.gram_and_partials(self.data.inputs, self.ctx)
-            if not self.multi:
-                K = K_x + sigma[0] ** 2 * np.eye(self.n)
-                B = None
-            else:
-                B = G @ G.T
-                K = np.kron(B, K_x) + np.kron(np.diag(sigma**2), np.eye(self.n))
-        if not np.all(np.isfinite(K)):
-            # Extreme trial coordinates overflow the kernel; report it the
-            # same way as an indefinite matrix so line searches back off.
-            raise FactorizationError(
-                f"{type(kernel).__name__}: system matrix overflowed at the "
-                "evaluated coordinates"
-            )
-        return K_x, parts, B, K
+    def evaluate(self, kernel, B, sigma, coords, grad=False):
+        """F at constrained hyperparameters (B is None for one output).
 
-    def value(self, phi: np.ndarray) -> float:
+        With grad, returns (F, dF/dtheta, dF/dB, dF/dsigma); the entries of B
+        count as independent. A system matrix that overflows or is not
+        positive definite raises FactorizationError carrying coords as .theta.
+        """
+        d, n = self.d, self.n
         try:
-            kernel, G, sigma = self.unpack(phi)
-            _, _, _, K = self._system(kernel, G, sigma)
+            # overflow is tolerated here: the check below makes it a rejected step
+            with np.errstate(all="ignore"):
+                K_x = kernel.gram_from(self.features)
+                K = K_x.copy() if B is None else np.kron(B, K_x)
+                K.flat[:: self.N + 1] += np.repeat(sigma**2, n)
+            if not np.all(np.isfinite(K)):
+                raise FactorizationError(
+                    f"{kernel.family}: system matrix overflowed at the evaluated coordinates"
+                )
             L = np.linalg.cholesky(K)
-        except FactorizationError as err:
-            err.theta = np.asarray(phi, dtype=float).copy()
-            raise
-        except np.linalg.LinAlgError:
-            err = FactorizationError(
-                f"{type(self.template).__name__}: system matrix not positive "
-                "definite during objective evaluation"
-            )
-            err.theta = np.asarray(phi, dtype=float).copy()
-            raise err
-        z = self.data.zvec
-        alpha = cho_solve((L, True), z)
-        return float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
-
-    def value_and_grad(self, phi: np.ndarray):
-        try:
-            kernel, G, sigma = self.unpack(phi)
-            K_x, parts, B, K = self._system(kernel, G, sigma)
-            L = np.linalg.cholesky(K)
-        except FactorizationError as err:
-            err.theta = np.asarray(phi, dtype=float).copy()
-            raise
-        except np.linalg.LinAlgError:
-            err = FactorizationError(
-                f"{type(self.template).__name__}: system matrix not positive "
-                "definite during gradient evaluation"
-            )
-            err.theta = np.asarray(phi, dtype=float).copy()
+        except np.linalg.LinAlgError as err:
+            if not isinstance(err, FactorizationError):
+                err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
+            err.theta = np.array(coords, dtype=float)
             raise err
         z = self.data.zvec
         alpha = cho_solve((L, True), z)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
-        W = cho_solve((L, True), np.eye(self.N))
-        A = np.outer(alpha, alpha) - W
-
-        theta_k = kernel.theta
-        if not self.multi:
-            MS = np.stack([p.ravel() for p in parts])
-            g_kernel = MS @ A.ravel()
-            g_sigma = np.array([2.0 * sigma[0] * np.trace(A)])
-            g_phi = np.concatenate(
-                [g_kernel[self.free_idx] * theta_k[self.free_idx], g_sigma * sigma]
-            )
-            return F, g_phi
-
-        d, n = self.d, self.n
-        A4 = A.reshape(d, n, d, n)
-        # blockwise contraction: T_M[i, j] = sum_pq A[(i,p),(j,q)] M[p, q]
-        A2 = A4.transpose(0, 2, 1, 3).reshape(d * d, n * n)
-        MS = np.stack([p.ravel() for p in parts] + [K_x.ravel()])
-        T_all = (A2 @ MS.T).reshape(d, d, len(parts) + 1)
-        g_kernel = np.einsum("ij,ijk->k", B, T_all[:, :, :-1])
-        D_B = T_all[:, :, -1]  # raw dF/dB_ij, entries independent
-        TI = np.einsum("ipjp->ij", A4)
-        g_sigma = 2.0 * sigma * np.diag(TI)
-
-        g_G = (D_B + D_B.T) @ G
-        g_G_packed = np.array(
-            [g_G[i, i] * G[i, i] if i == j else g_G[i, j] for (i, j) in self.tril]
+        if not grad:
+            return F
+        A4 = (np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.N))).reshape(d, n, d, n)
+        A2 = A4.transpose(0, 2, 1, 3).reshape(d * d, n * n)  # row (i, j) is block A_ij
+        g_B = (A2 @ K_x.ravel()).reshape(d, d)
+        W = (A2[0] if B is None else B.ravel() @ A2) * K_x.ravel()  # (sum_ij B_ij A_ij) o K_x
+        dc = kernel.coefficients()[1]
+        g_theta = np.concatenate(
+            [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
         )
-        g_phi = np.concatenate(
-            [g_kernel[self.free_idx] * theta_k[self.free_idx], g_G_packed, g_sigma * sigma]
-        )
-        return F, g_phi
+        g_sigma = 2.0 * sigma * np.einsum("ipip->i", A4)
+        return F, g_theta, g_B, g_sigma
 
-    def raw_gradient(self, kernel, B, sigma):
-        """Constrained-space gradient: kernel theta, vec(B) column-major, sigma."""
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        K_x, parts = kernel.gram_and_partials(self.data.inputs, self.ctx)
+    def value(self, phi: np.ndarray) -> float:
+        kernel, _, B, sigma = self.unpack(phi)
+        return self.evaluate(kernel, B, sigma, phi)
+
+    def value_and_grad(self, phi: np.ndarray):
+        kernel, G, B, sigma = self.unpack(phi)
+        F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi, grad=True)
+        parts = [g_theta[self.free_idx] * kernel.theta[self.free_idx]]
         if self.multi:
-            K = np.kron(B, K_x) + np.kron(np.diag(sigma**2), np.eye(self.n))
-        else:
-            K = K_x + sigma[0] ** 2 * np.eye(self.n)
-        L = np.linalg.cholesky(K)
-        z = self.data.zvec
-        alpha = cho_solve((L, True), z)
-        W = cho_solve((L, True), np.eye(self.N))
-        A = np.outer(alpha, alpha) - W
-        if not self.multi:
-            MS = np.stack([p.ravel() for p in parts])
-            g_kernel = MS @ A.ravel()
-            return np.concatenate([g_kernel, [2.0 * sigma[0] * np.trace(A)]])
-        d, n = self.d, self.n
-        A4 = A.reshape(d, n, d, n)
-        A2 = A4.transpose(0, 2, 1, 3).reshape(d * d, n * n)
-        MS = np.stack([p.ravel() for p in parts] + [K_x.ravel()])
-        T_all = (A2 @ MS.T).reshape(d, d, len(parts) + 1)
-        g_kernel = np.einsum("ij,ijk->k", B, T_all[:, :, :-1])
-        D_B = T_all[:, :, -1]
-        TI = np.einsum("ipjp->ij", A4)
-        g_sigma = 2.0 * sigma * np.diag(TI)
-        return np.concatenate([g_kernel, np.ravel(D_B, order="F"), g_sigma])
+            g_G = ((g_B + g_B.T) @ G)[self.tril]
+            g_G[self.diag] *= np.diag(G)
+            parts.append(g_G)
+        parts.append(g_sigma * sigma)
+        return F, np.concatenate(parts)
+
+
+def _constrained(theta, B, sigma) -> np.ndarray:
+    """[kernel theta, vec(B) column-major when B is given, sigma]."""
+    return np.concatenate([theta, [] if B is None else np.ravel(B, order="F"), sigma])
+
+
+def _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad):
+    dataset = _as_dataset(dataset)
+    if (coreg is not None) != dataset.multi_output:
+        raise ValueError("coreg must be given for multi-output data, and only then")
+    sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
+    B = None if coreg is None else np.asarray(coreg, dtype=float)
+    coords = _constrained(kernel.theta, B, sigma)
+    return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords, grad)
 
 
 def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
@@ -347,12 +287,7 @@ def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
     noise_sigma is the noise standard deviation (scalar, or one per output).
     Raises FactorizationError (carrying .theta) if K is not positive definite.
     """
-    dataset = _as_dataset(dataset)
-    sigma = np.atleast_1d(np.asarray(noise_sigma, dtype=float))
-    prob = _Problem(dataset, kernel)
-    G = None if coreg is None else np.linalg.cholesky(_psd_project(np.asarray(coreg)))
-    phi = prob.pack(kernel, G, sigma)
-    return prob.value(phi)
+    return _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad=False)
 
 
 def gradient(dataset, kernel, noise_sigma, coreg=None):
@@ -361,17 +296,15 @@ def gradient(dataset, kernel, noise_sigma, coreg=None):
     Coordinate order: kernel theta, then vec(B) column-major (multi-output
     only, each entry independent), then the per-output noise deviations.
     """
-    dataset = _as_dataset(dataset)
-    sigma = np.atleast_1d(np.asarray(noise_sigma, dtype=float))
-    prob = _Problem(dataset, kernel)
-    B = None if coreg is None else np.asarray(coreg, dtype=float)
-    vals = prob.raw_gradient(kernel, B, sigma)
+    _, g_theta, g_B, g_sigma = _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad=True)
     names = list(kernel.theta_names)
-    if B is not None:
-        d = B.shape[0]
+    if coreg is None:
+        g_B = None
+    else:
+        d = g_B.shape[0]
         names += [f"b_{i + 1}{j + 1}" for j in range(d) for i in range(d)]
-    names += [f"sigma_r_{s + 1}" for s in range(sigma.size)]
-    return tuple(names), vals
+    names += [f"sigma_r_{s + 1}" for s in range(g_sigma.size)]
+    return tuple(names), _constrained(g_theta, g_B, g_sigma)
 
 
 def _as_dataset(dataset) -> Dataset:
@@ -404,9 +337,7 @@ def default_initialization(dataset, family_or_kernel):
     scale = float(np.std(dataset.obs))
     if not scale > 0.0:
         scale = 1.0
-    theta = kernel.theta.copy()
-    theta[0] = scale
-    kernel = kernel.with_theta(theta)
+    kernel = kernel.with_theta(np.concatenate([[scale], kernel.theta[1:]]))
     if dataset.multi_output:
         sig = 0.1 * np.std(dataset.obs, axis=0)
         sig[sig <= 0.0] = 0.1
@@ -486,8 +417,7 @@ def optimize(
             best["restart"] = r
     if best is None:
         raise last_error
-    kernel, G, sigma = prob.unpack(best["phi"])
-    B = None if G is None else G @ G.T
+    kernel, _, B, sigma = prob.unpack(best["phi"])
     gnorm = best["grad_norm"]
     reason = best["stop_reason"]
     converged = reason == "gradient_norm" or (

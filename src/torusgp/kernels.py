@@ -1,51 +1,42 @@
 """Covariance functions on hypertori.
 
-The central kernel couples the circles of T^m through a hollow symmetric
-matrix of pairwise interaction weights:
+Every kernel here has the exp-linear form
 
-    k(u, v) = omega^2 * exp(lam . d + d^T Lam d),    d_s = u_s . v_s,
+    K = omega^2 * exp(sum_f c_f(theta) * F_f)
 
-where lam >= 0 holds per-circle concentrations and Lam has zeros on the
-diagonal and nonnegative weights off it. The off-diagonal weights are stored
-as a flat vector ``corr`` in the canonical pair order (1,2), (2,3), ...,
-(m-1,m), (1,3), ... so the quadratic form is 2 * sum_t corr_t d_i d_j over
-stored pairs t = (i, j). With corr = 0 the kernel degenerates to a product of
-independent von Mises kernels, one per circle.
+over a fixed stack of feature matrices F_f, one per coordinate of theta
+after omega, with a coefficient c_f that depends on that coordinate alone.
+D^s holds the embedded inner products u_s . v_s on circle s:
 
-Three product baselines operate per circle and multiply:
+    family  features F_f                        coefficients c_f
+    hvm     D^s, then D^i * D^j in pair order    lam_s, then 2 * corr_t
+    pvm     D^s                                  lam_s
+    pprd    D^s - 1                              ell_s^-2
+    pse     -(chart difference on circle s)^2/2  ell_s^-2
 
-- squared exponential on the unwrapped chart difference (deliberately
-  aperiodic: the chart seam at 0/2pi stays a seam),
-- the common periodic kernel exp(-2 sin^2((a - b)/2) / l^2),
-- the von Mises kernel omega^2 * exp(lam * u.v).
+hvm is the coupled kernel omega^2 exp(lam . d + d^T Lam d), where Lam is
+hollow and symmetric with the pair weights corr >= 0 off the diagonal,
+stored in the canonical pair order (1,2), (2,3), ..., (m-1,m), (1,3), ...;
+with corr = 0 it is pvm, a product of per-circle von Mises kernels. pprd is
+the periodic factor exp(-2 sin^2((a - b)/2) / l^2) = exp((u.v - 1) / l^2).
+pse uses raw differences of chart angles in [0, 2*pi), so it is deliberately
+aperiodic across the chart seam. The derivatives follow from the form:
 
-Classes at the bottom of the module expose the trainable forms (Gram matrix
-plus per-hyperparameter Gram derivatives) used by the marginal-likelihood
-optimizer.
+    dK/d omega   = (2 / omega) * K
+    dK/d theta_f = c_f'(theta_f) * K * F_f
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import CirclePoint, TorusPoint, as_input_array, chart_angles
+from .manifold import chart_angles
 
 __all__ = [
-    "VmHyperparams",
     "HvmHyperparams",
-    "BaselineKernelParams",
     "pair_order",
-    "k_vm",
-    "k_hvm",
-    "k_pse",
-    "k_pprd",
-    "k_pvm",
-    "gram",
-    "component_distance_matrices",
-    "HvmKernel",
-    "ProductVonMisesKernel",
-    "ProductPeriodicKernel",
-    "ProductSqExpKernel",
+    "component_distances",
+    "ExpLinearKernel",
     "kernel_from_family",
 ]
 
@@ -58,20 +49,6 @@ def pair_order(m: int) -> list:
     if m < 1:
         raise ValueError("m must be >= 1")
     return [(i, i + g) for g in range(1, m) for i in range(m - g)]
-
-
-@dataclass(frozen=True)
-class VmHyperparams:
-    """Scalar von Mises kernel parameters: signal scale and concentration."""
-
-    omega: float
-    lam: float
-
-    def __post_init__(self):
-        if not (self.omega > 0.0 and np.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not (self.lam > 0.0 and np.isfinite(self.lam)):
-            raise ValueError(f"lam must be strictly positive, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -91,23 +68,17 @@ class HvmHyperparams:
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(x) for x in np.atleast_1d(self.lam)))
         object.__setattr__(self, "corr", tuple(float(x) for x in np.atleast_1d(self.corr)))
-        if not (self.omega > 0.0 and np.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        m = len(self.lam)
-        if m < 1:
+        if not self.lam:
             raise ValueError("lam must have at least one entry")
-        if len(self.corr) != m * (m - 1) // 2:
-            raise ValueError(
-                f"corr has {len(self.corr)} entries, expected {m * (m - 1) // 2} for m={m}"
-            )
-        if any(not (x >= 0.0 and np.isfinite(x)) for x in self.lam):
-            raise ValueError("lam entries must be finite and >= 0")
-        if any(not (x >= 0.0 and np.isfinite(x)) for x in self.corr):
-            raise ValueError("corr entries must be finite and >= 0")
+        self.kernel()  # validates the coordinates
 
     @property
     def m(self) -> int:
         return len(self.lam)
+
+    def kernel(self) -> "ExpLinearKernel":
+        """The trainable ``hvm`` kernel with these parameters."""
+        return ExpLinearKernel("hvm", self.m, (self.omega,) + self.lam + self.corr)
 
     def interaction_matrix(self) -> np.ndarray:
         """The hollow symmetric (m, m) matrix holding corr off the diagonal."""
@@ -118,348 +89,117 @@ class HvmHyperparams:
         return L
 
 
-@dataclass(frozen=True)
-class BaselineKernelParams:
-    """Per-circle parameters of the product baselines.
-
-    omega: per-circle signal scales, shape (m,), > 0.
-    scale: per-circle lengthscale (squared exponential, periodic) or
-           concentration (von Mises), shape (m,), > 0.
-    """
-
-    omega: tuple
-    scale: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(float(x) for x in np.atleast_1d(self.omega)))
-        object.__setattr__(self, "scale", tuple(float(x) for x in np.atleast_1d(self.scale)))
-        if len(self.omega) != len(self.scale):
-            raise ValueError("omega and scale must have equal length")
-        if any(not (x > 0.0 and np.isfinite(x)) for x in self.omega + self.scale):
-            raise ValueError("baseline parameters must be finite and positive")
-
-    @property
-    def m(self) -> int:
-        return len(self.omega)
-
-
-def k_vm(u: CirclePoint, v: CirclePoint, p: VmHyperparams) -> float:
-    """von Mises kernel on S^1: omega^2 * exp(lam * u.v)."""
-    d = u.e1 * v.e1 + u.e2 * v.e2
-    return float(p.omega**2 * np.exp(p.lam * d))
-
-
-def k_hvm(u: TorusPoint, v: TorusPoint, p: HvmHyperparams) -> float:
-    """Coupled-torus kernel on T^m (see the module docstring)."""
-    if u.m != p.m or v.m != p.m:
-        raise ValueError(f"points have {u.m}/{v.m} circles, parameters expect {p.m}")
-    d = np.sum(u.array * v.array, axis=1)
-    quad = 2.0 * sum(c * d[i] * d[j] for c, (i, j) in zip(p.corr, pair_order(p.m)))
-    return float(p.omega**2 * np.exp(float(np.dot(p.lam, d)) + quad))
-
-
-def k_pse(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
-    """Product of squared-exponential factors on unwrapped chart differences.
-
-    Both angles are first mapped into [0, 2*pi); the factor uses the raw
-    difference of the chart values, so the kernel is aperiodic across the
-    chart seam by construction.
-    """
-    _check_m(u, v, p)
-    a, b = u.angles, v.angles
-    om = np.asarray(p.omega)
-    ell = np.asarray(p.scale)
-    return float(np.prod(om**2 * np.exp(-((a - b) ** 2) / (2.0 * ell**2))))
-
-
-def k_pprd(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
-    """Product of periodic factors exp(-2 sin^2((a - b)/2) / l^2) per circle."""
-    _check_m(u, v, p)
-    a, b = u.angles, v.angles
-    om = np.asarray(p.omega)
-    ell = np.asarray(p.scale)
-    return float(np.prod(om**2 * np.exp(-2.0 * np.sin((a - b) / 2.0) ** 2 / ell**2)))
-
-
-def k_pvm(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
-    """Product of von Mises factors omega_s^2 * exp(lam_s * u_s.v_s)."""
-    _check_m(u, v, p)
-    d = np.sum(u.array * v.array, axis=1)
-    om = np.asarray(p.omega)
-    lam = np.asarray(p.scale)
-    return float(np.prod(om**2 * np.exp(lam * d)))
-
-
-def _check_m(u: TorusPoint, v: TorusPoint, p) -> None:
-    if u.m != v.m:
-        raise ValueError(f"torus dimensions differ: {u.m} vs {v.m}")
-    if u.m != p.m:
-        raise ValueError(f"points have {u.m} circles, parameters expect {p.m}")
-
-
 def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Componentwise inner products between two input sets.
 
     A: (n, m, 2), B: (p, m, 2)  ->  (m, n, p) with D[s, i, j] = A_is . B_js.
     """
-    return np.einsum("imk,jmk->mij", A, B)
+    # einsum("imk,jmk->mij")'s products, sums and memory layout, without its slow strided loop
+    D = A[:, None, :, 0] * B[None, :, :, 0] + A[:, None, :, 1] * B[None, :, :, 1]
+    return D.transpose(2, 0, 1)
 
 
-def component_distance_matrices(inputs) -> np.ndarray:
-    """Stack of per-circle inner-product matrices D^s for one input set.
+def _chart_features(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    F = chart_angles(A)[:, None, :] - chart_angles(B)[None, :, :]
+    F *= F
+    F *= -0.5
+    return F.transpose(2, 0, 1)
 
-    Returns an (m, n, n) array; D[s] is symmetric with unit diagonal.
+
+# family -> (per-circle features, per-circle coordinate, its default value).
+# Coordinates named "lam" enter the exponent linearly, coordinates named
+# "ell" as ell^-2; only hvm adds the pair features, with weights from 0.1.
+_FAMILIES = {
+    "hvm": (component_distances, "lam", 1.0),
+    "pvm": (component_distances, "lam", 1.0),
+    "pprd": (lambda A, B: component_distances(A, B) - 1.0, "ell", 1.0),
+    "pse": (_chart_features, "ell", 2.0),
+}
+
+
+class ExpLinearKernel:
+    """Trainable kernel omega^2 * exp(sum_f c_f(theta) F_f) of one family.
+
+    theta is [omega, per-circle coordinates, pair weights (hvm only)] in the
+    order of theta_names; omega must be positive, concentrations and pair
+    weights nonnegative, length scales positive.
     """
-    X = as_input_array(inputs)
-    return component_distances(X, X)
 
-
-def gram(inputs_a, inputs_b, kernel) -> np.ndarray:
-    """Cross-covariance matrix between two input sets.
-
-    ``kernel`` is either one of the kernel classes below (vectorized path) or
-    a plain callable k(u, v) over TorusPoint pairs (fallback loop).
-    """
-    A = as_input_array(inputs_a)
-    B = as_input_array(inputs_b, m=A.shape[1])
-    if hasattr(kernel, "gram"):
-        return kernel.gram(A, B)
-    out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        ui = TorusPoint.from_array(A[i])
-        for j in range(B.shape[0]):
-            out[i, j] = kernel(ui, TorusPoint.from_array(B[j]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Trainable kernels: Gram assembly plus per-hyperparameter Gram derivatives.
-# Each class stores positive parameters, exposes them as a flat theta vector,
-# and reports the per-circle structures the optimizer contracts against.
-# ---------------------------------------------------------------------------
-
-
-class HvmKernel:
-    """Trainable coupled-torus kernel."""
-
-    family = "hvm"
-
-    def __init__(self, params: HvmHyperparams):
-        self.params = params
-        self.m = params.m
-        self.pairs = pair_order(self.m)
-
-    @property
-    def theta(self) -> np.ndarray:
-        p = self.params
-        return np.concatenate([[p.omega], p.lam, p.corr])
+    def __init__(self, family: str, m: int, theta):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown kernel family {family!r}")
+        self.family = family
+        self.m = int(m)
+        self._circle_features, self._scale, _ = _FAMILIES[family]
+        self._pairs = pair_order(self.m) if family == "hvm" else []
+        theta = np.array(theta, dtype=float).ravel()
+        if theta.size != 1 + self.m + len(self._pairs):
+            raise ValueError(
+                f"{family} on T^{self.m} takes {1 + self.m + len(self._pairs)} "
+                f"coordinates, got {theta.size}"
+            )
+        k = 1 + self.m if self._scale == "ell" else 1  # omega and length scales are positive
+        if not (np.isfinite(theta).all() and (theta[:k] > 0.0).all() and (theta[k:] >= 0.0).all()):
+            raise ValueError(
+                f"{family}: coordinates must be finite and nonnegative, omega"
+                f"{' and ell' if self._scale == 'ell' else ''} positive; got {theta.tolist()}"
+            )
+        theta.flags.writeable = False
+        self.theta = theta
 
     @property
     def theta_names(self) -> tuple:
-        names = ["omega"] + [f"lam_{s + 1}" for s in range(self.m)]
-        names += [f"corr_{i + 1}{j + 1}" for (i, j) in self.pairs]
+        names = ["omega"] + [f"{self._scale}_{s + 1}" for s in range(self.m)]
+        names += [f"corr_{i + 1}{j + 1}" for (i, j) in self._pairs]
         return tuple(names)
 
-    def with_theta(self, theta) -> "HvmKernel":
-        theta = np.asarray(theta, dtype=float)
-        m = self.m
-        return HvmKernel(
-            HvmHyperparams(theta[0], tuple(theta[1 : 1 + m]), tuple(theta[1 + m :]))
-        )
+    def with_theta(self, theta) -> "ExpLinearKernel":
+        return ExpLinearKernel(self.family, self.m, theta)
+
+    def coefficients(self):
+        """Exponent coefficients c_f and their derivatives dc_f / dtheta_f."""
+        t = self.theta[1:]
+        if self._scale == "ell":
+            return 1.0 / t**2, -2.0 / t**3
+        weight = np.ones(t.size)
+        weight[self.m :] = 2.0  # pair weights enter as 2 * corr
+        return weight * t, weight
+
+    def features(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(len(theta) - 1, n, p) stack of the feature matrices F_f."""
+        F = self._circle_features(A, B)
+        if self._pairs:
+            i, j = np.array(self._pairs).T
+            F = np.concatenate([F, F[i] * F[j]])
+        return F
+
+    def gram_from(self, F: np.ndarray) -> np.ndarray:
+        """Kernel matrix from a feature stack made by features()."""
+        K = np.exp(np.einsum("f,fij->ij", self.coefficients()[0], F))
+        K *= self.theta[0] ** 2
+        return K
+
+    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.gram_from(self.features(A, B))
+
+    def gram_and_partials(self, X: np.ndarray):
+        """Gram matrix and its derivatives in theta order, as a stack."""
+        F = self.features(X, X)
+        K = self.gram_from(F)
+        dc = self.coefficients()[1]
+        parts = np.concatenate([[(2.0 / self.theta[0]) * K], dc[:, None, None] * K * F])
+        return K, parts
 
     def prior_variance(self) -> float:
         """k(x, x), identical for every x."""
-        p = self.params
-        return float(p.omega**2 * np.exp(sum(p.lam) + 2.0 * sum(p.corr)))
-
-    def _exponent(self, D: np.ndarray) -> np.ndarray:
-        p = self.params
-        T = np.einsum("s,sij->ij", np.asarray(p.lam), D)
-        for c, (i, j) in zip(p.corr, self.pairs):
-            T += 2.0 * c * D[i] * D[j]
-        return T
-
-    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        D = component_distances(A, B)
-        return self.params.omega**2 * np.exp(self._exponent(D))
-
-    def gram_and_partials(self, X: np.ndarray, D: np.ndarray | None = None):
-        """Gram matrix and its derivatives in theta order.
-
-        d/d omega  = (2 / omega) * K
-        d/d lam_s  = K * D^s
-        d/d corr_t = 2 * K * D^i * D^j   for the stored pair t = (i, j)
-        """
-        if D is None:
-            D = component_distances(X, X)
-        p = self.params
-        K = p.omega**2 * np.exp(self._exponent(D))
-        parts = [(2.0 / p.omega) * K]
-        parts += [K * D[s] for s in range(self.m)]
-        parts += [2.0 * K * D[i] * D[j] for (i, j) in self.pairs]
-        return K, parts
+        x = np.tile([1.0, 0.0], (1, self.m, 1))
+        return float(self.gram(x, x)[0, 0])
 
 
-class ProductVonMisesKernel:
-    """Trainable product of von Mises factors, collapsed signal scale.
-
-    Parameterized as [omega, lam_1..lam_m]; identical to the coupled kernel
-    with all pairwise weights pinned at zero.
-    """
-
-    family = "pvm"
-
-    def __init__(self, omega: float, lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if not (omega > 0.0 and np.all(lam > 0.0)):
-            raise ValueError("omega and lam must be positive")
-        self.omega = float(omega)
-        self.lam = lam
-        self.m = lam.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([[self.omega], self.lam])
-
-    @property
-    def theta_names(self) -> tuple:
-        return ("omega",) + tuple(f"lam_{s + 1}" for s in range(self.m))
-
-    def with_theta(self, theta) -> "ProductVonMisesKernel":
-        theta = np.asarray(theta, dtype=float)
-        return ProductVonMisesKernel(theta[0], theta[1:])
-
-    def prior_variance(self) -> float:
-        return float(self.omega**2 * np.exp(np.sum(self.lam)))
-
-    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        D = component_distances(A, B)
-        return self.omega**2 * np.exp(np.einsum("s,sij->ij", self.lam, D))
-
-    def gram_and_partials(self, X: np.ndarray, D: np.ndarray | None = None):
-        if D is None:
-            D = component_distances(X, X)
-        K = self.omega**2 * np.exp(np.einsum("s,sij->ij", self.lam, D))
-        parts = [(2.0 / self.omega) * K]
-        parts += [K * D[s] for s in range(self.m)]
-        return K, parts
-
-
-class ProductPeriodicKernel:
-    """Trainable product of periodic factors, collapsed signal scale.
-
-    The per-circle factor exp(-2 sin^2((a - b)/2) / l^2) equals
-    exp((u.v - 1) / l^2), so Grams are assembled from embedded inner
-    products; no chart is involved.
-    """
-
-    family = "pprd"
-
-    def __init__(self, omega: float, ell):
-        ell = np.atleast_1d(np.asarray(ell, dtype=float))
-        if not (omega > 0.0 and np.all(ell > 0.0)):
-            raise ValueError("omega and ell must be positive")
-        self.omega = float(omega)
-        self.ell = ell
-        self.m = ell.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([[self.omega], self.ell])
-
-    @property
-    def theta_names(self) -> tuple:
-        return ("omega",) + tuple(f"ell_{s + 1}" for s in range(self.m))
-
-    def with_theta(self, theta) -> "ProductPeriodicKernel":
-        theta = np.asarray(theta, dtype=float)
-        return ProductPeriodicKernel(theta[0], theta[1:])
-
-    def prior_variance(self) -> float:
-        return float(self.omega**2)
-
-    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        D = component_distances(A, B)
-        expo = np.einsum("s,sij->ij", 1.0 / self.ell**2, D - 1.0)
-        return self.omega**2 * np.exp(expo)
-
-    def gram_and_partials(self, X: np.ndarray, D: np.ndarray | None = None):
-        if D is None:
-            D = component_distances(X, X)
-        expo = np.einsum("s,sij->ij", 1.0 / self.ell**2, D - 1.0)
-        K = self.omega**2 * np.exp(expo)
-        parts = [(2.0 / self.omega) * K]
-        parts += [K * (2.0 * (1.0 - D[s]) / self.ell[s] ** 3) for s in range(self.m)]
-        return K, parts
-
-
-class ProductSqExpKernel:
-    """Trainable product of chart squared-exponential factors.
-
-    Deliberately aperiodic: distances are raw differences of chart angles in
-    [0, 2*pi), so inputs adjacent across the seam look maximally far apart.
-    """
-
-    family = "pse"
-
-    def __init__(self, omega: float, ell):
-        ell = np.atleast_1d(np.asarray(ell, dtype=float))
-        if not (omega > 0.0 and np.all(ell > 0.0)):
-            raise ValueError("omega and ell must be positive")
-        self.omega = float(omega)
-        self.ell = ell
-        self.m = ell.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([[self.omega], self.ell])
-
-    @property
-    def theta_names(self) -> tuple:
-        return ("omega",) + tuple(f"ell_{s + 1}" for s in range(self.m))
-
-    def with_theta(self, theta) -> "ProductSqExpKernel":
-        theta = np.asarray(theta, dtype=float)
-        return ProductSqExpKernel(theta[0], theta[1:])
-
-    def prior_variance(self) -> float:
-        return float(self.omega**2)
-
-    @staticmethod
-    def _sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(m, n, p) squared chart differences."""
-        ta = chart_angles(A)
-        tb = chart_angles(B)
-        return np.transpose((ta[:, None, :] - tb[None, :, :]) ** 2, (2, 0, 1))
-
-    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        E = self._sq_diffs(A, B)
-        expo = np.einsum("s,sij->ij", -0.5 / self.ell**2, E)
-        return self.omega**2 * np.exp(expo)
-
-    def gram_and_partials(self, X: np.ndarray, E: np.ndarray | None = None):
-        if E is None:
-            E = self._sq_diffs(X, X)
-        expo = np.einsum("s,sij->ij", -0.5 / self.ell**2, E)
-        K = self.omega**2 * np.exp(expo)
-        parts = [(2.0 / self.omega) * K]
-        parts += [K * (E[s] / self.ell[s] ** 3) for s in range(self.m)]
-        return K, parts
-
-    def make_context(self, X: np.ndarray) -> np.ndarray:
-        return self._sq_diffs(X, X)
-
-
-def kernel_from_family(family: str, m: int):
+def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
     """Unit-parameter kernel of the given family on T^m (template for inits)."""
     family = family.lower()
-    if family == "hvm":
-        q = m * (m - 1) // 2
-        return HvmKernel(HvmHyperparams(1.0, (1.0,) * m, (0.1,) * q))
-    if family == "pvm":
-        return ProductVonMisesKernel(1.0, np.ones(m))
-    if family == "pprd":
-        return ProductPeriodicKernel(1.0, np.ones(m))
-    if family == "pse":
-        return ProductSqExpKernel(1.0, 2.0 * np.ones(m))
-    raise ValueError(f"unknown kernel family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    q = m * (m - 1) // 2 if family == "hvm" else 0
+    return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][2]] * m + [0.1] * q)

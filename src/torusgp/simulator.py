@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import HvmHyperparams, HvmKernel
+from .kernels import HvmHyperparams
 from .manifold import aoa_embedding_batch
 
 __all__ = [
@@ -404,7 +404,7 @@ def case_study_2_sweep(params: HvmHyperparams, resolution: int = 181) -> SweepRe
         raise ValueError("the sweep is defined on two circles")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    kernel = HvmKernel(params)
+    kernel = params.kernel()
     grid = np.linspace(-np.pi, np.pi, resolution)
     A, Bm = np.meshgrid(grid, grid, indexing="ij")
     pts = np.empty((resolution * resolution, 2, 2))

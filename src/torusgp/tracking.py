@@ -55,7 +55,6 @@ __all__ = [
     "systematic_resample",
     "fit_parametric",
     "save_parametric",
-    "load_parametric",
     "load_range_model",
     "train_method",
     "step",
@@ -214,16 +213,6 @@ def save_parametric(model: ParametricRangeModel, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-
-
-def load_parametric(path) -> ParametricRangeModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _PARAMETRIC_FORMAT:
-        raise ValueError(f"{path}: not a {_PARAMETRIC_FORMAT} file")
-    return ParametricRangeModel(
-        bias=np.asarray(doc["bias"], dtype=float), cov=np.asarray(doc["cov"], dtype=float)
-    )
 
 
 def load_range_model(path):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from kernel_oracles import BaselineKernelParams, k_hvm, k_pvm
 
 from torusgp import gp, hyperopt, kernels, simulator, tracking
 from torusgp.hyperopt import _Problem
@@ -51,7 +52,7 @@ def test_criterion_1_gradients_match_finite_differences(record_detail):
             tuple(rng.uniform(0.3, 1.5, m)),
             tuple(rng.uniform(0.05, 0.5, m * (m - 1) // 2)),
         )
-        kern = kernels.HvmKernel(params)
+        kern = params.kernel()
         A = rng.standard_normal((d, d))
         G = np.linalg.cholesky(A @ A.T + d * np.eye(d))
         sigma = rng.uniform(0.2, 0.6, d)
@@ -86,10 +87,10 @@ def test_criterion_2_zero_coupling_equals_product_kernel(record_detail):
         coupled = kernels.HvmHyperparams(
             float(np.prod(omega)), tuple(lam), (0.0,) * (m * (m - 1) // 2)
         )
-        product = kernels.BaselineKernelParams(tuple(omega), tuple(lam))
+        product = BaselineKernelParams(tuple(omega), tuple(lam))
         u = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
         v = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
-        diff = abs(kernels.k_hvm(u, v, coupled) - kernels.k_pvm(u, v, product))
+        diff = abs(k_hvm(u, v, coupled) - k_pvm(u, v, product))
         worst = max(worst, diff)
     record_detail(f"max abs diff {worst:.2e}")
     assert worst < 1e-12
@@ -166,9 +167,7 @@ def test_criterion_5_identity_mixing_matches_independent_gps(record_detail):
     n, m, d, t = 20, 3, 3, 7
     X = _random_inputs(rng, n, m)
     Z = rng.standard_normal((n, d))
-    kern = kernels.HvmKernel(
-        kernels.HvmHyperparams(1.1, (0.8, 0.5, 1.2), (0.2, 0.1, 0.3))
-    )
+    kern = kernels.HvmHyperparams(1.1, (0.8, 0.5, 1.2), (0.2, 0.1, 0.3)).kernel()
     noise = np.array([0.04, 0.09, 0.02])
     joint = gp.fit(X, Z, kern, noise, coreg=np.eye(d))
     T = _random_inputs(rng, t, m)
@@ -317,7 +316,7 @@ def test_criterion_9_factorization_robustness(record_detail):
             tuple(rng.uniform(0.1, 3.0, m)),
             tuple(rng.uniform(0.0, 1.0, m * (m - 1) // 2)),
         )
-        kern = kernels.HvmKernel(params)
+        kern = params.kernel()
         try:
             model = gp.fit(X, z, kern, 1e-8)
         except gp.FactorizationError:

@@ -189,6 +189,15 @@ def test_case1_outputs_and_periodicity_report(tmp_path):
     assert len(training) == 1 + 10
 
 
+@pytest.mark.parametrize("seed", ["316", "785"])
+def test_case1_survives_extreme_line_search_probes(tmp_path, seed):
+    """These seeds send a product-kernel line search to omega > 1e154, where
+    omega**2 overflows; the probe must count as a rejected step."""
+    out = tmp_path / "run"
+    assert cli.main(["case1", "--seed", seed, "--out", str(out)]) == 0
+    assert (out / "case1_report.json").is_file()
+
+
 def test_case2_outputs_all_sets(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"

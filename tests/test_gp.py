@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusgp import gp
-from torusgp.kernels import HvmHyperparams, HvmKernel, kernel_from_family
+from torusgp.kernels import HvmHyperparams, kernel_from_family
 
 
 def _inputs(rng, n, m):
@@ -12,8 +12,8 @@ def _inputs(rng, n, m):
 
 def _kernel(m=2):
     if m == 2:
-        return HvmKernel(HvmHyperparams(1.1, (0.8, 1.3), (0.25,)))
-    return HvmKernel(HvmHyperparams(1.1, (0.8, 1.3, 0.5), (0.25, 0.1, 0.3)))
+        return HvmHyperparams(1.1, (0.8, 1.3), (0.25,)).kernel()
+    return HvmHyperparams(1.1, (0.8, 1.3, 0.5), (0.25, 0.1, 0.3)).kernel()
 
 
 def test_single_output_posterior_matches_dense_formula():

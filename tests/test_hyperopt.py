@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torusgp import gp, hyperopt
-from torusgp.kernels import HvmHyperparams, HvmKernel, kernel_from_family
+from torusgp.kernels import HvmHyperparams, kernel_from_family
 
 
 def _inputs(rng, n, m):
@@ -20,7 +20,7 @@ def test_objective_single_output_matches_dense():
     rng = np.random.default_rng(0)
     X = _inputs(rng, 12, 2)
     z = rng.standard_normal(12)
-    kernel = HvmKernel(HvmHyperparams(1.2, (0.9, 0.5), (0.2,)))
+    kernel = HvmHyperparams(1.2, (0.9, 0.5), (0.2,)).kernel()
     sigma = 0.3
     ds = hyperopt.Dataset.from_data(X, z)
     got = hyperopt.objective(ds, kernel, sigma)
@@ -33,7 +33,7 @@ def test_objective_multi_output_matches_dense():
     n, d = 10, 3
     X = _inputs(rng, n, 3)
     Z = rng.standard_normal((n, d))
-    kernel = HvmKernel(HvmHyperparams(0.9, (1.1, 0.4, 0.7), (0.15, 0.05, 0.3)))
+    kernel = HvmHyperparams(0.9, (1.1, 0.4, 0.7), (0.15, 0.05, 0.3)).kernel()
     B = np.cov(rng.standard_normal((7, d)).T) + np.eye(d)
     sigma = np.array([0.2, 0.4, 0.3])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -43,13 +43,35 @@ def test_objective_multi_output_matches_dense():
     assert got == pytest.approx(_dense_objective(K, zvec), abs=1e-8)
 
 
+def test_objective_at_zero_pair_weight_matches_dense():
+    """Explicit hyperparameters are evaluated as given, zeros included."""
+    rng = np.random.default_rng(4)
+    X = _inputs(rng, 30, 2)
+    z = rng.standard_normal(30)
+    kernel = HvmHyperparams(1.0, (1.0, 1.0), (0.0,)).kernel()
+    got = hyperopt.objective((X, z), kernel, 0.1)
+    K = kernel.gram(X, X) + 0.01 * np.eye(30)
+    assert got == pytest.approx(_dense_objective(K, z), abs=1e-9)
+    names, grads = hyperopt.gradient((X, z), kernel, 0.1)
+    assert names[3] == "corr_12" and np.isfinite(grads[3])
+
+
+def test_optimize_from_a_zero_free_coordinate_names_it():
+    ds = _toy_dataset(seed=3)
+    start = HvmHyperparams(1.0, (1.0, 0.8, 0.5), (0.2, 0.0, 0.15)).kernel()
+    with pytest.raises(ValueError, match=r"corr_23.*fixed="):
+        hyperopt.optimize(ds, start, budget=5, restarts=1)
+    res = hyperopt.optimize(ds, start, fixed={"corr_23": 0.0}, budget=5, restarts=1)
+    assert dict(zip(res.kernel.theta_names, res.kernel.theta))["corr_23"] == 0.0
+
+
 def test_gradient_kernel_and_noise_coords_match_fd():
     """Central differences on the public objective, coordinate by coordinate."""
     rng = np.random.default_rng(2)
     n, d = 9, 3
     X = _inputs(rng, n, 3)
     Z = rng.standard_normal((n, d))
-    kernel = HvmKernel(HvmHyperparams(1.1, (0.8, 0.6, 1.2), (0.2, 0.1, 0.25)))
+    kernel = HvmHyperparams(1.1, (0.8, 0.6, 1.2), (0.2, 0.1, 0.25)).kernel()
     B = np.cov(rng.standard_normal((8, d)).T) + np.eye(d)
     sigma = np.array([0.3, 0.5, 0.4])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -86,7 +108,7 @@ def test_gradient_coreg_coords_match_symmetric_fd():
     n, d = 8, 2
     X = _inputs(rng, n, 2)
     Z = rng.standard_normal((n, d))
-    kernel = HvmKernel(HvmHyperparams(1.0, (0.7, 0.9), (0.2,)))
+    kernel = HvmHyperparams(1.0, (0.7, 0.9), (0.2,)).kernel()
     B = np.array([[1.5, 0.4], [0.4, 1.1]])
     sigma = np.array([0.3, 0.4])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -114,7 +136,7 @@ def test_gradient_coreg_coords_match_symmetric_fd():
 def _toy_dataset(seed=0, n=30):
     rng = np.random.default_rng(seed)
     X = _inputs(rng, n, 3)
-    truth = HvmKernel(HvmHyperparams(1.2, (1.0, 0.8, 0.5), (0.2, 0.1, 0.15)))
+    truth = HvmHyperparams(1.2, (1.0, 0.8, 0.5), (0.2, 0.1, 0.15)).kernel()
     K = truth.gram(X, X) + 0.01 * np.eye(n)
     z = np.linalg.cholesky(K) @ rng.standard_normal(n)
     return hyperopt.Dataset.from_data(X, z)
@@ -194,7 +216,7 @@ def test_concentration_recovery_from_generated_data():
     for trial in range(6):
         rng = np.random.default_rng(100 + trial)
         X = _inputs(rng, n, 2)
-        kern = HvmKernel(HvmHyperparams(1.5, tuple(truth), (0.2,)))
+        kern = HvmHyperparams(1.5, tuple(truth), (0.2,)).kernel()
         K = kern.gram(X, X) + 0.0025 * np.eye(n)
         z = np.linalg.cholesky(K) @ rng.standard_normal(n)
         ds = hyperopt.Dataset.from_data(X, z)

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from torusgp.kernels import (
+from kernel_oracles import (
     BaselineKernelParams,
-    HvmHyperparams,
-    HvmKernel,
-    ProductPeriodicKernel,
-    ProductSqExpKernel,
-    ProductVonMisesKernel,
     VmHyperparams,
-    component_distances,
     gram,
     k_hvm,
     k_pprd,
     k_pse,
     k_pvm,
     k_vm,
+)
+from torusgp.kernels import (
+    ExpLinearKernel,
+    HvmHyperparams,
+    component_distances,
     kernel_from_family,
     pair_order,
 )
@@ -120,24 +119,40 @@ def test_component_distances_shape_and_values():
                 assert D[s, i, j] == pytest.approx(A[i, s] @ B[j, s], abs=1e-14)
 
 
-def test_gram_matches_scalar_kernel():
+_OMEGAS = (1.2, 0.9, 1.3)
+
+
+@pytest.mark.parametrize(
+    "family, oracle, params",
+    [
+        ("hvm", k_hvm, HvmHyperparams(1.4, (0.7, 0.3, 1.1), (0.2, 0.05, 0.4))),
+        ("pvm", k_pvm, BaselineKernelParams(_OMEGAS, (0.7, 0.3, 1.1))),
+        ("pprd", k_pprd, BaselineKernelParams(_OMEGAS, (0.9, 1.8, 1.2))),
+        ("pse", k_pse, BaselineKernelParams(_OMEGAS, (1.5, 2.0, 0.8))),
+    ],
+    ids=["hvm", "pvm", "pprd", "pse"],
+)
+def test_gram_matches_scalar_kernel(family, oracle, params):
     rng = np.random.default_rng(7)
     X = _random_inputs(rng, 6, 3)
-    params = HvmHyperparams(1.4, (0.7, 0.3, 1.1), (0.2, 0.05, 0.4))
-    kernel = HvmKernel(params)
+    if family == "hvm":
+        kernel = params.kernel()
+    else:
+        # the product oracles carry one signal scale per circle
+        kernel = ExpLinearKernel(family, 3, (np.prod(params.omega),) + params.scale)
     K = kernel.gram(X, X)
     pts = [TorusPoint.from_array(row) for row in X]
     for i in range(6):
         for j in range(6):
-            assert K[i, j] == pytest.approx(k_hvm(pts[i], pts[j], params), rel=1e-12)
-    K2 = gram(X, X, kernel)
+            assert K[i, j] == pytest.approx(oracle(pts[i], pts[j], params), rel=1e-12)
+    K2 = gram(X, X, lambda u, v: oracle(u, v, params))
     assert np.allclose(K, K2, atol=0)
 
 
 def test_hvm_gram_symmetry_and_diag():
     rng = np.random.default_rng(9)
     X = _random_inputs(rng, 10, 2)
-    kernel = HvmKernel(HvmHyperparams(0.9, (1.0, 2.0), (0.3,)))
+    kernel = HvmHyperparams(0.9, (1.0, 2.0), (0.3,)).kernel()
     K = kernel.gram(X, X)
     assert np.allclose(K, K.T, atol=1e-15)
     assert np.allclose(np.diag(K), kernel.prior_variance(), rtol=1e-13)
@@ -192,14 +207,14 @@ def test_gram_and_partials_match_finite_differences():
 def test_hvm_with_zero_corr_matches_pvm():
     rng = np.random.default_rng(13)
     X = _random_inputs(rng, 8, 3)
-    hvm = HvmKernel(HvmHyperparams(1.3, (0.6, 1.1, 0.4), (0.0, 0.0, 0.0)))
-    pvm = ProductVonMisesKernel(1.3, (0.6, 1.1, 0.4))
+    hvm = HvmHyperparams(1.3, (0.6, 1.1, 0.4), (0.0, 0.0, 0.0)).kernel()
+    pvm = ExpLinearKernel("pvm", 3, (1.3, 0.6, 1.1, 0.4))
     assert np.max(np.abs(hvm.gram(X, X) - pvm.gram(X, X))) < 1e-14
 
 
 def test_pse_kernel_is_chart_aperiodic():
     # same circle point approached from the two chart sides
-    p = ProductSqExpKernel(1.0, (1.0,))
+    p = ExpLinearKernel("pse", 1, (1.0, 1.0))
     lo = np.array([[[np.cos(1e-3), np.sin(1e-3)]]])
     hi = np.array([[[np.cos(2 * np.pi - 1e-3), np.sin(2 * np.pi - 1e-3)]]])
     k = p.gram(lo, hi)[0, 0]
@@ -208,7 +223,7 @@ def test_pse_kernel_is_chart_aperiodic():
 
 
 def test_periodic_kernel_wraps():
-    p = ProductPeriodicKernel(1.0, (1.0,))
+    p = ExpLinearKernel("pprd", 1, (1.0, 1.0))
     lo = np.array([[[np.cos(1e-3), np.sin(1e-3)]]])
     hi = np.array([[[np.cos(2 * np.pi - 1e-3), np.sin(2 * np.pi - 1e-3)]]])
     assert p.gram(lo, hi)[0, 0] == pytest.approx(1.0, abs=1e-5)
