@@ -52,7 +52,8 @@ def main():
     print("running the monotone ascent from the data-driven default start:")
     res = hyperopt.optimize(ds, "hvm", budget=60, restarts=2, seed=5)
     print(
-        f"  stop: {res.stop_reason} after {res.iterations} iterations, "
+        f"  stop: {res.stop_reason} after {res.iterations} iterations "
+        f"({res.evaluations} objective evaluations, {res.backtracks} step halvings), "
         f"converged = {res.converged}, final grad norm {res.grad_norm:.3e}"
     )
     trace = res.trace

@@ -105,11 +105,13 @@ def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
         JITTER_START_FACTOR * scale * 10.0**k
         for k in range(int(np.log10(JITTER_MAX_FACTOR / JITTER_START_FACTOR)) + 1)
     ]
-    eye = np.eye(K.shape[0])
     for jitter in jitters:
+        K_j = K
+        if jitter > 0.0:
+            K_j = K.copy()
+            K_j.flat[:: K.shape[0] + 1] += jitter
         try:
-            L = np.linalg.cholesky(K + jitter * eye)
-            return L, jitter
+            return np.linalg.cholesky(K_j), jitter
         except np.linalg.LinAlgError:
             continue
     min_pivot = float(np.linalg.eigvalsh(K)[0])
@@ -122,12 +124,12 @@ def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
 
 def system_matrix(kernel, X: np.ndarray, noise_var, coreg: np.ndarray | None) -> np.ndarray:
     """Assemble the full training covariance including observation noise."""
-    Kxx = kernel.gram(X, X)
+    K = kernel.gram(X, X)
     n = X.shape[0]
-    if coreg is None:
-        return Kxx + float(noise_var) * np.eye(n)
-    R = np.diag(np.asarray(noise_var, dtype=float))
-    return np.kron(coreg, Kxx) + np.kron(R, np.eye(n))
+    if coreg is not None:
+        K = np.kron(coreg, K)
+    K.flat[:: K.shape[0] + 1] += np.repeat(np.asarray(noise_var, dtype=float), n)
+    return K
 
 
 def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:

@@ -17,8 +17,30 @@ Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
     d B_ij:    sum(A_ij * K_x)                  (each entry independent)
     d sigma_s: 2 sigma_s * tr(A_ss)
 
-The feature stack F is built once per dataset and K^-1 once per gradient,
-from the triangular factor; no per-coordinate n x n matrix is formed.
+The feature stack F is built once per dataset; no per-coordinate n x n
+matrix is formed. How K is factored depends on the number of outputs d.
+
+One output: K = b K_x + sigma^2 I is n x n, and its Cholesky factor gives F
+and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
+eigendecomposition of the same matrix, and the optimizer evaluates F at
+every line-search probe, so this path stays on Cholesky.
+
+Several outputs: the ICM system has the exact Kronecker-eigen form (Bonilla
+et al. 2008; Stegle et al. 2011). With K_x = U diag(lam) U^T,
+R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the n x d matrix
+D = lam S^T + 1,
+
+    K       = (R^1/2 kron I)(Q kron U)(S kron diag(lam) + I)(Q kron U)^T(R^1/2 kron I)
+    Alpha   = U ((U^T Z P) / D) P^T           (n x d, vec(Alpha) = K^-1 z)
+    log|K|  = n sum_s log sigma_s^2 + sum log D
+    Abar    = Alpha B Alpha^T - U diag(D^-1 S) U^T
+    dF/dB   = Alpha^T K_x Alpha - P diag(lam^T D^-1) P^T
+    dF/dsigma_s = 2 sigma_s (|Alpha_s|^2 - (Q^2 colsum(D^-1))_s / sigma_s^2)
+
+so an evaluation costs one n x n and one d x d eigh, and no (nd) x (nd)
+matrix is formed. K is positive definite exactly when every entry of D is
+positive. Otherwise, or when K_x or B overflows or eigh fails, the
+evaluation raises FactorizationError.
 
 Optimization runs in unconstrained coordinates phi:
 
@@ -100,7 +122,9 @@ class OptResult:
     """Outcome of one optimize() call (best restart).
 
     trace holds the accepted objective values of the winning restart, in
-    order; converged follows the rule in the module docstring.
+    order; converged follows the rule in the module docstring. evaluations
+    counts that restart's objective evaluations (with or without gradient,
+    failed ones included) and backtracks its line-search step halvings.
     """
 
     kernel: object
@@ -114,6 +138,8 @@ class OptResult:
     trace: list
     seed: int
     restart: int
+    evaluations: int
+    backtracks: int
     restart_objectives: list = field(default_factory=list)
 
     @property
@@ -133,6 +159,8 @@ class OptResult:
             "stop_reason": self.stop_reason,
             "grad_norm": self.grad_norm,
             "restart": self.restart,
+            "evaluations": self.evaluations,
+            "backtracks": self.backtracks,
             "restart_objectives": list(self.restart_objectives),
             "trace": [float(v) for v in self.trace],
         }
@@ -216,39 +244,80 @@ class _Problem:
         With grad, returns (F, dF/dtheta, dF/dB, dF/dsigma); the entries of B
         count as independent. A system matrix that overflows or is not
         positive definite raises FactorizationError carrying coords as .theta.
+        One output goes through the Cholesky factor of K, several through
+        the eigen factorization of the ICM system (module docstring).
         """
-        d, n = self.d, self.n
         try:
-            # overflow is tolerated here: the check below makes it a rejected step
+            # overflow is tolerated here: the finiteness checks make it a rejected step
             with np.errstate(all="ignore"):
                 K_x = kernel.gram_from(self.features)
-                K = K_x.copy() if B is None else np.kron(B, K_x)
-                K.flat[:: self.N + 1] += np.repeat(sigma**2, n)
-            if not np.all(np.isfinite(K)):
-                raise FactorizationError(
-                    f"{kernel.family}: system matrix overflowed at the evaluated coordinates"
-                )
-            L = np.linalg.cholesky(K)
+                out = (self._cholesky if self.d == 1 else self._icm)(K_x, B, sigma, grad)
         except np.linalg.LinAlgError as err:
             if not isinstance(err, FactorizationError):
                 err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
             err.theta = np.array(coords, dtype=float)
             raise err
+        if not grad:
+            return out
+        F, Abar, g_B, g_sigma = out
+        W = (Abar * K_x).ravel()
+        dc = kernel.coefficients()[1]
+        g_theta = np.concatenate(
+            [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
+        )
+        return F, g_theta, g_B, g_sigma
+
+    def _check_finite(self, a):
+        if not np.all(np.isfinite(a)):
+            raise FactorizationError(
+                f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
+            )
+
+    def _cholesky(self, K_x, B, sigma, grad):
+        """F, or (F, Abar, dF/dB, dF/dsigma), for one output: K = b K_x + sigma^2 I."""
+        b = 1.0 if B is None else B[0, 0]
+        K = b * K_x
+        K.flat[:: self.n + 1] += sigma**2
+        self._check_finite(K)
+        L = np.linalg.cholesky(K)
         z = self.data.zvec
         alpha = cho_solve((L, True), z)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
         if not grad:
             return F
-        A4 = (np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.N))).reshape(d, n, d, n)
-        A2 = A4.transpose(0, 2, 1, 3).reshape(d * d, n * n)  # row (i, j) is block A_ij
-        g_B = (A2 @ K_x.ravel()).reshape(d, d)
-        W = (A2[0] if B is None else B.ravel() @ A2) * K_x.ravel()  # (sum_ij B_ij A_ij) o K_x
-        dc = kernel.coefficients()[1]
-        g_theta = np.concatenate(
-            [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
-        )
-        g_sigma = 2.0 * sigma * np.einsum("ipip->i", A4)
-        return F, g_theta, g_B, g_sigma
+        A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n))
+        g_B = np.array([[np.sum(A * K_x)]])
+        return F, b * A, g_B, 2.0 * sigma * np.einsum("ii->", A)
+
+    def _icm(self, K_x, B, sigma, grad):
+        """F, or (F, Abar, dF/dB, dF/dsigma), for d outputs from two eigh calls.
+
+        With the names of the module docstring,
+        K^-1 = (P kron U) diag(D)^-1 (P kron U)^T, so z^T K^-1 z is the sum
+        of (U^T Z P)^2 / D and no (n d) x (n d) matrix is formed.
+        """
+        r = 1.0 / sigma
+        B_w = B * np.outer(r, r)
+        self._check_finite(K_x)
+        self._check_finite(B_w)
+        lam, U = np.linalg.eigh(K_x)
+        S, Q = np.linalg.eigh(B_w)
+        D = np.outer(lam, S) + 1.0
+        if not np.all(D > 0.0):
+            raise np.linalg.LinAlgError("K is not positive definite")
+        P = Q * r[:, None]
+        Zt = U.T @ self.data.obs @ P
+        M = Zt / D
+        logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(D))
+        F = float(-np.sum(Zt * M) - logdet - self.N * _LOG2PI)
+        if not grad:
+            return F
+        Alpha = U @ M @ P.T
+        Dinv = 1.0 / D
+        Abar = Alpha @ B @ Alpha.T - (U * (Dinv @ S)) @ U.T
+        g_B = P @ (M.T @ (lam[:, None] * M) - np.diag(lam @ Dinv)) @ P.T
+        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - P**2 @ Dinv.sum(axis=0))
+        return F, Abar, g_B, g_sigma
 
     def value(self, phi: np.ndarray) -> float:
         kernel, _, B, sigma = self.unpack(phi)
@@ -436,6 +505,8 @@ def optimize(
         trace=best["trace"],
         seed=seed,
         restart=best["restart"],
+        evaluations=best["evaluations"],
+        backtracks=best["backtracks"],
         restart_objectives=restart_objectives,
     )
 
@@ -453,6 +524,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     trace = [F]
     stop_reason = "budget"
     iterations = 0
+    evaluations, backtracks = 1, 0
     first_update = True
     for it in range(budget):
         if np.linalg.norm(g) < grad_tol * (1.0 + abs(F)):
@@ -468,6 +540,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
             t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, np.linalg.norm(g)))
             for _ in range(40):
                 phi_new = phi + t * direction
+                evaluations += 1
                 try:
                     F_new = prob.value(phi_new)
                 except FactorizationError:
@@ -476,6 +549,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
                     accepted = True
                     break
                 t *= 0.5
+                backtracks += 1
             if accepted or attempt == 1:
                 break
             # quasi-Newton direction failed outright: fall back to steepest
@@ -485,6 +559,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
             stop_reason = "step_failure"
             break
         F_new, g_new = prob.value_and_grad(phi_new)
+        evaluations += 1
         s = phi_new - phi
         y = -(g_new - g)  # gradient change of -F (minimization form)
         sy = float(s @ y)
@@ -511,4 +586,6 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         "trace": trace,
         "iterations": iterations,
         "stop_reason": stop_reason,
+        "evaluations": evaluations,
+        "backtracks": backtracks,
     }

@@ -146,6 +146,30 @@ def test_cholesky_with_jitter_rescues_singular_psd():
     L, used = gp.cholesky_with_jitter(A)
     assert used > 0.0
     assert np.allclose(L @ L.T, A + used * np.eye(3), atol=1e-12)
+    assert np.array_equal(L, np.linalg.cholesky(A + used * np.eye(3)))
+    assert np.array_equal(A, v @ v.T)  # the jittered copy leaves the input alone
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_system_matrix_adds_noise_on_the_diagonal_bit_exactly(d):
+    """The diagonal noise update equals the kron(R, I) formula entry for entry."""
+    rng = np.random.default_rng(60 + d)
+    n = 20
+    X = _inputs(rng, n, 2)
+    kernel = _kernel()
+    if d == 1:
+        noise, coreg = 0.05, None
+        expected = kernel.gram(X, X) + noise * np.eye(n)
+    else:
+        A = rng.standard_normal((d, d))
+        coreg = A @ A.T + np.eye(d)
+        noise = rng.uniform(0.01, 0.1, d)
+        expected = np.kron(coreg, kernel.gram(X, X)) + np.kron(np.diag(noise), np.eye(n))
+    K = gp.system_matrix(kernel, X, noise, coreg)
+    assert np.array_equal(K, expected)
+    L, used = gp.cholesky_with_jitter(K)
+    assert used == 0.0
+    assert np.array_equal(L, np.linalg.cholesky(expected + 0.0 * np.eye(n * d)))
 
 
 def test_cholesky_with_jitter_raises_on_indefinite():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernel_oracles import dense_icm, mp_hvm_icm
 from torusgp import gp, hyperopt
 from torusgp.kernels import HvmHyperparams, kernel_from_family
 
@@ -54,6 +55,102 @@ def test_objective_at_zero_pair_weight_matches_dense():
     assert got == pytest.approx(_dense_objective(K, z), abs=1e-9)
     names, grads = hyperopt.gradient((X, z), kernel, 0.1)
     assert names[3] == "corr_12" and np.isfinite(grads[3])
+
+
+def _icm_problem(rng, family, n, d, m=3):
+    X = _inputs(rng, n, m)
+    Z = rng.standard_normal((n, d))
+    template = kernel_from_family(family, m)
+    kernel = template.with_theta(template.theta * rng.uniform(0.6, 1.4, template.theta.size))
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.3 * np.eye(d)
+    sigma = rng.uniform(0.2, 0.5, d)
+    return X, Z, kernel, B, sigma
+
+
+# Relative to the largest entry of each block (or 1). The test systems have
+# cond(K) from 7e1 to 2e3, and the two evaluations agree to 1e-13 or better;
+# a wrong term in any closed form moves a block by far more than 1e-9.
+ICM_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
+def test_icm_objective_and_gradient_match_the_dense_oracle(family, d):
+    """The eigen factorization against the dense N x N inverse, block by block."""
+    rng = np.random.default_rng(["hvm", "pvm", "pprd", "pse"].index(family) * 10 + d)
+    X, Z, kernel, B, sigma = _icm_problem(rng, family, 30, d)
+    F_ref, g_theta, g_B, g_sigma = dense_icm(kernel, X, Z, B, sigma)
+    F = hyperopt.objective((X, Z), kernel, sigma, coreg=B)
+    _, grads = hyperopt.gradient((X, Z), kernel, sigma, coreg=B)
+    k = kernel.theta.size
+    blocks = {
+        "F": (np.array([F]), np.array([F_ref])),
+        "theta": (grads[:k], g_theta),
+        "vec(B)": (grads[k : k + d * d], np.ravel(g_B, order="F")),
+        "sigma": (grads[k + d * d :], g_sigma),
+    }
+    for name, (got, ref) in blocks.items():
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(got - ref)) <= ICM_RTOL * scale, name
+
+
+def test_icm_precision_against_a_50_digit_reference():
+    """F, dF/dB and dF/dsigma within 4 cond(K) eps of an mpmath evaluation."""
+    rng = np.random.default_rng(31)
+    n, d = 20, 3
+    # clustered on a small patch of T^3, with little noise: cond(K) >= 1e9
+    ang = 1.0 + 0.3 * rng.uniform(0.0, 1.0, (n, 3))
+    X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    params = HvmHyperparams(1.3, (1.1, 0.7, 0.9), (0.2, 0.1, 0.15))
+    kernel = params.kernel()
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    sigma = np.array([3e-4, 5e-4, 4e-4])
+    K = np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(sigma**2), np.eye(n))
+    Z = (np.linalg.cholesky(K) @ rng.standard_normal(n * d)).reshape(d, n).T
+    cond = np.linalg.cond(K)
+    assert cond >= 1e9
+    F_ref, gB_ref, gs_ref = mp_hvm_icm(X, params, Z, B, sigma)
+    F = hyperopt.objective((X, Z), kernel, sigma, coreg=B)
+    _, grads = hyperopt.gradient((X, Z), kernel, sigma, coreg=B)
+    k = kernel.theta.size
+    tol = 4.0 * cond * np.finfo(float).eps
+    for got, ref in [
+        (F, F_ref),
+        *zip(grads[k : k + d * d], np.ravel(gB_ref, order="F")),
+        *zip(grads[k + d * d :], gs_ref),
+    ]:
+        assert abs(got - ref) <= tol * max(1.0, abs(ref)), (got, ref)
+
+
+def test_objective_with_an_indefinite_system_raises_with_theta():
+    rng = np.random.default_rng(41)
+    X = _inputs(rng, 25, 2)
+    Z = rng.standard_normal((25, 2))
+    kernel = HvmHyperparams(1.0, (0.8, 0.6), (0.1,)).kernel()
+    B = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    sigma = np.array([0.1, 0.1])
+    with pytest.raises(gp.FactorizationError) as exc:
+        hyperopt.objective((X, Z), kernel, sigma, coreg=B)
+    assert np.array_equal(exc.value.theta, np.concatenate([kernel.theta, B.ravel(), sigma]))
+
+
+def test_indefinite_coreg_with_a_positive_definite_system_gives_the_dense_value():
+    """An indefinite B is fine as long as B kron K_x + R kron I stays positive definite."""
+    rng = np.random.default_rng(42)
+    n = 25
+    X = _inputs(rng, n, 2)
+    Z = rng.standard_normal((n, 2))
+    kernel = HvmHyperparams(1.0, (0.8, 0.6), (0.1,)).kernel()
+    lam_max = np.linalg.eigvalsh(kernel.gram(X, X))[-1]
+    B = np.diag([1.0, -0.5 / lam_max])
+    sigma = np.array([1.0, 1.0])
+    K = np.kron(B, kernel.gram(X, X)) + np.eye(2 * n)
+    assert np.linalg.eigvalsh(K)[0] > 0.0
+    got = hyperopt.objective((X, Z), kernel, sigma, coreg=B)
+    assert got == pytest.approx(dense_icm(kernel, X, Z, B, sigma)[0], rel=1e-12)
+    assert got == pytest.approx(_dense_objective(K, np.ravel(Z, order="F")), rel=1e-12)
 
 
 def test_optimize_from_a_zero_free_coordinate_names_it():
@@ -249,19 +346,26 @@ def test_summary_carries_the_trace():
     assert doc["objective"] == res.objective
     assert doc["trace"][-1] == pytest.approx(res.objective)
     assert doc["stop_reason"] == res.stop_reason
+    assert doc["evaluations"] == res.evaluations >= res.iterations + 1
+    assert doc["backtracks"] == res.backtracks >= 0
 
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
     """Probe points that overflow or underflow exp() must fail as
-    FactorizationError (a rejected step), never as a constructor crash."""
-    ds = _toy_dataset(seed=21)
-    kern0, sig0, _ = hyperopt.default_initialization(ds, "hvm")
-    prob = hyperopt._Problem(ds, kern0)
-    phi = prob.pack(kern0, None, sig0)
-    for bad in (800.0, -800.0):
-        phi_bad = phi.copy()
-        phi_bad[1] = bad
-        with pytest.raises(gp.FactorizationError):
-            prob.value(phi_bad)
-        with pytest.raises(gp.FactorizationError):
-            prob.value_and_grad(phi_bad)
+    FactorizationError (a rejected step), never as a constructor crash or
+    NaN, for one output and for two."""
+    single = _toy_dataset(seed=21)
+    two = hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 3)], 1))
+    for ds in (single, two):
+        kern0, sig0, B0 = hyperopt.default_initialization(ds, "hvm")
+        prob = hyperopt._Problem(ds, kern0)
+        phi = prob.pack(kern0, None if B0 is None else np.linalg.cholesky(B0), sig0)
+        # omega = exp(400) passes unpack and overflows the Gram matrix instead
+        probes = [(i, bad) for i in (0, 1, phi.size - 1) for bad in (800.0, -800.0)]
+        for i, bad in probes + [(0, 400.0)]:
+            phi_bad = phi.copy()
+            phi_bad[i] = bad
+            with pytest.raises(gp.FactorizationError):
+                prob.value(phi_bad)
+            with pytest.raises(gp.FactorizationError):
+                prob.value_and_grad(phi_bad)
