@@ -9,7 +9,7 @@ Subcommands
   point (raw and normalized) with an argmax and separability report.
 - simulate: write the training set and ground-truth trajectory for the
   configured sensor-network scenario.
-- train: fit one or all measurement models to a training-set file; writes a
+- train: fit one or all measurement models to a training set file; writes a
   model file and an optimization report per method.
 - track: run the particle filter once along a trajectory with a trained
   model; writes the per-step estimate and error table.
@@ -38,14 +38,18 @@ One JSON file shared by all subcommands, every section optional:
     }
 
 The --seed flag overrides the config seed everywhere; with neither, the
-documented default seed 1234 applies. Unknown keys are rejected. A manifest
-written by any run is itself a valid --config argument: it carries the fully
-resolved configuration and seed, so rerunning a stage from its manifest
-reproduces the outputs bit-exactly.
+documented default seed 1234 applies. Every section is checked on every
+command, whether or not the command reads it: an unknown key, a wrong-typed
+value (a string or a float where an integer belongs, a scalar where a list
+belongs, NaN or infinity for a number) and an out-of-range value all exit 2
+with the section and key named. A manifest written by any run is itself a
+valid --config argument: it carries the fully resolved configuration and
+seed, so rerunning a stage from its manifest reproduces the outputs
+bit-exactly.
 
 Every stage writes manifest_<command>.json into the output directory listing
 the resolved configuration, the seed, the artifact files it produced, the
-tool version, and wall-clock timings.
+tool version, wall-clock timings, and a summary of the run.
 
 Exit codes
 ----------
@@ -56,6 +60,7 @@ did not survive the jitter policy).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -102,164 +107,159 @@ class MissingArtifactError(Exception):
     """An upstream stage's output file is absent (exit code 3)."""
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
-# Configuration loading and resolution.
+# Configuration schema and loading.
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"seed", "scenario", "optimizer", "case1", "case2", "train", "track", "campaign"}
-_SCENARIO_KEYS = {
-    "arena",
-    "references",
-    "trajectory",
-    "steps",
-    "process_cov",
-    "noise_xi",
-    "offset_ratio",
-    "grid",
-    "particles",
+
+def _field_defaults(cls, *skip) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Every key with its default; the default's type is the key's type (see _parse).
+CONFIG_SCHEMA = {
+    "seed": DEFAULT_SEED,
+    "scenario": _field_defaults(ScenarioConfig, "seed"),
+    "optimizer": {"budget": 150, "restarts": 4, "rel_tol": 1e-6, "grad_tol": 1e-5},
+    "case1": {
+        "n_train": 40,
+        "curve_points": 721,
+        "periodicity_angles": 50,
+        "density": _field_defaults(CircularDensity),
+    },
+    "case2": {"resolution": 181},
+    "train": {"trainset": None},
+    "track": {"model": None, "trajectory": None},
+    "campaign": {
+        "methods": tracking.METHODS,
+        "trajectories": TRAJECTORY_NAMES,
+        "noise_levels": (0.01,),
+        "runs": 100,
+        "opt_budget": 100,
+        "opt_restarts": 2,
+    },
 }
-_OPTIMIZER_KEYS = {"budget", "restarts", "rel_tol", "grad_tol"}
-_CASE1_KEYS = {"n_train", "curve_points", "periodicity_angles", "density"}
-_DENSITY_KEYS = {
-    "vm_components",
-    "vm_weights",
-    "axial_angle",
-    "axial_conc",
-    "axial_weight",
-    "noise_var",
+
+# Lower bounds of integer keys; ScenarioConfig and CircularDensity check their own.
+_MINIMUM = {
+    "seed": 0,
+    "optimizer.budget": 1,
+    "optimizer.restarts": 1,
+    "case1.n_train": 2,
+    "case1.curve_points": 2,
+    "case1.periodicity_angles": 1,
+    "case2.resolution": 2,
+    "campaign.runs": 1,
+    "campaign.opt_budget": 1,
+    "campaign.opt_restarts": 1,
 }
-_CASE2_KEYS = {"resolution"}
-_TRAIN_KEYS = {"trainset"}
-_TRACK_KEYS = {"model", "trajectory"}
-_CAMPAIGN_KEYS = {
-    "methods",
-    "trajectories",
-    "noise_levels",
-    "runs",
-    "opt_budget",
-    "opt_restarts",
-}
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _show(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _parse(value, default, where, inner=False):
+    """Return value in the type its default implies, or raise ConfigError naming where.
+
+    A dict default is a section: unknown keys are rejected and missing keys
+    take their defaults, parsed the same way. A tuple default takes a list
+    whose items match its first item; a list nested in a list must have that
+    item's length. None takes a path string or null, a str a string, an int
+    an integer (at least _MINIMUM[where] where listed), and a float any
+    finite number.
+    """
+    if isinstance(default, dict):
+        if isinstance(value, dict):
+            unknown = sorted(set(value) - set(default))
+            if unknown:
+                raise ConfigError(
+                    f"{where or 'config'}: unknown key(s) {', '.join(unknown)}; "
+                    f"allowed: {sorted(default)}"
+                )
+            return {
+                key: _parse(value.get(key, d), d, f"{where}.{key}".lstrip("."))
+                for key, d in default.items()
+            }
+        expected = "a JSON object"
+    elif isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) and (not inner or len(value) == len(default)):
+            return tuple(_parse(v, default[0], f"{where}[{i}]", True) for i, v in enumerate(value))
+        expected = f"a list of {len(default)} items" if inner else "a list"
+    elif default is None or isinstance(default, str):
+        if isinstance(value, str) or (default is None and value is None):
+            return value
+        expected = "a string" if default is not None else "a path string or null"
+    elif isinstance(default, int):
+        low = _MINIMUM.get(where)
+        if type(value) is int and (low is None or value >= low):
+            return value
+        expected = "an integer" if low is None else f"an integer >= {low}"
+    else:
+        if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return float(value)
+        expected = "a finite number"
+    raise ConfigError(f"{where}: expected {expected}, got {_show(value)}")
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config file; a manifest resolves to its stored config."""
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise MissingArtifactError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{p}: top level must be a JSON object")
-    if data.get("format") == _MANIFEST_FORMAT:
-        cfg = data.get("resolved_config", {})
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{p}: manifest resolved_config must be an object")
-        cfg = dict(cfg)
-        cfg.setdefault("seed", data.get("seed"))
-        data = cfg
-    _check_keys(data, _TOP_KEYS, "config")
-    return data
+    """Parse and check a JSON config file; a manifest resolves to its stored config.
+
+    Returns every section of CONFIG_SCHEMA with its defaults filled in, and
+    "seed" (DEFAULT_SEED when the file gives none or null). Any invalid key or
+    value raises ConfigError.
+    """
+    data = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise MissingArtifactError(f"config file not found: {p}")
+        try:
+            data = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{p}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{p}: top level must be a JSON object")
+        if data.get("format") == _MANIFEST_FORMAT:
+            cfg = data.get("resolved_config", {})
+            if not isinstance(cfg, dict):
+                raise ConfigError(f"{p}: manifest resolved_config must be an object")
+            data = {"seed": data.get("seed"), **cfg}
+        if data.get("seed") is None:
+            data.pop("seed", None)
+    config = _parse(data, CONFIG_SCHEMA, "")
+
+    for where, cls, fields in (
+        ("scenario", ScenarioConfig, config["scenario"]),
+        ("case1.density", CircularDensity, config["case1"]["density"]),
+    ):
+        try:
+            cls(**fields)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise ConfigError(f"config section '{where}': {exc}") from exc
+    camp = config["campaign"]
+    methods = [normalize_method(m, "campaign.methods") for m in camp["methods"]]
+    camp["methods"] = tracking.METHODS if "all" in methods else tuple(methods)
+    if not set(camp["trajectories"]) <= set(TRAJECTORY_NAMES):
+        raise ConfigError(f"campaign.trajectories: choose from {list(TRAJECTORY_NAMES)}")
+    if any(x <= 0 for x in camp["noise_levels"]):
+        raise ConfigError("campaign.noise_levels: noise levels must be positive")
+    return config
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}; allowed: {sorted(allowed)}")
-
-
-def resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if config.get("seed") is not None:
-        return int(config["seed"])
-    return DEFAULT_SEED
-
-
-def scenario_from_config(config: dict, seed: int) -> ScenarioConfig:
-    sec = config.get("scenario", {})
-    _check_keys(sec, _SCENARIO_KEYS, "config section 'scenario'")
-    kw = {}
-    for key in _SCENARIO_KEYS:
-        if key in sec:
-            val = sec[key]
-            if key in ("arena", "grid"):
-                val = tuple(val)
-            elif key in ("references", "process_cov"):
-                val = tuple(tuple(row) for row in val)
-            kw[key] = val
-    try:
-        return ScenarioConfig(seed=seed, **kw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config section 'scenario': {exc}") from exc
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "arena": list(cfg.arena),
-        "references": [list(r) for r in cfg.references],
-        "trajectory": cfg.trajectory,
-        "steps": cfg.steps,
-        "process_cov": [list(r) for r in cfg.process_cov],
-        "noise_xi": cfg.noise_xi,
-        "offset_ratio": cfg.offset_ratio,
-        "grid": list(cfg.grid),
-        "particles": cfg.particles,
-    }
-
-
-def optimizer_from_config(config: dict, **overrides) -> dict:
-    sec = config.get("optimizer", {})
-    _check_keys(sec, _OPTIMIZER_KEYS, "config section 'optimizer'")
-    opts = {"budget": 150, "restarts": 4, "rel_tol": 1e-6, "grad_tol": 1e-5}
-    opts.update(sec)
-    opts.update(overrides)
-    if opts["budget"] < 1 or opts["restarts"] < 1:
-        raise ConfigError("config section 'optimizer': budget and restarts must be >= 1")
-    return opts
-
-
-def density_from_config(sec: dict) -> CircularDensity:
-    _check_keys(sec, _DENSITY_KEYS, "config section 'case1.density'")
-    kw = dict(sec)
-    if "vm_components" in kw:
-        kw["vm_components"] = tuple(tuple(c) for c in kw["vm_components"])
-    if "vm_weights" in kw:
-        kw["vm_weights"] = tuple(kw["vm_weights"])
-    try:
-        return CircularDensity(**kw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config section 'case1.density': {exc}") from exc
-
-
-def density_to_dict(d: CircularDensity) -> dict:
-    return {
-        "vm_components": [list(c) for c in d.vm_components],
-        "vm_weights": list(d.vm_weights),
-        "axial_angle": d.axial_angle,
-        "axial_conc": d.axial_conc,
-        "axial_weight": d.axial_weight,
-        "noise_var": d.noise_var,
-    }
-
-
-def normalize_method(name: str) -> str:
+def normalize_method(name: str, where: str = "--method") -> str:
     lookup = {m.lower(): m for m in tracking.METHODS}
     key = name.lower()
     if key == "all":
         return "all"
     if key not in lookup:
         raise ConfigError(
-            f"unknown method {name!r}; choose from {list(tracking.METHODS)} or 'all'"
+            f"{where}: unknown method {name!r}; choose from {list(tracking.METHODS)} or 'all'"
         )
     return lookup[key]
 
@@ -269,39 +269,15 @@ def normalize_method(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
+        lines.append(",".join(str(c) if isinstance(c, (str, int)) else repr(float(c)) for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _write_manifest(out, command, seed, resolved, artifacts, clocks, summary=None) -> Path:
-    doc = {
-        "format": _MANIFEST_FORMAT,
-        "version": 1,
-        "tool": f"torusgp {__version__}",
-        "command": command,
-        "seed": seed,
-        "resolved_config": resolved,
-        "artifacts": [str(a) for a in artifacts],
-        "wall_clock_s": {k: round(v, 6) for k, v in clocks.items()},
-    }
-    if summary is not None:
-        doc["summary"] = summary
-    path = out / f"manifest_{command}.json"
-    _write_json(path, doc)
-    return path
 
 
 def _embed_angles(theta: np.ndarray) -> np.ndarray:
@@ -313,28 +289,37 @@ def _hyperparam_dict(kernel) -> dict:
     return {name: float(v) for name, v in zip(kernel.theta_names, kernel.theta)}
 
 
+def _fit_summary(tm: tracking.TrainedMethod) -> dict:
+    """Optimizer outcome, work counts and factorization jitter of one GP fit."""
+    return {
+        "objective": tm.opt.objective,
+        "converged": tm.opt.converged,
+        "stop_reason": tm.opt.stop_reason,
+        "evaluations": tm.opt.evaluations,
+        "backtracks": tm.opt.backtracks,
+        "jitter_used": tm.gp.jitter_used,
+    }
+
+
+def _require_file(path: Path, hint: str) -> Path:
+    if not path.exists():
+        raise MissingArtifactError(f"expected {hint} at {path}")
+    return path
+
+
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each takes (args, config, seed, out) and returns the sections
+# of the resolved configuration it used, the artifact names, its clocks
+# (the runner adds "total") and the manifest summary.
 # ---------------------------------------------------------------------------
 
 
-def cmd_case1(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    sec = config.get("case1", {})
-    _check_keys(sec, _CASE1_KEYS, "config section 'case1'")
-    n_train = int(sec.get("n_train", 40))
-    curve_points = int(sec.get("curve_points", 721))
-    periodicity_angles = int(sec.get("periodicity_angles", 50))
-    if n_train < 2 or curve_points < 2 or periodicity_angles < 1:
-        raise ConfigError("config section 'case1': counts must be positive (n_train >= 2)")
-    density = density_from_config(sec.get("density", {}))
-    opts = optimizer_from_config(config)
-
-    t0 = time.perf_counter()
+def cmd_case1(args, config, seed, out):
+    sec = config["case1"]
+    opts = config["optimizer"]
+    density = CircularDensity(**sec["density"])
     rng = rng_for(seed, 0)
-    thetas = rng.uniform(0.0, TWO_PI, n_train)
+    thetas = rng.uniform(0.0, TWO_PI, sec["n_train"])
     z = case_study_1_observe(thetas, rng, density)
     ds = hyperopt.Dataset.from_data(_embed_angles(thetas), z)
     clocks = {}
@@ -343,15 +328,7 @@ def cmd_case1(args) -> int:
     reports = {}
     for label, family in (("vm", "hvm"), ("se", "pse")):
         t1 = time.perf_counter()
-        res = hyperopt.optimize(
-            ds,
-            family,
-            budget=opts["budget"],
-            restarts=opts["restarts"],
-            seed=seed,
-            rel_tol=opts["rel_tol"],
-            grad_tol=opts["grad_tol"],
-        )
+        res = hyperopt.optimize(ds, family, seed=seed, **opts)
         models[label] = gp_mod.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
         reports[label] = {
             "hyperparams": _hyperparam_dict(res.kernel),
@@ -360,23 +337,16 @@ def cmd_case1(args) -> int:
         }
         clocks[f"fit_{label}"] = time.perf_counter() - t1
 
-    grid = np.linspace(-TWO_PI, 2.0 * TWO_PI, curve_points)
+    grid = np.linspace(-TWO_PI, 2.0 * TWO_PI, sec["curve_points"])
     emb = _embed_angles(grid)
-    curves = {}
+    check = np.linspace(0.0, TWO_PI, sec["periodicity_angles"], endpoint=False)
+    curves, gap, per = {}, {}, {}
     for label, model in models.items():
         post = gp_mod.predict(model, emb)
         curves[label] = (post.mean, np.diag(post.cov))
-    truth = density.mean_value(grid)
-
-    # Seam behavior: the same circle point reached from both chart sides.
-    edge = gp_mod.predict(models["se"], _embed_angles(np.array([0.0, TWO_PI])))
-    gap_se = float(abs(edge.mean[0] - edge.mean[1]))
-    edge_vm = gp_mod.predict(models["vm"], _embed_angles(np.array([0.0, TWO_PI])))
-    gap_vm = float(abs(edge_vm.mean[0] - edge_vm.mean[1]))
-
-    check = np.linspace(0.0, TWO_PI, periodicity_angles, endpoint=False)
-    per = {}
-    for label, model in models.items():
+        # Seam behavior: the same circle point reached from both chart sides.
+        edge = gp_mod.predict(model, _embed_angles(np.array([0.0, TWO_PI])))
+        gap[label] = float(abs(edge.mean[0] - edge.mean[1]))
         a = gp_mod.predict(model, _embed_angles(check))
         b = gp_mod.predict(model, _embed_angles(check + TWO_PI))
         per[label] = {
@@ -384,6 +354,7 @@ def cmd_case1(args) -> int:
             "var_max_abs": float(np.max(np.abs(np.diag(a.cov) - np.diag(b.cov)))),
         }
 
+    truth = density.mean_value(grid)
     train_path = out / "case1_training.csv"
     _write_csv(train_path, ["theta_rad", "z"], zip(thetas, z))
     curves_path = out / "case1_curves.csv"
@@ -393,56 +364,32 @@ def cmd_case1(args) -> int:
         zip(grid, truth, curves["se"][0], curves["se"][1], curves["vm"][0], curves["vm"][1]),
     )
     report = {
-        "n_train": n_train,
-        "density": density_to_dict(density),
+        "n_train": sec["n_train"],
+        "density": sec["density"],
         "models": reports,
-        "boundary_gap": {"se_mean": gap_se, "vm_mean": gap_vm},
+        "boundary_gap": {"se_mean": gap["se"], "vm_mean": gap["vm"]},
         "periodicity": per,
     }
     report_path = out / "case1_report.json"
     _write_json(report_path, report)
-    clocks["total"] = time.perf_counter() - t0
-    resolved = {
-        "seed": seed,
-        "case1": {
-            "n_train": n_train,
-            "curve_points": curve_points,
-            "periodicity_angles": periodicity_angles,
-            "density": density_to_dict(density),
-        },
-        "optimizer": opts,
-    }
-    _write_manifest(
-        out,
-        "case1",
-        seed,
-        resolved,
+    return (
+        {"case1": sec, "optimizer": opts},
         [train_path.name, curves_path.name, report_path.name],
         clocks,
-        summary={"boundary_gap_se": gap_se, "boundary_gap_vm": gap_vm},
+        {"boundary_gap_se": gap["se"], "boundary_gap_vm": gap["vm"]},
     )
-    return EXIT_OK
 
 
-def cmd_case2(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    sec = config.get("case2", {})
-    _check_keys(sec, _CASE2_KEYS, "config section 'case2'")
-    resolution = int(sec.get("resolution", 181))
-    if resolution < 2:
-        raise ConfigError("config section 'case2': resolution must be >= 2")
-
-    t0 = time.perf_counter()
+def cmd_case2(args, config, seed, out):
     artifacts = []
     report = {}
     for idx, params in enumerate(CASE2_PARAM_SETS, start=1):
-        sweep = case_study_2_sweep(params, resolution=resolution)
-        rows = []
-        for i, a in enumerate(sweep.alphas):
-            for j, b in enumerate(sweep.betas):
-                rows.append((a, b, sweep.values[i, j], sweep.normalized[i, j]))
+        sweep = case_study_2_sweep(params, resolution=config["case2"]["resolution"])
+        rows = [
+            (a, b, sweep.values[i, j], sweep.normalized[i, j])
+            for i, a in enumerate(sweep.alphas)
+            for j, b in enumerate(sweep.betas)
+        ]
         path = out / f"case2_set{idx}.csv"
         _write_csv(path, ["alpha_rad", "beta_rad", "k", "k_normalized"], rows)
         artifacts.append(path.name)
@@ -466,63 +413,36 @@ def cmd_case2(args) -> int:
     report_path = out / "case2_report.json"
     _write_json(report_path, report)
     artifacts.append(report_path.name)
-    clocks = {"total": time.perf_counter() - t0}
-    resolved = {"seed": seed, "case2": {"resolution": resolution}}
-    _write_manifest(out, "case2", seed, resolved, artifacts, clocks)
-    return EXIT_OK
+    return {"case2": config["case2"]}, artifacts, {}, None
 
 
-def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    cfg = scenario_from_config(config, seed)
-    t0 = time.perf_counter()
+def cmd_simulate(args, config, seed, out):
+    cfg = ScenarioConfig(seed=seed, **config["scenario"])
     ts = build_training_set(cfg)
     traj = trajectory(cfg)
     ts_path = out / "training_set.csv"
     traj_path = out / "trajectory.csv"
     save_training_set(ts, ts_path)
     save_trajectory(traj, traj_path)
-    clocks = {"total": time.perf_counter() - t0}
-    resolved = {"seed": seed, "scenario": scenario_to_dict(cfg)}
-    _write_manifest(
-        out,
-        "simulate",
-        seed,
-        resolved,
+    return (
+        {"scenario": config["scenario"]},
         [ts_path.name, traj_path.name],
-        clocks,
-        summary={"training_points": ts.n, "trajectory_steps": traj.steps},
+        {},
+        {"training_points": ts.n, "trajectory_steps": traj.steps},
     )
-    return EXIT_OK
 
 
-def _require_file(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"expected {hint} at {path}")
-    return path
-
-
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    cfg = scenario_from_config(config, seed)
-    sec = config.get("train", {})
-    _check_keys(sec, _TRAIN_KEYS, "config section 'train'")
-    ts_path = Path(args.trainset or sec.get("trainset") or out / "training_set.csv")
+def cmd_train(args, config, seed, out):
+    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+    opts = config["optimizer"]
+    ts_path = Path(args.trainset or config["train"]["trainset"] or out / "training_set.csv")
     _require_file(ts_path, "a training set (simulate stage output)")
     ts = load_training_set(ts_path)
     if ts.inputs.shape[1] != cfg.m:
-        raise ConfigError(
-            f"training set has {ts.inputs.shape[1]} references, scenario has {cfg.m}"
-        )
-    opts = optimizer_from_config(config)
+        raise ConfigError(f"training set has {ts.inputs.shape[1]} references, scenario has {cfg.m}")
     method = normalize_method(args.method)
     methods = list(tracking.METHODS) if method == "all" else [method]
 
-    t0 = time.perf_counter()
     clocks = {}
     artifacts = []
     summary = {}
@@ -544,153 +464,139 @@ def cmd_train(args) -> int:
                 "hyperparams": _hyperparam_dict(tm.opt.kernel),
                 "coreg": tm.opt.coreg.tolist(),
                 "noise_var": np.asarray(tm.opt.noise_var).tolist(),
+                "jitter_used": tm.gp.jitter_used,
                 "optimization": tm.opt.summary(),
             }
             report_path = out / f"optreport_{mth.lower()}.json"
             _write_json(report_path, report)
             artifacts.append(report_path.name)
-            summary[mth] = {
-                "objective": tm.opt.objective,
-                "converged": tm.opt.converged,
-                "stop_reason": tm.opt.stop_reason,
-            }
+            summary[mth] = _fit_summary(tm)
         else:
             tracking.save_parametric(tm.model, model_path)
-            summary[mth] = {
-                "bias": tm.model.bias.tolist(),
-                "cov": tm.model.cov.tolist(),
-            }
+            summary[mth] = {"bias": tm.model.bias.tolist(), "cov": tm.model.cov.tolist()}
         artifacts.append(model_path.name)
         clocks[f"train_{mth.lower()}"] = time.perf_counter() - t1
-    clocks["total"] = time.perf_counter() - t0
-    resolved = {
-        "seed": seed,
-        "scenario": scenario_to_dict(cfg),
-        "optimizer": opts,
-        "train": {"trainset": str(ts_path)},
-    }
-    _write_manifest(out, "train", seed, resolved, artifacts, clocks, summary=summary)
-    return EXIT_OK
+    resolved = {"scenario": config["scenario"], "optimizer": opts, "train": {"trainset": str(ts_path)}}
+    return resolved, artifacts, clocks, summary
 
 
-def cmd_track(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    cfg = scenario_from_config(config, seed)
-    sec = config.get("track", {})
-    _check_keys(sec, _TRACK_KEYS, "config section 'track'")
+def cmd_track(args, config, seed, out):
+    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+    sec = config["track"]
     method = normalize_method(args.method)
     if method == "all":
         raise ConfigError("track runs one method per invocation; pass a single --method")
-    model_path = Path(args.model or sec.get("model") or out / f"model_{method.lower()}.json")
+    model_path = Path(args.model or sec["model"] or out / f"model_{method.lower()}.json")
     _require_file(model_path, f"a trained {method} model (train stage output)")
     model = tracking.load_range_model(model_path)
     if isinstance(model, tracking.GpRangeModel) and model.gp.m != cfg.m:
         raise ConfigError(f"model was trained with {model.gp.m} references, scenario has {cfg.m}")
 
-    traj_arg = args.trajectory or sec.get("trajectory")
-    if traj_arg is not None:
-        traj = load_trajectory(_require_file(Path(traj_arg), "a trajectory file"), cfg.trajectory)
+    traj_arg = args.trajectory or sec["trajectory"]
+    if traj_arg is None:
+        traj_path = out / "trajectory.csv"
     else:
-        default_path = out / "trajectory.csv"
-        traj = (
-            load_trajectory(default_path, cfg.trajectory)
-            if default_path.exists()
-            else trajectory(cfg)
-        )
+        traj_path = _require_file(Path(traj_arg), "a trajectory file")
+    traj = load_trajectory(traj_path, cfg.trajectory) if traj_path.exists() else trajectory(cfg)
 
-    t0 = time.perf_counter()
     result = tracking.run_tracking(cfg, method, model, seed, traj=traj)
-    clocks = {"total": time.perf_counter() - t0}
     track_path = out / f"track_{method.lower()}.csv"
     rows = [
         (t, result.truth[t, 0], result.truth[t, 1], result.estimates[t, 0], result.estimates[t, 1], result.ape[t])
         for t in range(result.truth.shape[0])
     ]
     _write_csv(track_path, ["step", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "ape_m"], rows)
-    resolved = {
-        "seed": seed,
-        "scenario": scenario_to_dict(cfg),
-        "track": {"model": str(model_path), "trajectory": traj_arg},
-    }
-    _write_manifest(
-        out,
-        "track",
-        seed,
-        resolved,
+    return (
+        {"scenario": config["scenario"], "track": {"model": str(model_path), "trajectory": traj_arg}},
         [track_path.name],
-        clocks,
-        summary={"method": method, "rmse": result.rmse, "diverged": bool(result.diverged)},
+        {},
+        {"method": method, "rmse": result.rmse, "diverged": bool(result.diverged)},
     )
-    return EXIT_OK
 
 
-def cmd_campaign(args) -> int:
-    out = _out_dir(args)
-    config = load_config(args.config)
-    seed = resolve_seed(args, config)
-    cfg = scenario_from_config(config, seed)
-    sec = config.get("campaign", {})
-    _check_keys(sec, _CAMPAIGN_KEYS, "config section 'campaign'")
-    methods = [normalize_method(m) for m in sec.get("methods", list(tracking.METHODS))]
-    if "all" in methods:
-        methods = list(tracking.METHODS)
-    trajectories = list(sec.get("trajectories", ["T1", "T2", "T3"]))
-    for name in trajectories:
-        if name not in TRAJECTORY_NAMES:
-            raise ConfigError(f"config section 'campaign': unknown trajectory {name!r}")
-    noise_levels = [float(x) for x in sec.get("noise_levels", [0.01])]
-    if any(x <= 0 for x in noise_levels):
-        raise ConfigError("config section 'campaign': noise levels must be positive")
-    runs = int(sec.get("runs", 100))
-    opt_budget = int(sec.get("opt_budget", 100))
-    opt_restarts = int(sec.get("opt_restarts", 2))
-    if runs < 1 or opt_budget < 1 or opt_restarts < 1:
-        raise ConfigError("config section 'campaign': counts must be >= 1")
-
-    t0 = time.perf_counter()
-    rows, _ = tracking.campaign(
-        cfg,
-        methods=methods,
-        trajectories=trajectories,
-        noise_levels=noise_levels,
-        runs=runs,
-        seed=seed,
-        opt_budget=opt_budget,
-        opt_restarts=opt_restarts,
-        jobs=args.jobs,
-    )
+def cmd_campaign(args, config, seed, out):
+    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+    sec = config["campaign"]
+    rows, trained = tracking.campaign(cfg, seed=seed, jobs=args.jobs, **sec)
     csv_path = out / "campaign.csv"
     tracking.write_campaign_csv(rows, csv_path)
-    clocks = {"total": time.perf_counter() - t0}
-    resolved = {
-        "seed": seed,
-        "scenario": scenario_to_dict(cfg),
-        "campaign": {
-            "methods": methods,
-            "trajectories": trajectories,
-            "noise_levels": noise_levels,
-            "runs": runs,
-            "opt_budget": opt_budget,
-            "opt_restarts": opt_restarts,
-        },
-    }
-    _write_manifest(
-        out,
-        "campaign",
-        seed,
-        resolved,
+    fits = [
+        {"noise_level": sec["noise_levels"][ni], "method": mth, **_fit_summary(tm)}
+        for (ni, mth), tm in trained.items()
+        if tm.opt is not None
+    ]
+    return (
+        {"scenario": config["scenario"], "campaign": sec},
         [csv_path.name],
-        clocks,
-        summary={"rows": len(rows)},
+        {},
+        {"rows": len(rows), "fits": fits},
     )
+
+
+# ---------------------------------------------------------------------------
+# Runner, parser and entry point.
+# ---------------------------------------------------------------------------
+
+
+def _run(args) -> int:
+    """Create --out, load the config, resolve the seed, run the command, write its manifest."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    config = load_config(args.config)
+    seed = config["seed"] if args.seed is None else _parse(args.seed, DEFAULT_SEED, "seed")
+    t0 = time.perf_counter()
+    resolved, artifacts, clocks, summary = args.func(args, config, seed, out)
+    clocks["total"] = time.perf_counter() - t0
+    doc = {
+        "format": _MANIFEST_FORMAT,
+        "version": 1,
+        "tool": f"torusgp {__version__}",
+        "command": args.command,
+        "seed": seed,
+        "resolved_config": {"seed": seed, **resolved},
+        "artifacts": artifacts,
+        "wall_clock_s": {k: round(v, 6) for k, v in clocks.items()},
+    }
+    if summary is not None:
+        doc["summary"] = summary
+    _write_json(out / f"manifest_{args.command}.json", doc)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Parser and entry point.
-# ---------------------------------------------------------------------------
+_COMMON_FLAGS = {
+    "--config": {"help": "JSON config file (or a manifest to rerun)"},
+    "--seed": {"type": int, "help": f"override config seed (default {DEFAULT_SEED})"},
+    "--out": {"default": ".", "help": "output directory (default: current)"},
+}
+
+# name -> (function, help, flags beyond the common ones)
+_COMMANDS = {
+    "case1": (cmd_case1, "circular regression curves and seam report", {}),
+    "case2": (cmd_case2, "two-circle kernel sweeps against the zero-angle point", {}),
+    "simulate": (cmd_simulate, "write the training set and trajectory files", {}),
+    "train": (
+        cmd_train,
+        "fit measurement models to a training set",
+        {
+            "--method": {"default": "HvM", "help": "HvM, PvM, PPRD, PSE, Parametric, or all"},
+            "--trainset": {"help": "training-set CSV (default: <out>/training_set.csv)"},
+        },
+    ),
+    "track": (
+        cmd_track,
+        "run the particle filter once with a trained model",
+        {
+            "--method": {"default": "HvM", "help": "HvM, PvM, PPRD, PSE, or Parametric"},
+            "--model": {"help": "model file (default: <out>/model_<method>.json)"},
+            "--trajectory": {"help": "trajectory CSV (default: <out>/trajectory.csv if present)"},
+        },
+    ),
+    "campaign": (
+        cmd_campaign,
+        "Monte Carlo tracking grid with per-noise training",
+        {"--jobs": {"type": int, "default": 1, "help": "parallel workers (results seed-exact)"}},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,50 +606,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"torusgp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file (or a manifest to rerun)")
-        p.add_argument("--seed", type=int, help=f"override config seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-
-    p = sub.add_parser("case1", help="circular regression curves and seam report")
-    common(p)
-    p.set_defaults(func=cmd_case1)
-
-    p = sub.add_parser("case2", help="two-circle kernel sweeps against the zero-angle point")
-    common(p)
-    p.set_defaults(func=cmd_case2)
-
-    p = sub.add_parser("simulate", help="write the training set and trajectory files")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train", help="fit measurement models to a training set")
-    common(p)
-    p.add_argument("--method", default="HvM", help="HvM, PvM, PPRD, PSE, Parametric, or all")
-    p.add_argument("--trainset", help="training-set CSV (default: <out>/training_set.csv)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("track", help="run the particle filter once with a trained model")
-    common(p)
-    p.add_argument("--method", default="HvM", help="HvM, PvM, PPRD, PSE, or Parametric")
-    p.add_argument("--model", help="model file (default: <out>/model_<method>.json)")
-    p.add_argument("--trajectory", help="trajectory CSV (default: <out>/trajectory.csv if present)")
-    p.set_defaults(func=cmd_track)
-
-    p = sub.add_parser("campaign", help="Monte Carlo tracking grid with per-noise training")
-    common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (results seed-exact)")
-    p.set_defaults(func=cmd_campaign)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in {**_COMMON_FLAGS, **flags}.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"torusgp: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

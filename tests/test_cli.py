@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgp import cli
 
@@ -82,15 +84,31 @@ def test_train_report_trace_nondecreasing(tmp_path):
     assert report["method"] == "HvM"
 
 
-def test_manifest_rerun_is_bit_exact(tmp_path):
+RERUN_STAGES = {
+    "simulate": [["simulate"]],
+    "case1": [["case1"]],
+    "case2": [["case2"]],
+    "train": [["simulate"], ["train", "--method", "HvM"]],
+    "track": [["simulate"], ["train", "--method", "HvM"], ["track", "--method", "HvM"]],
+}
+
+
+@pytest.mark.parametrize("stage", list(RERUN_STAGES))
+def test_manifest_rerun_is_bit_exact(tmp_path, stage):
+    """Rerunning the last stage from its manifest into a fresh --out
+    reproduces every artifact it lists byte for byte."""
     cfg = _write_config(tmp_path)
     a = tmp_path / "a"
     b = tmp_path / "b"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
-    manifest = a / "manifest_simulate.json"
-    assert cli.main(["simulate", "--config", str(manifest), "--out", str(b)]) == 0
-    assert (a / "training_set.csv").read_bytes() == (b / "training_set.csv").read_bytes()
-    assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+    stages = RERUN_STAGES[stage]
+    for argv in stages:
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(a)]) == 0
+    manifest = a / f"manifest_{stages[-1][0]}.json"
+    assert cli.main([*stages[-1], "--config", str(manifest), "--out", str(b)]) == 0
+    artifacts = json.loads(manifest.read_text())["artifacts"]
+    assert artifacts == json.loads((b / manifest.name).read_text())["artifacts"]
+    for name in artifacts:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_manifest_lists_every_artifact(tmp_path):
@@ -132,12 +150,81 @@ def test_bad_json_exits_2_with_line_info(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "case1", "case2"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command):
+    """Every section is checked, also by commands that never read it."""
     cfg = tmp_path / "c.json"
     cfg.write_text('{"scenario": {"particle_count": 10}}')
-    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "particle_count" in capsys.readouterr().err
+
+
+COMMANDS = ["case1", "case2", "simulate", "train", "track", "campaign"]
+
+BAD_VALUES = [
+    (["simulate"], {"scenario": {"arena": 5}}, "arena"),
+    (["campaign"], {"scenario": {"arena": 5}}, "arena"),
+    (["simulate"], {"scenario": {"references": [1, 2]}}, "references"),
+    (["campaign"], {"scenario": {"references": [1, 2]}}, "references"),
+    *[([command], {"seed": "abc"}, "seed") for command in COMMANDS],
+    (["simulate"], {"seed": -1}, "seed"),
+    (["simulate", "--seed", "-1"], {}, "seed"),
+    (["case1"], {"optimizer": {"budget": "x"}}, "budget"),
+    (["case1"], {"optimizer": {"budget": 2.0}}, "budget"),
+    (["case1"], {"case1": {"n_train": "x"}}, "n_train"),
+    (["case1"], {"case1": {"density": {"vm_components": 3}}}, "vm_components"),
+    (["case1"], {"case1": {"density": {"vm_components": [[0.0]], "vm_weights": [1.0]}}}, "vm_components"),
+    (["campaign"], {"campaign": {"noise_levels": ["a"]}}, "noise_levels"),
+    (["campaign"], {"campaign": {"runs": "x"}}, "runs"),
+    (["case2"], {"case2": {"resolution": None}}, "resolution"),
+    (["case2"], {"case2": {"resolution": float("nan")}}, "resolution"),
+    (["simulate"], {"scenario": {"noise_xi": float("inf")}}, "noise_xi"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, key",
+    BAD_VALUES,
+    ids=[f"{'_'.join(a)}-{k}-{i}" for i, (a, _, k) in enumerate(BAD_VALUES)],
+)
+def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
+    """A wrong-typed or out-of-range value, from the config or the --seed flag,
+    is a config error that names its key, never a traceback."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def _schema_paths(schema, prefix=()):
+    for key, default in schema.items():
+        yield prefix + (key,)
+        if isinstance(default, dict):
+            yield from _schema_paths(default, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(list(_schema_paths(cli.CONFIG_SCHEMA))), value=_JSON_VALUES)
+def test_load_config_raises_only_config_error(tmp_path_factory, path, value):
+    """Any JSON value under any schema key loads or raises ConfigError."""
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    cfg = tmp_path_factory.getbasetemp() / "property_config.json"
+    cfg.write_text(json.dumps(doc))
+    try:
+        cli.load_config(cfg)
+    except cli.ConfigError:
+        pass
 
 
 def test_invalid_scenario_value_exits_2(tmp_path, capsys):
@@ -146,6 +233,23 @@ def test_invalid_scenario_value_exits_2(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "noise_xi" in capsys.readouterr().err
+
+
+def test_fit_summaries_report_jitter_and_counts(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "optreport_hvm.json").read_text())
+    fit = json.loads((out / "manifest_train.json").read_text())["summary"]["HvM"]
+    assert report["jitter_used"] == fit["jitter_used"] >= 0.0
+    assert fit["evaluations"] == report["optimization"]["evaluations"] > 0
+    assert fit["backtracks"] == report["optimization"]["backtracks"] >= 0
+    fits = json.loads((out / "manifest_campaign.json").read_text())["summary"]["fits"]
+    assert [(f["noise_level"], f["method"]) for f in fits] == [(0.01, "HvM")]
+    assert fits[0]["evaluations"] > 0 and fits[0]["backtracks"] >= 0
+    assert fits[0]["jitter_used"] >= 0.0 and np.isfinite(fits[0]["objective"])
 
 
 def test_missing_trainset_exits_3(tmp_path, capsys):
