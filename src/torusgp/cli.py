@@ -54,9 +54,9 @@ tool version, wall-clock timings, and a summary of the run.
 Exit codes
 ----------
 0 success; 2 configuration error (unparseable or invalid config, bad flag
-values); 3 missing upstream artifact (an input file another stage should
-have produced); 4 numerical failure (a factorization or optimization that
-did not survive the jitter policy).
+values); 3 missing or malformed upstream artifact (an input file another
+stage should have produced); 4 numerical failure (a factorization or
+optimization that did not survive the jitter policy).
 """
 
 import argparse
@@ -104,7 +104,7 @@ class ConfigError(Exception):
 
 
 class MissingArtifactError(Exception):
-    """An upstream stage's output file is absent (exit code 3)."""
+    """An upstream stage's output file is absent or malformed (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +301,14 @@ def _fit_summary(tm: tracking.TrainedMethod) -> dict:
     }
 
 
-def _require_file(path: Path, hint: str) -> Path:
+def _load_artifact(path: Path, hint: str, load, *args):
+    """load(path, *args), reporting a missing or malformed file as MissingArtifactError."""
     if not path.exists():
         raise MissingArtifactError(f"expected {hint} at {path}")
-    return path
+    try:
+        return load(path, *args)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise MissingArtifactError(f"{path} is not {hint}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +440,7 @@ def cmd_train(args, config, seed, out):
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
     opts = config["optimizer"]
     ts_path = Path(args.trainset or config["train"]["trainset"] or out / "training_set.csv")
-    _require_file(ts_path, "a training set (simulate stage output)")
-    ts = load_training_set(ts_path)
+    ts = _load_artifact(ts_path, "a training set (simulate stage output)", load_training_set)
     if ts.inputs.shape[1] != cfg.m:
         raise ConfigError(f"training set has {ts.inputs.shape[1]} references, scenario has {cfg.m}")
     method = normalize_method(args.method)
@@ -487,17 +490,18 @@ def cmd_track(args, config, seed, out):
     if method == "all":
         raise ConfigError("track runs one method per invocation; pass a single --method")
     model_path = Path(args.model or sec["model"] or out / f"model_{method.lower()}.json")
-    _require_file(model_path, f"a trained {method} model (train stage output)")
-    model = tracking.load_range_model(model_path)
+    model = _load_artifact(
+        model_path, f"a trained {method} model (train stage output)", tracking.load_range_model
+    )
     if isinstance(model, tracking.GpRangeModel) and model.gp.m != cfg.m:
         raise ConfigError(f"model was trained with {model.gp.m} references, scenario has {cfg.m}")
 
     traj_arg = args.trajectory or sec["trajectory"]
-    if traj_arg is None:
-        traj_path = out / "trajectory.csv"
+    traj_path = out / "trajectory.csv" if traj_arg is None else Path(traj_arg)
+    if traj_arg is None and not traj_path.exists():
+        traj = trajectory(cfg)
     else:
-        traj_path = _require_file(Path(traj_arg), "a trajectory file")
-    traj = load_trajectory(traj_path, cfg.trajectory) if traj_path.exists() else trajectory(cfg)
+        traj = _load_artifact(traj_path, "a trajectory file", load_trajectory, cfg.trajectory)
 
     result = tracking.run_tracking(cfg, method, model, seed, traj=traj)
     track_path = out / f"track_{method.lower()}.csv"

@@ -1,19 +1,24 @@
 """Exact Gaussian process regression, single and multi-output.
 
 Observations get a zero prior mean and are used raw. The single-output system
-matrix is K = Kxx + sigma_r^2 I. Multi-output regression couples d outputs
-through a PSD mixing matrix B (intrinsic coregionalization):
+matrix is K = Kxx + sigma_r^2 I, factored by Cholesky. Multi-output regression
+couples d outputs through a PSD mixing matrix B (intrinsic coregionalization):
 
     K = B kron Kxx + R kron I_n,    R = diag(sigma_r1^2, ..., sigma_rd^2),
 
-with observations vectorized output-major: z = (z^1_1..z^1_n, z^2_1.., ...),
-so block (i, j) of K holds B_ij * Kxx. At a test point the cross-covariance
-row is B kron k_row and the prior block is k(x, x) * B; predictions over t
-test points keep the same output-major layout with length t*d.
+with observations vectorized output-major, z = vec(Z) for the n x d matrix Z,
+so block (i, j) of K holds B_ij * Kxx; predictions over t test points keep
+the same layout with length t*d. K has the exact Kronecker-eigen factor
+IcmFactor (Bonilla et al. 2008; Rakitsch et al. 2013): with
+Kxx = U diag(lam) U^T, R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the
+n x d matrix D = lam S^T + 1, K^-1 = (P kron U) diag(vec D)^-1 (P kron U)^T,
+and K is positive definite exactly when every entry of D is. fit, predict,
+the filter's per-point moments and torusgp.hyperopt all use this factor.
 
-All solves go through one cached triangular factorization, obtained with an
-escalating-jitter policy (zero first, then 1e-9 * mean(diag K) growing
-tenfold up to 1e-3 * mean(diag K)).
+Both factorizations follow one escalating-jitter policy: zero first, then
+1e-9 * mean(diag K) growing tenfold up to 1e-3 * mean(diag K). For ICM,
+K + eps I = B kron Kxx + (R + eps I) kron I, so a step redoes only the d x d
+eigh.
 """
 
 import json
@@ -26,12 +31,16 @@ from . import kernels
 from .manifold import as_input_array
 
 __all__ = [
+    "Dataset",
     "FactorizationError",
+    "IcmFactor",
     "PosteriorGaussian",
     "TrainedGp",
+    "icm_factor",
     "fit",
     "predict",
     "predict_observation",
+    "observation_moments",
     "log_likelihood",
     "save_model",
     "load_model",
@@ -54,22 +63,35 @@ class PosteriorGaussian:
 
 
 @dataclass
-class TrainedGp:
-    """A fitted GP: data, kernel, noise, and the cached factorization.
+class IcmFactor:
+    """Kronecker-eigen factor of an ICM system (names as in the module docstring)."""
 
-    noise_var is a scalar variance (single output) or a (d,) vector of
-    per-output variances; coreg is the (d, d) mixing matrix or None.
-    alpha caches K^-1 z for the stored output-major observation vector.
-    """
+    U: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+    S: np.ndarray
+    P: np.ndarray
+    D: np.ndarray
 
-    kernel: object
+    def solve(self, Z: np.ndarray) -> np.ndarray:
+        """The n x d matrix A with vec(A) = K^-1 vec(Z)."""
+        return self.U @ ((self.U.T @ Z @ self.P) / self.D) @ self.P.T
+
+
+@dataclass
+class Dataset:
+    """Training data: embedded inputs and raw observations (output-major zvec)."""
+
     inputs: np.ndarray
     obs: np.ndarray
-    noise_var: object
-    coreg: np.ndarray | None
-    chol: np.ndarray
-    alpha: np.ndarray
-    jitter_used: float
+
+    @classmethod
+    def from_data(cls, inputs, obs) -> "Dataset":
+        X = as_input_array(inputs)
+        Y = np.asarray(obs, dtype=float)
+        if Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0]:
+            raise ValueError(f"observations of shape {Y.shape} do not match {X.shape[0]} inputs")
+        return cls(X, Y)
 
     @property
     def n(self) -> int:
@@ -80,17 +102,40 @@ class TrainedGp:
         return self.inputs.shape[1]
 
     @property
-    def d(self) -> int:
-        return 1 if self.obs.ndim == 1 else self.obs.shape[1]
-
-    @property
     def multi_output(self) -> bool:
         return self.obs.ndim == 2
 
     @property
+    def d(self) -> int:
+        return 1 if self.obs.ndim == 1 else self.obs.shape[1]
+
+    @property
     def zvec(self) -> np.ndarray:
-        """Observations as a flat vector, output-major for multi-output."""
         return self.obs if self.obs.ndim == 1 else np.ravel(self.obs, order="F")
+
+
+@dataclass
+class TrainedGp(Dataset):
+    """A fitted GP: data, kernel, noise, and the cached factorization.
+
+    noise_var is a scalar variance (single output) or a (d,) vector of
+    per-output variances; coreg is the (d, d) mixing matrix or None. chol
+    factors K + jitter_used * I: lower Cholesky factor for one output,
+    IcmFactor for several. alpha caches (K + jitter_used * I)^-1 zvec.
+    """
+
+    kernel: object
+    noise_var: object
+    coreg: np.ndarray | None
+    chol: np.ndarray | IcmFactor
+    alpha: np.ndarray
+    jitter_used: float
+
+
+def _jitters(scale: float) -> list:
+    """The jitter policy for a system matrix whose mean diagonal is scale."""
+    steps = int(np.log10(JITTER_MAX_FACTOR / JITTER_START_FACTOR)) + 1
+    return [0.0] + [JITTER_START_FACTOR * scale * 10.0**k for k in range(steps)]
 
 
 def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
@@ -101,10 +146,7 @@ def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
     naming the kernel and the smallest pivot once the ceiling is passed.
     """
     scale = float(np.mean(np.diag(K)))
-    jitters = [0.0] + [
-        JITTER_START_FACTOR * scale * 10.0**k
-        for k in range(int(np.log10(JITTER_MAX_FACTOR / JITTER_START_FACTOR)) + 1)
-    ]
+    jitters = _jitters(scale)
     for jitter in jitters:
         K_j = K
         if jitter > 0.0:
@@ -119,6 +161,33 @@ def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
         f"{label}: system matrix not positive definite; smallest pivot "
         f"{min_pivot:.6e} even after jitter {jitters[-1]:.6e} "
         f"(ceiling {JITTER_MAX_FACTOR:.0e} * mean diag {scale:.6e})"
+    )
+
+
+def icm_factor(K_x, B, sigma, label: str = "kernel", jitters=(0.0,)):
+    """IcmFactor of B kron K_x + (R + jitter I) kron I with R = diag(sigma^2).
+
+    sigma holds the per-output noise deviations. Returns (factor, jitter) for
+    the first of jitters at which every entry of D is positive; raises
+    FactorizationError naming label on non-finite input, an eigh failure, or
+    D <= 0 at the last jitter.
+    """
+    r = 1.0 / sigma
+    if not (np.all(np.isfinite(K_x)) and np.all(np.isfinite(B * np.outer(r, r)))):
+        raise FactorizationError(f"{label}: system matrix overflowed at the evaluated coordinates")
+    try:
+        lam, U = np.linalg.eigh(K_x)
+        for jitter in jitters:
+            r = 1.0 / (sigma if jitter == 0.0 else np.sqrt(sigma**2 + jitter))
+            S, Q = np.linalg.eigh(B * np.outer(r, r))
+            D = np.outer(lam, S) + 1.0
+            if np.all(D > 0.0):
+                return IcmFactor(U, lam, Q, S, Q * r[:, None], D), jitter
+    except np.linalg.LinAlgError as err:
+        raise FactorizationError(f"{label}: eigendecomposition failed ({err})") from None
+    raise FactorizationError(
+        f"{label}: system matrix not positive definite; smallest entry of D "
+        f"{float(np.min(D)):.6e} even after jitter {jitter:.6e}"
     )
 
 
@@ -146,19 +215,22 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
 
     Returns
     -------
-    TrainedGp with the cached factorization and alpha = K^-1 z.
+    TrainedGp with the cached factorization and alpha = K^-1 z. Several
+    outputs take Alpha from the IcmFactor and refine it by one
+    residual-correction step against K Alpha = K_x Alpha B + Alpha R.
     """
-    X = as_input_array(inputs)
-    Y = np.asarray(obs, dtype=float)
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} observation rows")
+    data = Dataset.from_data(inputs, obs)
+    X, Y = data.inputs, data.obs
     if Y.ndim == 1:
         if coreg is not None:
             raise ValueError("coreg given but observations are single-output")
         noise_var = float(noise_var)
         if not noise_var > 0.0:
             raise ValueError("noise variance must be positive")
-    elif Y.ndim == 2:
+        K = system_matrix(kernel, X, noise_var, None)
+        factor, jitter = cholesky_with_jitter(K, label=kernel.family)
+        alpha = cho_solve((factor, True), Y)
+    else:
         d = Y.shape[1]
         if coreg is None:
             raise ValueError("multi-output observations need a coreg matrix")
@@ -170,30 +242,29 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
         if not np.all(noise_var > 0.0):
             raise ValueError("noise variances must be positive")
-    else:
-        raise ValueError("obs must be 1-d or 2-d")
-    K = system_matrix(kernel, X, noise_var, coreg)
-    L, jitter = cholesky_with_jitter(K, label=kernel.family)
-    z = Y if Y.ndim == 1 else np.ravel(Y, order="F")
-    alpha = cho_solve((L, True), z)
+        K_x = kernel.gram(X, X)
+        scale = float(np.mean(np.outer(np.diag(K_x), np.diag(coreg)) + noise_var))
+        factor, jitter = icm_factor(K_x, coreg, np.sqrt(noise_var), kernel.family, _jitters(scale))
+        A = factor.solve(Y)
+        A += factor.solve(Y - K_x @ A @ coreg - A * (noise_var + jitter))
+        alpha = np.ravel(A, order="F")
     return TrainedGp(
         kernel=kernel,
         inputs=X,
         obs=Y,
         noise_var=noise_var,
         coreg=coreg,
-        chol=L,
+        chol=factor,
         alpha=alpha,
         jitter_used=jitter,
     )
 
 
-def _cross_and_prior(gp: TrainedGp, T: np.ndarray):
+def _icm_cross(gp: TrainedGp, T: np.ndarray):
+    """Kt = Ktn U, G = B P and the (t, d) posterior mean Ktn Alpha B."""
     Ktn = gp.kernel.gram(T, gp.inputs)
-    Ktt = gp.kernel.gram(T, T)
-    if not gp.multi_output:
-        return Ktn, Ktt
-    return np.kron(gp.coreg, Ktn), np.kron(gp.coreg, Ktt)
+    Alpha = gp.alpha.reshape(gp.d, gp.n).T
+    return Ktn @ gp.chol.U, gp.coreg @ gp.chol.P, Ktn @ Alpha @ gp.coreg
 
 
 def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
@@ -201,26 +272,44 @@ def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
 
     Single output: mean (t,), cov (t, t). Multi-output: mean (t*d,) and cov
     (t*d, t*d) in output-major order; for a single test point that is the
-    length-d mean and (d, d) covariance.
+    length-d mean and (d, d) covariance. With the cross-Gram Ktn,
+    Kt = Ktn U and G = B P, the mean is vec(Ktn Alpha B) and block (i, j)
+    of the covariance is B_ij Ktt - sum_s G_is G_js Kt diag(1/D[:, s]) Kt^T.
     """
     T = as_input_array(tests, m=gp.m)
-    Kc, Kp = _cross_and_prior(gp, T)
-    mean = Kc @ gp.alpha
-    V = cho_solve((gp.chol, True), Kc.T)
-    cov = Kp - Kc @ V
+    if not gp.multi_output:
+        Ktn = gp.kernel.gram(T, gp.inputs)
+        mean = Ktn @ gp.alpha
+        cov = gp.kernel.gram(T, T) - Ktn @ cho_solve((gp.chol, True), Ktn.T)
+    else:
+        Kt, G, M = _icm_cross(gp, T)
+        W = (Kt / gp.chol.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
+        cov = gp.coreg[:, None, :, None] * gp.kernel.gram(T, T)[None, :, None, :]
+        cov -= np.einsum("is,js,sab->iajb", G, G, W)
+        mean, cov = np.ravel(M, order="F"), cov.reshape(M.size, M.size)
     return PosteriorGaussian(mean=mean, cov=0.5 * (cov + cov.T))
 
 
 def predict_observation(gp: TrainedGp, tests) -> PosteriorGaussian:
     """Posterior of noisy observations at the test points (adds the noise)."""
     post = predict(gp, tests)
+    noise = np.repeat(gp.noise_var, post.mean.size // gp.d)
+    return PosteriorGaussian(mean=post.mean, cov=post.cov + np.diag(noise))
+
+
+def observation_moments(gp: TrainedGp, tests):
+    """Per-point moments of the noisy observation vector, multi-output only.
+
+    Returns means (t, d) and covariances (t, d, d), the diagonal blocks of
+    predict_observation: with the names of predict, point p has covariance
+    k(x, x) B - G diag(c_p) G^T + R with c_p = (Kt_p o Kt_p) D^-1.
+    """
     T = as_input_array(tests, m=gp.m)
-    t = T.shape[0]
-    if not gp.multi_output:
-        noise = float(gp.noise_var) * np.eye(t)
-    else:
-        noise = np.kron(np.diag(gp.noise_var), np.eye(t))
-    return PosteriorGaussian(mean=post.mean, cov=post.cov + noise)
+    Kt, G, mean = _icm_cross(gp, T)
+    c = (Kt * Kt) @ (1.0 / gp.chol.D)
+    cov = gp.kernel.prior_variance() * gp.coreg - np.einsum("is,ps,js->pij", G, c, G)
+    cov[:, np.arange(gp.d), np.arange(gp.d)] += gp.noise_var
+    return mean, cov
 
 
 def log_likelihood(gp: TrainedGp, point, z) -> float:

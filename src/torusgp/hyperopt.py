@@ -25,22 +25,16 @@ and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
 eigendecomposition of the same matrix, and the optimizer evaluates F at
 every line-search probe, so this path stays on Cholesky.
 
-Several outputs: the ICM system has the exact Kronecker-eigen form (Bonilla
-et al. 2008; Stegle et al. 2011). With K_x = U diag(lam) U^T,
-R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the n x d matrix
-D = lam S^T + 1,
+Several outputs: K is factored by torusgp.gp.icm_factor (U, lam, S, P and
+D as defined there), and with Alpha = U ((U^T Z P) / D) P^T = K^-1 Z,
 
-    K       = (R^1/2 kron I)(Q kron U)(S kron diag(lam) + I)(Q kron U)^T(R^1/2 kron I)
-    Alpha   = U ((U^T Z P) / D) P^T           (n x d, vec(Alpha) = K^-1 z)
     log|K|  = n sum_s log sigma_s^2 + sum log D
     Abar    = Alpha B Alpha^T - U diag(D^-1 S) U^T
     dF/dB   = Alpha^T K_x Alpha - P diag(lam^T D^-1) P^T
     dF/dsigma_s = 2 sigma_s (|Alpha_s|^2 - (Q^2 colsum(D^-1))_s / sigma_s^2)
 
-so an evaluation costs one n x n and one d x d eigh, and no (nd) x (nd)
-matrix is formed. K is positive definite exactly when every entry of D is
-positive. Otherwise, or when K_x or B overflows or eigh fails, the
-evaluation raises FactorizationError.
+so an evaluation costs one n x n and one d x d eigh and forms no (nd) x (nd)
+matrix. A failed factorization raises FactorizationError.
 
 Optimization runs in unconstrained coordinates phi:
 
@@ -62,8 +56,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import kernels
-from .gp import FactorizationError
-from .manifold import as_input_array
+from .gp import Dataset, FactorizationError, icm_factor
 
 __all__ = [
     "Dataset",
@@ -79,42 +72,6 @@ __all__ = [
 GRAD_CONVERGED_FACTOR = 1e-4
 
 _LOG2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass
-class Dataset:
-    """Training data: embedded inputs and raw observations."""
-
-    inputs: np.ndarray
-    obs: np.ndarray
-
-    @classmethod
-    def from_data(cls, inputs, obs) -> "Dataset":
-        X = as_input_array(inputs)
-        Y = np.asarray(obs, dtype=float)
-        if Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0]:
-            raise ValueError(f"observations of shape {Y.shape} do not match {X.shape[0]} inputs")
-        return cls(X, Y)
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def multi_output(self) -> bool:
-        return self.obs.ndim == 2
-
-    @property
-    def d(self) -> int:
-        return 1 if self.obs.ndim == 1 else self.obs.shape[1]
-
-    @property
-    def zvec(self) -> np.ndarray:
-        return self.obs if self.obs.ndim == 1 else np.ravel(self.obs, order="F")
 
 
 @dataclass
@@ -244,8 +201,6 @@ class _Problem:
         With grad, returns (F, dF/dtheta, dF/dB, dF/dsigma); the entries of B
         count as independent. A system matrix that overflows or is not
         positive definite raises FactorizationError carrying coords as .theta.
-        One output goes through the Cholesky factor of K, several through
-        the eigen factorization of the ICM system (module docstring).
         """
         try:
             # overflow is tolerated here: the finiteness checks make it a rejected step
@@ -267,18 +222,15 @@ class _Problem:
         )
         return F, g_theta, g_B, g_sigma
 
-    def _check_finite(self, a):
-        if not np.all(np.isfinite(a)):
-            raise FactorizationError(
-                f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
-            )
-
     def _cholesky(self, K_x, B, sigma, grad):
         """F, or (F, Abar, dF/dB, dF/dsigma), for one output: K = b K_x + sigma^2 I."""
         b = 1.0 if B is None else B[0, 0]
         K = b * K_x
         K.flat[:: self.n + 1] += sigma**2
-        self._check_finite(K)
+        if not np.all(np.isfinite(K)):
+            raise FactorizationError(
+                f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
+            )
         L = np.linalg.cholesky(K)
         z = self.data.zvec
         alpha = cho_solve((L, True), z)
@@ -290,33 +242,19 @@ class _Problem:
         return F, b * A, g_B, 2.0 * sigma * np.einsum("ii->", A)
 
     def _icm(self, K_x, B, sigma, grad):
-        """F, or (F, Abar, dF/dB, dF/dsigma), for d outputs from two eigh calls.
-
-        With the names of the module docstring,
-        K^-1 = (P kron U) diag(D)^-1 (P kron U)^T, so z^T K^-1 z is the sum
-        of (U^T Z P)^2 / D and no (n d) x (n d) matrix is formed.
-        """
-        r = 1.0 / sigma
-        B_w = B * np.outer(r, r)
-        self._check_finite(K_x)
-        self._check_finite(B_w)
-        lam, U = np.linalg.eigh(K_x)
-        S, Q = np.linalg.eigh(B_w)
-        D = np.outer(lam, S) + 1.0
-        if not np.all(D > 0.0):
-            raise np.linalg.LinAlgError("K is not positive definite")
-        P = Q * r[:, None]
-        Zt = U.T @ self.data.obs @ P
-        M = Zt / D
-        logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(D))
+        """F, or (F, Abar, dF/dB, dF/dsigma), for d outputs from the ICM factor."""
+        f, _ = icm_factor(K_x, B, sigma, self.template.family)
+        Zt = f.U.T @ self.data.obs @ f.P
+        M = Zt / f.D
+        logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(f.D))
         F = float(-np.sum(Zt * M) - logdet - self.N * _LOG2PI)
         if not grad:
             return F
-        Alpha = U @ M @ P.T
-        Dinv = 1.0 / D
-        Abar = Alpha @ B @ Alpha.T - (U * (Dinv @ S)) @ U.T
-        g_B = P @ (M.T @ (lam[:, None] * M) - np.diag(lam @ Dinv)) @ P.T
-        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - P**2 @ Dinv.sum(axis=0))
+        Alpha = f.U @ M @ f.P.T
+        Dinv = 1.0 / f.D
+        Abar = Alpha @ B @ Alpha.T - (f.U * (Dinv @ f.S)) @ f.U.T
+        g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ Dinv)) @ f.P.T
+        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ Dinv.sum(axis=0))
         return F, Abar, g_B, g_sigma
 
     def value(self, phi: np.ndarray) -> float:

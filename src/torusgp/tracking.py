@@ -11,7 +11,7 @@ Two measurement-model families are supported:
 - GpRangeModel: a trained multi-output GP over angle-of-arrival embeddings;
   each particle is scored under the GP's predictive observation density
   N(z; mean(x), C(x) + R). All per-particle predictive moments are computed
-  in one batch from the cached factorization.
+  in one batch from the GP's cached ICM factor.
 - ParametricRangeModel: ranges as known geometry plus a constant Gaussian
   residual fitted to the training set, N(z; h(x) + bias, Sigma). It ignores
   where in the arena the residual was collected, which is exactly its
@@ -116,62 +116,35 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 class GpRangeModel:
     """Batched per-particle predictive likelihood under a trained GP.
 
-    For a particle at x with embedding u, the prediction follows the single
-    test-point multi-output form: mean = (B kron k_row) alpha and covariance
-    C = k(u,u) B - Y^T Y with Y = L^-1 (B kron k_row)^T, scored with the
-    observation noise R added. The Gram form of the downdate keeps C positive
-    semidefinite even when the trained system is badly conditioned; one
-    triangular solve covers all particles of a step.
+    Each particle x with embedding u is scored under N(z; mean(u), S(u)),
+    the GP's predictive density of the observation vector at u, with the
+    per-point moments from torusgp.gp.observation_moments for all particles
+    of a step at once.
     """
 
     def __init__(self, trained: gp_mod.TrainedGp):
         if not trained.multi_output:
             raise ValueError("tracking needs a multi-output range model")
         self.gp = trained
-        self.A_mat = trained.alpha.reshape(trained.d, trained.n)
-        self.B = trained.coreg
-        self.noise_var = np.asarray(trained.noise_var, dtype=float)
-        self.c0 = trained.kernel.prior_variance()
 
     def logpdf(self, positions: np.ndarray, z: np.ndarray, references: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
-        P = positions.shape[0]
-        out = np.full(P, -np.inf)
+        out = np.full(positions.shape[0], -np.inf)
         dist = range_function(positions, references)
         ok = np.min(dist, axis=1) >= AOA_SINGULARITY_TOL
         if not np.any(ok):
             return out
         emb = aoa_embedding_batch(positions[ok], references)
-        d, n = self.gp.d, self.gp.n
-        K_pt = self.gp.kernel.gram(emb, self.gp.inputs)  # (p, n)
-        p = K_pt.shape[0]
-        means = (self.B @ (self.A_mat @ K_pt.T)).T  # (p, d)
-        # rhs[u*n + a, p*d + t] = B[t, u] * k_p[a], one column per (particle,
-        # output) pair of (B kron k_row)^T
-        rhs = self.B.T[:, None, None, :] * K_pt.T[None, :, :, None]
-        Y = solve_triangular(self.gp.chol, rhs.reshape(d * n, p * d), lower=True)
-        Yp = Y.reshape(d * n, p, d)
-        M = np.einsum("kpi,kpj->pij", Yp, Yp)
-        S = self.c0 * self.B[None, :, :] - M
-        S[:, np.arange(d), np.arange(d)] += self.noise_var
+        means, S = gp_mod.observation_moments(self.gp, emb)
         r = z[None, :] - means
+        # slogdet and solve factor each S by the same LU, so sign > 0 means
+        # no zero pivot and solve cannot raise on S[good]
         sign, logdet = np.linalg.slogdet(S)
-        ll = np.full(S.shape[0], -np.inf)
         good = sign > 0
-        if np.any(good):
-            try:
-                sol = np.linalg.solve(S[good], r[good][:, :, None])[:, :, 0]
-                quad = np.einsum("id,id->i", r[good], sol)
-                ll[good] = -0.5 * (quad + logdet[good] + d * _LOG2PI)
-            except np.linalg.LinAlgError:
-                for i in np.flatnonzero(good):
-                    try:
-                        sol = np.linalg.solve(S[i], r[i])
-                        ll[i] = -0.5 * (r[i] @ sol + logdet[i] + d * _LOG2PI)
-                    except np.linalg.LinAlgError:
-                        pass
-        ll[~np.isfinite(ll)] = -np.inf
-        out[ok] = ll
+        sol = np.linalg.solve(S[good], r[good][:, :, None])[:, :, 0]
+        ll = np.full(S.shape[0], -np.inf)
+        ll[good] = -0.5 * (np.einsum("id,id->i", r[good], sol) + logdet[good] + self.gp.d * _LOG2PI)
+        out[ok] = np.where(np.isfinite(ll), ll, -np.inf)
         return out
 
 
@@ -254,9 +227,7 @@ def train_method(
     if method not in GP_FAMILIES:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     ds = hyperopt.Dataset.from_data(ts.inputs, ts.obs)
-    res = hyperopt.optimize(
-        ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed
-    )
+    res = hyperopt.optimize(ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed)
     trained = gp_mod.fit(ts.inputs, ts.obs, res.kernel, res.noise_var, coreg=res.coreg)
     return TrainedMethod(method, GpRangeModel(trained), gp=trained, opt=res)
 

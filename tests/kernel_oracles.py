@@ -9,7 +9,8 @@ by a plain double loop.
 The multi-output objective F and its gradient (torusgp.hyperopt) have two
 references: ``dense_icm`` assembles the N x N ICM system and inverts it in
 double precision, and ``mp_hvm_icm`` repeats the algebra in 50-digit
-arithmetic for small hvm problems.
+arithmetic for small hvm problems. ``mp_icm_logpdf`` is the 50-digit
+reference for the predictive log-density that scores filter particles.
 """
 
 from dataclasses import dataclass
@@ -151,6 +152,35 @@ def dense_icm(kernel, X, Z, B, sigma):
     return F, g_theta, g_B, g_sigma
 
 
+def _mp_hvm_gram(A, C, params: HvmHyperparams):
+    """hvm cross-Gram matrix of (n, m, 2) and (p, m, 2) float inputs, in mpmath."""
+    mpf = mpmath.mpf
+    lam = [mpf(x) for x in params.lam]
+    pairs = [(mpf(c), i, j) for c, (i, j) in zip(params.corr, pair_order(params.m))]
+    omega2 = mpf(params.omega) ** 2
+    K = mpmath.matrix(A.shape[0], C.shape[0])
+    for a, u in enumerate(A.tolist()):
+        for b, v in enumerate(C.tolist()):
+            D = [mpf(u[s][0]) * mpf(v[s][0]) + mpf(u[s][1]) * mpf(v[s][1]) for s in range(len(lam))]
+            e = sum(lv * Dv for lv, Dv in zip(lam, D)) + 2 * sum(c * D[i] * D[j] for c, i, j in pairs)
+            K[a, b] = omega2 * mpmath.exp(e)
+    return K
+
+
+def _mp_icm_system(K_x, B, sigma):
+    """B kron K_x + diag(sigma^2) kron I in mpmath, with the float B and sigma taken as exact."""
+    n, d = K_x.rows, B.shape[0]
+    K = mpmath.matrix(n * d, n * d)
+    for i in range(d):
+        for j in range(d):
+            for a in range(n):
+                for b in range(n):
+                    K[i * n + a, j * n + b] = mpmath.mpf(float(B[i, j])) * K_x[a, b]
+        for a in range(n):
+            K[i * n + a, i * n + a] += mpmath.mpf(float(sigma[i])) ** 2
+    return K
+
+
 def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
     """F, dF/dB and dF/dsigma of the ICM model in dps-digit arithmetic.
 
@@ -162,26 +192,8 @@ def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
         mpf = mpmath.mpf
         n, d = Z.shape
         N = n * d
-        lam = [mpf(x) for x in params.lam]
-        pairs = [(mpf(c), i, j) for c, (i, j) in zip(params.corr, pair_order(params.m))]
-        omega2 = mpf(params.omega) ** 2
-        Xm = [[[mpf(float(c)) for c in X[a, s]] for s in range(X.shape[1])] for a in range(n)]
-        K_x = mpmath.matrix(n, n)
-        for a in range(n):
-            for b in range(a, n):
-                D = [Xm[a][s][0] * Xm[b][s][0] + Xm[a][s][1] * Xm[b][s][1] for s in range(len(lam))]
-                e = sum(lv * Dv for lv, Dv in zip(lam, D)) + 2 * sum(c * D[i] * D[j] for c, i, j in pairs)
-                K_x[a, b] = K_x[b, a] = omega2 * mpmath.exp(e)
-        Bm = [[mpf(float(B[i, j])) for j in range(d)] for i in range(d)]
-        s2 = [mpf(float(x)) ** 2 for x in sigma]
-        K = mpmath.matrix(N, N)
-        for i in range(d):
-            for j in range(d):
-                for a in range(n):
-                    for b in range(n):
-                        K[i * n + a, j * n + b] = Bm[i][j] * K_x[a, b]
-            for a in range(n):
-                K[i * n + a, i * n + a] += s2[i]
+        K_x = _mp_hvm_gram(X, X, params)
+        K = _mp_icm_system(K_x, B, sigma)
         z = mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
         L = mpmath.cholesky(K)
         alpha = mpmath.cholesky_solve(K, z)
@@ -208,3 +220,38 @@ def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
             ]
         )
         return float(F), g_B, g_sigma
+
+
+def mp_icm_logpdf(X, params: HvmHyperparams, Z, B, sigma, T, zs, dps=50):
+    """Predictive log-density of each observation zs[p] at test input T[p], in mpmath.
+
+    The density is that of an hvm ICM GP conditioned on (X, Z): mean
+    (B kron k)^T K^-1 z and covariance k(x, x) B - (B kron k)^T K^-1 (B kron k) + R,
+    with k the cross-covariance column of the test point and k(x, x) taken
+    at the test point itself. Every float input is taken as exact. Returns a
+    float array, one value per test point.
+    """
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        n, d = Z.shape
+        Bm = mpmath.matrix([[mpf(float(b)) for b in row] for row in B])
+        K = _mp_icm_system(_mp_hvm_gram(X, X, params), B, sigma)
+        Kinv = mpmath.inverse(K)
+        alpha = Kinv * mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
+        out = []
+        for p in range(T.shape[0]):
+            k = _mp_hvm_gram(X, T[p : p + 1], params)
+            c0 = _mp_hvm_gram(T[p : p + 1], T[p : p + 1], params)[0, 0]
+            C = mpmath.matrix(n * d, d)  # (B kron k)^T
+            for u in range(d):
+                for a in range(n):
+                    for t in range(d):
+                        C[u * n + a, t] = Bm[t, u] * k[a, 0]
+            mean = C.T * alpha
+            S = c0 * Bm - C.T * (Kinv * C)
+            for i in range(d):
+                S[i, i] += mpf(float(sigma[i])) ** 2
+            r = mpmath.matrix([mpf(float(zs[p][i])) for i in range(d)]) - mean
+            quad = (r.T * mpmath.lu_solve(S, r))[0, 0]
+            out.append(float(-(quad + mpmath.log(mpmath.det(S)) + d * mpmath.log(2 * mpmath.pi)) / 2))
+        return np.array(out)

@@ -267,6 +267,25 @@ def test_missing_model_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "command, flag, name, text",
+    [
+        ("train", "--trainset", "bad.csv", "a,b\n1,2\n"),
+        ("track", "--model", "model.json", "not json\n"),
+        ("track", "--model", "model.json", '{"format": "torusgp-model"}\n'),
+    ],
+    ids=["csv-header", "not-json", "no-kernel"],
+)
+def test_malformed_upstream_artifact_exits_3_naming_it(tmp_path, capsys, command, flag, name, text):
+    cfg = _write_config(tmp_path)
+    bad = tmp_path / name
+    bad.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), flag, str(bad)]
+    rc = cli.main(argv + (["--method", "HvM"] if command == "track" else []))
+    assert rc == 3
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_track_parametric_model(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "run"

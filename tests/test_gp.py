@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from torusgp import gp
 from torusgp.kernels import HvmHyperparams, kernel_from_family
@@ -227,3 +228,62 @@ def test_single_output_kernel_families_all_fit():
         assert post.mean.shape == (3,)
         assert np.all(np.isfinite(post.mean))
         assert np.all(np.diag(post.cov) > -1e-12)
+
+
+def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior():
+    """Duplicated inputs with 1e-20 noise make some D <= 0 until the first jitter step."""
+    rng = np.random.default_rng(88)
+    d = 3
+    X = np.repeat(_inputs(rng, 10, 2), 3, axis=0)
+    n = X.shape[0]
+    kernel = _kernel()
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    noise = np.full(d, 1e-20)
+    Kx = kernel.gram(X, X)
+    z = np.linalg.cholesky(np.kron(B, Kx[::3, ::3]) + 1e-9 * np.eye(10 * d)) @ rng.standard_normal(10 * d)
+    Z = np.repeat(z.reshape(d, 10).T, 3, axis=0) + 1e-6 * rng.standard_normal((n, d))
+    with pytest.raises(gp.FactorizationError):
+        gp.icm_factor(Kx, B, np.sqrt(noise))  # no jitter: some entry of D <= 0
+    model = gp.fit(X, Z, kernel, noise, coreg=B)
+    scale = float(np.mean(np.diag(gp.system_matrix(kernel, X, noise, B))))
+    assert model.jitter_used == pytest.approx(gp.JITTER_START_FACTOR * scale, rel=1e-12)
+
+    K = np.kron(B, Kx) + np.kron(np.diag(noise + model.jitter_used), np.eye(n))
+    lu = lu_factor(K)
+    T = _inputs(rng, 4, 2)
+    Kc = np.kron(B, kernel.gram(T, X))
+    alpha = lu_solve(lu, np.ravel(Z, order="F"))
+    mean = Kc @ alpha
+    cov = np.kron(B, kernel.gram(T, T)) - Kc @ lu_solve(lu, Kc.T)
+    post = gp.predict(model, T)
+    tol = 4.0 * np.linalg.cond(K) * np.finfo(float).eps
+    assert np.max(np.abs(model.alpha - alpha)) <= tol * max(1.0, np.max(np.abs(alpha)))
+    assert np.max(np.abs(post.mean - mean)) <= tol * max(1.0, np.max(np.abs(mean)))
+    assert np.max(np.abs(post.cov - cov)) <= tol * max(1.0, np.max(np.abs(cov)))
+
+    with pytest.raises(gp.FactorizationError, match="^hvm: "):
+        gp.fit(X[::3], Z[::3, :2], kernel, np.full(2, 1e-20), coreg=np.diag([1.0, -0.5]))
+
+
+def test_multi_output_alpha_is_as_accurate_as_a_dense_cholesky_solve():
+    """The eigen-form alpha plus one residual correction, against a longdouble-refined solve."""
+    rng = np.random.default_rng(3)
+    n, d = 60, 3
+    # clustered on a small patch of T^3, with little noise: cond(K) ~ 4e11
+    ang = 1.0 + 0.3 * rng.uniform(0.0, 1.0, (n, 3))
+    X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    kernel = _kernel(3)
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    noise = np.array([1e-7, 2e-7, 1.5e-7])
+    K = np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(noise), np.eye(n))
+    z = np.linalg.cholesky(K) @ rng.standard_normal(n * d)
+    ref = np.linalg.solve(K, z).astype(np.longdouble)
+    for _ in range(4):
+        ref += np.linalg.solve(K, (z - K.astype(np.longdouble) @ ref).astype(float))
+    model = gp.fit(X, z.reshape(d, n).T, kernel, noise, coreg=B)
+    assert model.jitter_used == 0.0
+    err = np.linalg.norm(model.alpha - ref) / np.linalg.norm(ref)
+    dense = cho_solve((np.linalg.cholesky(K), True), z)
+    assert err <= np.linalg.norm(dense - ref) / np.linalg.norm(ref)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kernel_oracles import mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
+from torusgp.kernels import HvmHyperparams
 from torusgp.manifold import aoa_embedding_batch
 from torusgp.simulator import ScenarioConfig, build_training_set, rng_for, trajectory
 
@@ -75,6 +77,34 @@ def test_gp_model_logpdf_matches_reference(toy_gp_model):
     for i in range(12):
         want = gp.log_likelihood(toy_gp_model.gp, emb[i : i + 1], z)
         assert got[i] == pytest.approx(want, abs=1e-6)
+
+
+def test_particle_log_density_against_a_50_digit_reference():
+    """logpdf and log_likelihood within 4 cond(K) eps of an mpmath evaluation."""
+    refs = TOY.references_array
+    rng = np.random.default_rng(17)
+    n, d, p = 20, 3, 6
+    # training and test particles clustered on a 2 m patch, little noise: cond(K) >= 1e9
+    pos = np.array([12.0, 11.0]) + 2.0 * rng.uniform(0.0, 1.0, (n + p, 2))
+    E = aoa_embedding_batch(pos, refs)
+    params = HvmHyperparams(1.3, (1.1, 0.7, 0.9), (0.2, 0.1, 0.15))
+    kernel = params.kernel()
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    sigma = np.array([3e-4, 5e-4, 4e-4])
+    K_all = np.kron(B, kernel.gram(E, E)) + np.kron(np.diag(sigma**2), np.eye(n + p))
+    Y = (np.linalg.cholesky(K_all) @ rng.standard_normal((n + p) * d)).reshape(d, n + p).T
+    X, Z, T, zs = E[:n], Y[:n], E[n:], Y[n:]
+    cond = np.linalg.cond(np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(sigma**2), np.eye(n)))
+    assert cond >= 1e9
+    ref = mp_icm_logpdf(X, params, Z, B, sigma, T, zs)
+    model = tracking.GpRangeModel(gp.fit(X, Z, kernel, sigma**2, coreg=B))
+    tol = 4.0 * cond * np.finfo(float).eps
+    for i in range(p):
+        got = model.logpdf(pos[n + i : n + i + 1], zs[i], refs)[0]
+        assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (i, got, ref[i])
+        got = gp.log_likelihood(model.gp, T[i : i + 1], zs[i])
+        assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (i, got, ref[i])
 
 
 def test_gp_model_rejects_particles_on_references(toy_gp_model):
