@@ -42,7 +42,8 @@ def main():
     for i, name in enumerate(names):
         step = np.zeros_like(phi)
         step[i] = h
-        fd = (prob.value(phi + step) - prob.value(phi - step)) / (2.0 * h)
+        F_plus, F_minus = prob.value_and_grad(phi + step)[0], prob.value_and_grad(phi - step)[0]
+        fd = (F_plus - F_minus) / (2.0 * h)
         rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1.0)
         worst = max(worst, rel)
         print(f"{name:>12s} {grad[i]:14.6f} {fd:14.6f} {rel:10.2e}")

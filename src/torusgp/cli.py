@@ -297,6 +297,7 @@ def _fit_summary(tm: tracking.TrainedMethod) -> dict:
         "stop_reason": tm.opt.stop_reason,
         "evaluations": tm.opt.evaluations,
         "backtracks": tm.opt.backtracks,
+        "failed_restarts": len(tm.opt.restart_failures),
         "jitter_used": tm.gp.jitter_used,
     }
 

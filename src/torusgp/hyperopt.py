@@ -22,8 +22,8 @@ matrix is formed. How K is factored depends on the number of outputs d.
 
 One output: K = b K_x + sigma^2 I is n x n, and its Cholesky factor gives F
 and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
-eigendecomposition of the same matrix, and the optimizer evaluates F at
-every line-search probe, so this path stays on Cholesky.
+eigendecomposition of the same matrix, and the optimizer evaluates F and its
+gradient at every line-search probe, so this path stays on Cholesky.
 
 Several outputs: K is factored by torusgp.gp.icm_factor (U, lam, S, P and
 D as defined there), and with Alpha = U ((U^T Z P) / D) P^T = K^-1 Z,
@@ -80,8 +80,10 @@ class OptResult:
 
     trace holds the accepted objective values of the winning restart, in
     order; converged follows the rule in the module docstring. evaluations
-    counts that restart's objective evaluations (with or without gradient,
-    failed ones included) and backtracks its line-search step halvings.
+    counts that restart's evaluations of F and its gradient, failed ones
+    included: the start, one per accepted step and one per line-search step
+    halving (backtracks). restart_objectives has -inf for each restart that
+    failed at its start, and restart_failures the error message of each.
     """
 
     kernel: object
@@ -98,6 +100,7 @@ class OptResult:
     evaluations: int
     backtracks: int
     restart_objectives: list = field(default_factory=list)
+    restart_failures: list = field(default_factory=list)
 
     @property
     def noise_var(self):
@@ -119,6 +122,8 @@ class OptResult:
             "evaluations": self.evaluations,
             "backtracks": self.backtracks,
             "restart_objectives": list(self.restart_objectives),
+            "failed_restarts": len(self.restart_failures),
+            "restart_failures": list(self.restart_failures),
             "trace": [float(v) for v in self.trace],
         }
 
@@ -195,35 +200,34 @@ class _Problem:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, kernel, B, sigma, coords, grad=False):
-        """F at constrained hyperparameters (B is None for one output).
+    def evaluate(self, kernel, B, sigma, coords):
+        """(F, dF/dtheta, dF/dB, dF/dsigma) at constrained hyperparameters.
 
-        With grad, returns (F, dF/dtheta, dF/dB, dF/dsigma); the entries of B
-        count as independent. A system matrix that overflows or is not
-        positive definite raises FactorizationError carrying coords as .theta.
+        B is None for one output; its entries count as independent. A system
+        matrix that overflows or is not positive definite raises
+        FactorizationError carrying coords as .theta.
         """
-        try:
-            # overflow is tolerated here: the finiteness checks make it a rejected step
-            with np.errstate(all="ignore"):
+        # overflow is tolerated here: the finiteness checks make it a rejected
+        # step, and the optimizer never reads a rejected probe's gradient
+        with np.errstate(all="ignore"):
+            try:
                 K_x = kernel.gram_from(self.features)
-                out = (self._cholesky if self.d == 1 else self._icm)(K_x, B, sigma, grad)
-        except np.linalg.LinAlgError as err:
-            if not isinstance(err, FactorizationError):
-                err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
-            err.theta = np.array(coords, dtype=float)
-            raise err
-        if not grad:
-            return out
-        F, Abar, g_B, g_sigma = out
-        W = (Abar * K_x).ravel()
-        dc = kernel.coefficients()[1]
-        g_theta = np.concatenate(
-            [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
-        )
+                factor = self._cholesky if self.d == 1 else self._icm
+                F, Abar, g_B, g_sigma = factor(K_x, B, sigma)
+            except np.linalg.LinAlgError as err:
+                if not isinstance(err, FactorizationError):
+                    err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
+                err.theta = np.array(coords, dtype=float)
+                raise err
+            W = (Abar * K_x).ravel()
+            dc = kernel.coefficients()[1]
+            g_theta = np.concatenate(
+                [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
+            )
         return F, g_theta, g_B, g_sigma
 
-    def _cholesky(self, K_x, B, sigma, grad):
-        """F, or (F, Abar, dF/dB, dF/dsigma), for one output: K = b K_x + sigma^2 I."""
+    def _cholesky(self, K_x, B, sigma):
+        """(F, Abar, dF/dB, dF/dsigma) for one output: K = b K_x + sigma^2 I."""
         b = 1.0 if B is None else B[0, 0]
         K = b * K_x
         K.flat[:: self.n + 1] += sigma**2
@@ -235,21 +239,17 @@ class _Problem:
         z = self.data.zvec
         alpha = cho_solve((L, True), z)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
-        if not grad:
-            return F
         A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n))
         g_B = np.array([[np.sum(A * K_x)]])
         return F, b * A, g_B, 2.0 * sigma * np.einsum("ii->", A)
 
-    def _icm(self, K_x, B, sigma, grad):
-        """F, or (F, Abar, dF/dB, dF/dsigma), for d outputs from the ICM factor."""
+    def _icm(self, K_x, B, sigma):
+        """(F, Abar, dF/dB, dF/dsigma) for d outputs from the ICM factor."""
         f, _ = icm_factor(K_x, B, sigma, self.template.family)
         Zt = f.U.T @ self.data.obs @ f.P
         M = Zt / f.D
         logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(f.D))
         F = float(-np.sum(Zt * M) - logdet - self.N * _LOG2PI)
-        if not grad:
-            return F
         Alpha = f.U @ M @ f.P.T
         Dinv = 1.0 / f.D
         Abar = Alpha @ B @ Alpha.T - (f.U * (Dinv @ f.S)) @ f.U.T
@@ -257,13 +257,9 @@ class _Problem:
         g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ Dinv.sum(axis=0))
         return F, Abar, g_B, g_sigma
 
-    def value(self, phi: np.ndarray) -> float:
-        kernel, _, B, sigma = self.unpack(phi)
-        return self.evaluate(kernel, B, sigma, phi)
-
     def value_and_grad(self, phi: np.ndarray):
         kernel, G, B, sigma = self.unpack(phi)
-        F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi, grad=True)
+        F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
         parts = [g_theta[self.free_idx] * kernel.theta[self.free_idx]]
         if self.multi:
             g_G = ((g_B + g_B.T) @ G)[self.tril]
@@ -278,14 +274,14 @@ def _constrained(theta, B, sigma) -> np.ndarray:
     return np.concatenate([theta, [] if B is None else np.ravel(B, order="F"), sigma])
 
 
-def _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad):
+def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
     dataset = _as_dataset(dataset)
     if (coreg is not None) != dataset.multi_output:
         raise ValueError("coreg must be given for multi-output data, and only then")
     sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
     B = None if coreg is None else np.asarray(coreg, dtype=float)
     coords = _constrained(kernel.theta, B, sigma)
-    return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords, grad)
+    return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords)
 
 
 def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
@@ -294,7 +290,7 @@ def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
     noise_sigma is the noise standard deviation (scalar, or one per output).
     Raises FactorizationError (carrying .theta) if K is not positive definite.
     """
-    return _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad=False)
+    return _at_hyperparameters(dataset, kernel, noise_sigma, coreg)[0]
 
 
 def gradient(dataset, kernel, noise_sigma, coreg=None):
@@ -303,7 +299,7 @@ def gradient(dataset, kernel, noise_sigma, coreg=None):
     Coordinate order: kernel theta, then vec(B) column-major (multi-output
     only, each entry independent), then the per-output noise deviations.
     """
-    _, g_theta, g_B, g_sigma = _at_hyperparameters(dataset, kernel, noise_sigma, coreg, grad=True)
+    _, g_theta, g_B, g_sigma = _at_hyperparameters(dataset, kernel, noise_sigma, coreg)
     names = list(kernel.theta_names)
     if coreg is None:
         g_B = None
@@ -408,7 +404,7 @@ def optimize(
 
     rng = np.random.default_rng(seed)
     best = None
-    restart_objectives = []
+    restart_objectives, restart_failures = [], []
     last_error = None
     for r in range(max(1, restarts)):
         phi_start = phi0 if r == 0 else phi0 + rng.normal(0.0, 0.5, size=phi0.shape)
@@ -417,6 +413,7 @@ def optimize(
         except FactorizationError as err:
             last_error = err
             restart_objectives.append(float("-inf"))
+            restart_failures.append(f"restart {r}: {err}")
             continue
         restart_objectives.append(run["objective"])
         if best is None or run["objective"] > best["objective"]:
@@ -446,6 +443,7 @@ def optimize(
         evaluations=best["evaluations"],
         backtracks=best["backtracks"],
         restart_objectives=restart_objectives,
+        restart_failures=restart_failures,
     )
 
 
@@ -461,8 +459,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     H = np.eye(p)
     trace = [F]
     stop_reason = "budget"
-    iterations = 0
-    evaluations, backtracks = 1, 0
+    iterations = backtracks = 0
     first_update = True
     for it in range(budget):
         if np.linalg.norm(g) < grad_tol * (1.0 + abs(F)):
@@ -478,9 +475,8 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
             t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, np.linalg.norm(g)))
             for _ in range(40):
                 phi_new = phi + t * direction
-                evaluations += 1
                 try:
-                    F_new = prob.value(phi_new)
+                    F_new, g_new = prob.value_and_grad(phi_new)
                 except FactorizationError:
                     F_new = -np.inf
                 if np.isfinite(F_new) and F_new > F + 1e-4 * t * slope:
@@ -496,8 +492,6 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         if not accepted:
             stop_reason = "step_failure"
             break
-        F_new, g_new = prob.value_and_grad(phi_new)
-        evaluations += 1
         s = phi_new - phi
         y = -(g_new - g)  # gradient change of -F (minimization form)
         sy = float(s @ y)
@@ -524,6 +518,6 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         "trace": trace,
         "iterations": iterations,
         "stop_reason": stop_reason,
-        "evaluations": evaluations,
+        "evaluations": 1 + iterations + backtracks,
         "backtracks": backtracks,
     }

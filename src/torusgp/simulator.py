@@ -37,7 +37,6 @@ __all__ = [
     "training_grid",
     "build_training_set",
     "trajectory",
-    "bessel_i0",
     "case_study_1_observe",
     "case_study_2_sweep",
     "CASE2_PARAM_SETS",
@@ -296,26 +295,8 @@ def trajectory(cfg: ScenarioConfig) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of order zero, truncated power series.
-
-    Terms are accumulated until the relative increment drops below 1e-15.
-    """
-    x = float(x)
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term < 1e-15 * total:
-            return total
-
-
 def _vm_pdf(theta, mu: float, kappa: float):
-    return np.exp(kappa * np.cos(theta - mu)) / (2.0 * np.pi * bessel_i0(kappa))
+    return np.exp(kappa * np.cos(theta - mu)) / (2.0 * np.pi * np.i0(kappa))
 
 
 @dataclass(frozen=True)
@@ -353,7 +334,7 @@ class CircularDensity:
         # over the circle is 2 pi exp(conc/2) I0(conc/2)
         half = 0.5 * self.axial_conc
         axial = np.exp(-half * np.cos(2.0 * (theta - self.axial_angle))) / (
-            2.0 * np.pi * bessel_i0(half)
+            2.0 * np.pi * np.i0(half)
         )
         return out + self.axial_weight * axial
 

@@ -246,6 +246,8 @@ def test_fit_summaries_report_jitter_and_counts(tmp_path):
     assert report["jitter_used"] == fit["jitter_used"] >= 0.0
     assert fit["evaluations"] == report["optimization"]["evaluations"] > 0
     assert fit["backtracks"] == report["optimization"]["backtracks"] >= 0
+    failures = report["optimization"]["restart_failures"]
+    assert fit["failed_restarts"] == report["optimization"]["failed_restarts"] == len(failures)
     fits = json.loads((out / "manifest_campaign.json").read_text())["summary"]["fits"]
     assert [(f["noise_level"], f["method"]) for f in fits] == [(0.01, "HvM")]
     assert fits[0]["evaluations"] > 0 and fits[0]["backtracks"] >= 0
@@ -305,6 +307,9 @@ def test_case1_outputs_and_periodicity_report(tmp_path):
     report = json.loads((out / "case1_report.json").read_text())
     assert report["periodicity"]["vm"]["mean_max_abs"] < 1e-8
     assert report["boundary_gap"]["se_mean"] > 0.0
+    for fit in report["models"].values():
+        opt = fit["optimization"]
+        assert opt["failed_restarts"] == len(opt["restart_failures"])
     curves = (out / "case1_curves.csv").read_text().splitlines()
     assert curves[0] == "theta_rad,truth,se_mean,se_var,vm_mean,vm_var"
     assert len(curves) == 1 + 41

@@ -1,0 +1,31 @@
+"""Smoke test: the quick demo scripts run to completion.
+
+Each demo runs in its own interpreter with PYTHONPATH=src, as a reader
+would run it, and must exit 0. tracking_demo.py is left out: it runs a
+full filter and takes about 9 s, against well under 1 s for each of the
+others.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["circular_regression", "gradient_check", "kernel_sweeps"])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -340,14 +340,43 @@ def test_default_initialization_uses_data_scale():
 
 
 def test_summary_carries_the_trace():
-    ds = _toy_dataset(seed=14)
-    res = hyperopt.optimize(ds, "pprd", budget=25, restarts=1, seed=0)
+    """evaluations counts the start, each accepted step and each halving,
+    for one output (Cholesky) and for two (ICM factor)."""
+    single = _toy_dataset(seed=14)
+    two = hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 5)], 1))
+    for ds in (single, two):
+        res = hyperopt.optimize(ds, "pprd", budget=25, restarts=1, seed=0)
+        doc = res.summary()
+        assert doc["objective"] == res.objective
+        assert doc["trace"][-1] == pytest.approx(res.objective)
+        assert doc["stop_reason"] == res.stop_reason
+        assert doc["evaluations"] == res.evaluations == 1 + res.iterations + res.backtracks
+        assert doc["backtracks"] == res.backtracks >= 0
+        assert res.iterations > 0
+
+
+def test_failed_restarts_are_reported():
+    """A perturbed restart that fails at its start keeps -inf in
+    restart_objectives, and its error message reaches summary()."""
+    ds = _toy_dataset(seed=21)
+    kern0, _, _ = hyperopt.default_initialization(ds, "hvm")
+    # omega^2 times the Gram diagonal at half the float range: a start
+    # perturbed upward in omega overflows the system matrix
+    x0 = ds.inputs[:1]
+    unit = kern0.with_theta(np.concatenate([[1.0], kern0.theta[1:]]))
+    omega = np.sqrt(0.5 * np.finfo(float).max / unit.gram(x0, x0)[0, 0])
+    start = kern0.with_theta(np.concatenate([[omega], kern0.theta[1:]]))
+    res = hyperopt.optimize(ds, start, restarts=3, budget=10, seed=4)
+    assert res.restart == 0
+    assert res.restart_objectives[1] == -np.inf
+    assert np.all(np.isfinite(res.restart_objectives[::2]))
+    assert res.restart_failures == [
+        "restart 1: hvm: system matrix overflowed at the evaluated coordinates"
+    ]
     doc = res.summary()
-    assert doc["objective"] == res.objective
-    assert doc["trace"][-1] == pytest.approx(res.objective)
-    assert doc["stop_reason"] == res.stop_reason
-    assert doc["evaluations"] == res.evaluations >= res.iterations + 1
-    assert doc["backtracks"] == res.backtracks >= 0
+    assert doc["failed_restarts"] == 1
+    assert doc["restart_failures"] == res.restart_failures
+    assert doc["restart_objectives"] == res.restart_objectives
 
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
@@ -365,7 +394,5 @@ def test_extreme_probe_coordinates_raise_the_typed_error():
         for i, bad in probes + [(0, 400.0)]:
             phi_bad = phi.copy()
             phi_bad[i] = bad
-            with pytest.raises(gp.FactorizationError):
-                prob.value(phi_bad)
             with pytest.raises(gp.FactorizationError):
                 prob.value_and_grad(phi_bad)

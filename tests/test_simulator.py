@@ -6,7 +6,6 @@ from torusgp.simulator import (
     CircularDensity,
     DEFAULT_DENSITY,
     ScenarioConfig,
-    bessel_i0,
     build_training_set,
     case_study_1_observe,
     case_study_2_sweep,
@@ -110,14 +109,36 @@ def test_rounded_rectangle_step_length_matches_perimeter():
     assert np.median(inc) == pytest.approx(perimeter / steps, rel=1e-3)
 
 
-def test_bessel_series_against_quadrature():
-    # I0(x) = (1 / 2 pi) * integral of exp(x cos t) over the circle
-    for x in (0.5, 1.5, 2.0, 3.0):
-        t = np.linspace(0.0, 2 * np.pi, 200001)
-        quad = np.trapezoid(np.exp(x * np.cos(t)), t) / (2 * np.pi)
-        assert bessel_i0(x) == pytest.approx(quad, rel=1e-10)
-    assert bessel_i0(-1.5) == pytest.approx(bessel_i0(1.5), rel=1e-15)
-    assert bessel_i0(0.0) == 1.0
+def test_each_mixture_component_integrates_to_its_weight():
+    # Quadrature oracle for the I0 normalizers: every von Mises bump and the
+    # axial bump is a density on the circle, so alone it integrates to its
+    # weight. The second density reaches I0 at 0.5, 3 and -0.5.
+    t = np.linspace(0.0, 2 * np.pi, 200001)
+    other = CircularDensity(
+        vm_components=((0.3, 0.5), (2.0, 3.0)),
+        vm_weights=(0.25, 0.75),
+        axial_conc=-1.0,
+        axial_weight=0.5,
+    )
+    for dens in (DEFAULT_DENSITY, other):
+        k = len(dens.vm_weights)
+        for i, w in enumerate(dens.vm_weights):
+            alone = CircularDensity(
+                vm_components=dens.vm_components,
+                vm_weights=tuple(w if j == i else 0.0 for j in range(k)),
+                axial_weight=0.0,
+            )
+            assert np.trapezoid(alone.mean_value(t), t) == pytest.approx(w, abs=1e-10)
+        axial = CircularDensity(
+            vm_components=dens.vm_components,
+            vm_weights=(0.0,) * k,
+            axial_angle=dens.axial_angle,
+            axial_conc=dens.axial_conc,
+            axial_weight=dens.axial_weight,
+        )
+        assert np.trapezoid(axial.mean_value(t), t) == pytest.approx(
+            dens.axial_weight, abs=1e-10
+        )
 
 
 def test_vm_component_mode_value():
