@@ -23,7 +23,7 @@ def main():
     Z = rng.standard_normal((n, d))
     ds = hyperopt.Dataset.from_data(X, Z)
 
-    kern = kernels.HvmHyperparams(1.2, (0.7, 1.1, 0.4), (0.2, 0.05, 0.3)).kernel()
+    kern = kernels.ExpLinearKernel("hvm", 3, (1.2, 0.7, 1.1, 0.4, 0.2, 0.05, 0.3))
     A = rng.standard_normal((d, d))
     G = np.linalg.cholesky(A @ A.T + d * np.eye(d))
     sigma = np.array([0.4, 0.3])

@@ -42,14 +42,15 @@ def main():
     print("=" * 70)
     print("torus kernel sweeps against the base point (0, 0)")
     print("=" * 70)
-    for idx, params in enumerate(simulator.CASE2_PARAM_SETS, start=1):
-        sweep = simulator.case_study_2_sweep(params, resolution=121)
+    for idx, kernel in enumerate(simulator.CASE2_PARAM_SETS, start=1):
+        sweep = simulator.case_study_2_sweep(kernel, resolution=121)
+        omega, lam, corr = kernel.theta[0], kernel.theta[1:3], kernel.theta[3:]
         peak = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
         ratio = separability_ratio(sweep.values)
         print()
         print(
-            f"set {idx}: omega = {params.omega:g}, "
-            f"concentrations = {params.lam}, coupling = {params.corr}"
+            f"set {idx}: omega = {omega:g}, "
+            f"concentrations = {tuple(lam.tolist())}, coupling = {tuple(corr.tolist())}"
         )
         print(
             f"  peak at alpha = {sweep.alphas[peak[0]]:+.3f}, "

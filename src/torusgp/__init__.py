@@ -25,7 +25,7 @@ from .gp import (
     save_model,
 )
 from .hyperopt import Dataset, OptResult, objective, gradient, optimize
-from .kernels import ExpLinearKernel, HvmHyperparams, kernel_from_family, pair_order
+from .kernels import ExpLinearKernel, kernel_from_family, pair_order
 from .manifold import (
     CirclePoint,
     TorusPoint,
@@ -77,7 +77,6 @@ __all__ = [
     "gradient",
     "optimize",
     "ExpLinearKernel",
-    "HvmHyperparams",
     "kernel_from_family",
     "pair_order",
     "CirclePoint",

@@ -388,8 +388,8 @@ def cmd_case1(args, config, seed, out):
 def cmd_case2(args, config, seed, out):
     artifacts = []
     report = {}
-    for idx, params in enumerate(CASE2_PARAM_SETS, start=1):
-        sweep = case_study_2_sweep(params, resolution=config["case2"]["resolution"])
+    for idx, kernel in enumerate(CASE2_PARAM_SETS, start=1):
+        sweep = case_study_2_sweep(kernel, resolution=config["case2"]["resolution"])
         rows = [
             (a, b, sweep.values[i, j], sweep.normalized[i, j])
             for i, a in enumerate(sweep.alphas)
@@ -403,9 +403,9 @@ def cmd_case2(args, config, seed, out):
         svals = np.linalg.svd(logvals, compute_uv=False)
         vvals = np.linalg.svd(sweep.values, compute_uv=False)
         report[f"set{idx}"] = {
-            "omega": params.omega,
-            "lam": list(params.lam),
-            "corr": list(params.corr),
+            "omega": float(kernel.theta[0]),
+            "lam": kernel.theta[1:3].tolist(),
+            "corr": kernel.theta[3:].tolist(),
             "argmax_alpha_rad": float(sweep.alphas[amax[0]]),
             "argmax_beta_rad": float(sweep.betas[amax[1]]),
             "max_value": float(np.max(sweep.values)),
@@ -452,14 +452,7 @@ def cmd_train(args, config, seed, out):
     summary = {}
     for mth in methods:
         t1 = time.perf_counter()
-        tm = tracking.train_method(
-            ts,
-            mth,
-            cfg.references_array,
-            budget=opts["budget"],
-            restarts=opts["restarts"],
-            seed=seed,
-        )
+        tm = tracking.train_method(ts, mth, cfg.references_array, seed=seed, **opts)
         model_path = out / f"model_{mth.lower()}.json"
         if tm.gp is not None:
             gp_mod.save_model(tm.gp, model_path)

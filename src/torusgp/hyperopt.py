@@ -354,8 +354,6 @@ def optimize(
     dataset,
     kernel_or_family,
     *,
-    noise_sigma=None,
-    coreg=None,
     fixed=None,
     restarts=4,
     budget=150,
@@ -365,16 +363,16 @@ def optimize(
 ) -> OptResult:
     """Fit hyperparameters by monotone ascent on F from multiple starts.
 
-    Restart 0 starts from the given (or data-driven default) values; further
-    restarts perturb the unconstrained coordinates with seeded Gaussian noise.
+    Restart 0 starts from default_initialization: its noise, its mixing
+    matrix, and its kernel unless a kernel instance is given, which is used
+    as it is. Further restarts perturb the unconstrained coordinates with
+    seeded Gaussian noise.
 
     Parameters
     ----------
     dataset : Dataset or (inputs, obs) pair
     kernel_or_family : kernel instance used as the starting point, or one of
         "hvm", "pvm", "pprd", "pse"
-    noise_sigma : starting noise deviation(s); default 0.1 * output deviation
-    coreg : starting mixing matrix; default sample output covariance
     fixed : mapping of kernel coordinate names to pinned values, e.g.
         {"corr_12": 0.0}; pinned coordinates are not optimized
     restarts, budget, seed : multi-start count, iteration cap, RNG seed
@@ -390,14 +388,6 @@ def optimize(
     kern0, sig0, B0 = default_initialization(dataset, kernel_or_family)
     if not isinstance(kernel_or_family, str):
         kern0 = kernel_or_family
-    if noise_sigma is not None:
-        sig0 = np.atleast_1d(np.asarray(noise_sigma, dtype=float)) * np.ones(
-            dataset.d if dataset.multi_output else 1
-        )
-    if coreg is not None:
-        B0 = np.asarray(coreg, dtype=float)
-    if dataset.multi_output and B0 is None:
-        raise ValueError("multi-output data needs a coreg starting point")
     prob = _Problem(dataset, kern0, fixed=fixed)
     G0 = np.linalg.cholesky(_psd_project(B0)) if dataset.multi_output else None
     phi0 = prob.pack(kern0, G0, sig0)

@@ -24,16 +24,16 @@ aperiodic across the chart seam. The derivatives follow from the form:
 
     dK/d omega   = (2 / omega) * K
     dK/d theta_f = c_f'(theta_f) * K * F_f
-"""
 
-from dataclasses import dataclass
+A kernel is named by its family, m and theta alone; the optimizer, model
+files and the case-2 parameter sets all carry that form.
+"""
 
 import numpy as np
 
 from .manifold import chart_angles
 
 __all__ = [
-    "HvmHyperparams",
     "pair_order",
     "component_distances",
     "ExpLinearKernel",
@@ -49,44 +49,6 @@ def pair_order(m: int) -> list:
     if m < 1:
         raise ValueError("m must be >= 1")
     return [(i, i + g) for g in range(1, m) for i in range(m - g)]
-
-
-@dataclass(frozen=True)
-class HvmHyperparams:
-    """Coupled-torus kernel parameters.
-
-    omega: signal scale (> 0).
-    lam:   per-circle concentrations, shape (m,), entries >= 0.
-    corr:  pairwise interaction weights in canonical pair order,
-           shape (m*(m-1)/2,), entries >= 0.
-    """
-
-    omega: float
-    lam: tuple
-    corr: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(x) for x in np.atleast_1d(self.lam)))
-        object.__setattr__(self, "corr", tuple(float(x) for x in np.atleast_1d(self.corr)))
-        if not self.lam:
-            raise ValueError("lam must have at least one entry")
-        self.kernel()  # validates the coordinates
-
-    @property
-    def m(self) -> int:
-        return len(self.lam)
-
-    def kernel(self) -> "ExpLinearKernel":
-        """The trainable ``hvm`` kernel with these parameters."""
-        return ExpLinearKernel("hvm", self.m, (self.omega,) + self.lam + self.corr)
-
-    def interaction_matrix(self) -> np.ndarray:
-        """The hollow symmetric (m, m) matrix holding corr off the diagonal."""
-        m = self.m
-        L = np.zeros((m, m))
-        for t, (i, j) in enumerate(pair_order(m)):
-            L[i, j] = L[j, i] = self.corr[t]
-        return L
 
 
 def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:

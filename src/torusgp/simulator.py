@@ -11,8 +11,8 @@ embedding, which is where the GP regression lives.
 
 Also in this module: the circular mixture density used for scalar regression
 on S^1 (three von Mises bumps plus one antipodally symmetric bump and
-Gaussian observation noise), and the kernel sweep over two coupled circles
-evaluated on a symmetric angle grid.
+Gaussian observation noise), and the sweep of four coupled (hvm) kernels
+over two circles, evaluated on a symmetric angle grid.
 
 Trajectories and training sets serialize to headed CSV so simulation output
 can feed the training and tracking stages as files.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import HvmHyperparams
+from .kernels import ExpLinearKernel
 from .manifold import aoa_embedding_batch
 
 __all__ = [
@@ -228,37 +228,32 @@ def _rounded_rectangle(lo: float, hi: float, r: float, t: np.ndarray) -> np.ndar
     arc = 0.5 * np.pi * r
     total = 4.0 * (side + arc)
     s = np.asarray(t, dtype=float) * total
-    pts = np.empty((s.size, 2))
     # walk counterclockwise from (lo + r, lo): bottom, right, top, left,
     # with a quarter arc after each straight
-    for i, si in enumerate(s % total):
-        leg, rem = divmod(si, side + arc)
-        leg = int(leg)
-        if leg == 0:
-            if rem < side:
-                pts[i] = (lo + r + rem, lo)
-            else:
-                a = (rem - side) / r
-                pts[i] = (hi - r + r * np.sin(a), lo + r - r * np.cos(a))
-        elif leg == 1:
-            if rem < side:
-                pts[i] = (hi, lo + r + rem)
-            else:
-                a = (rem - side) / r
-                pts[i] = (hi - r + r * np.cos(a), hi - r + r * np.sin(a))
-        elif leg == 2:
-            if rem < side:
-                pts[i] = (hi - r - rem, hi)
-            else:
-                a = (rem - side) / r
-                pts[i] = (lo + r - r * np.sin(a), hi - r + r * np.cos(a))
-        else:
-            if rem < side:
-                pts[i] = (lo, hi - r - rem)
-            else:
-                a = (rem - side) / r
-                pts[i] = (lo + r - r * np.cos(a), lo + r - r * np.sin(a))
-    return pts
+    leg, rem = np.divmod(s % total, side + arc)
+    line = rem < side
+    a = (rem - side) / r
+    rs, rc = r * np.sin(a), r * np.cos(a)
+    legs = [leg == 0, leg == 1, leg == 2]  # anything else walks the left leg
+    x = np.select(
+        legs,
+        [
+            np.where(line, lo + r + rem, hi - r + rs),
+            np.where(line, hi, hi - r + rc),
+            np.where(line, hi - r - rem, lo + r - rs),
+        ],
+        np.where(line, lo, lo + r - rc),
+    )
+    y = np.select(
+        legs,
+        [
+            np.where(line, lo, lo + r - rc),
+            np.where(line, lo + r + rem, hi - r + rs),
+            np.where(line, hi, hi - r + rc),
+        ],
+        np.where(line, hi - r - rem, lo + r - rs),
+    )
+    return np.column_stack([x, y])
 
 
 _DENSE_SAMPLES = 20000
@@ -353,13 +348,14 @@ def case_study_1_observe(theta, rng: np.random.Generator, density: CircularDensi
 # Kernel sweep on T^2: similarity against a fixed point over an angle grid.
 # ---------------------------------------------------------------------------
 
-# Four parameter sets on two circles: concentrations only (sets 1, 3) and the
-# same concentrations with a pairwise interaction weight added (sets 2, 4).
+# Four hvm kernels on two circles, theta = (omega, lam_1, lam_2, corr_12):
+# concentrations only (sets 1, 3) and the same concentrations with a pairwise
+# interaction weight added (sets 2, 4).
 CASE2_PARAM_SETS = (
-    HvmHyperparams(1.0, (0.3, 0.3), (0.0,)),
-    HvmHyperparams(1.0, (0.3, 0.3), (0.3,)),
-    HvmHyperparams(1.0, (1.0, 1.0), (0.0,)),
-    HvmHyperparams(1.0, (1.0, 1.0), (1.0,)),
+    ExpLinearKernel("hvm", 2, (1.0, 0.3, 0.3, 0.0)),
+    ExpLinearKernel("hvm", 2, (1.0, 0.3, 0.3, 0.3)),
+    ExpLinearKernel("hvm", 2, (1.0, 1.0, 1.0, 0.0)),
+    ExpLinearKernel("hvm", 2, (1.0, 1.0, 1.0, 1.0)),
 )
 
 
@@ -367,25 +363,25 @@ CASE2_PARAM_SETS = (
 class SweepResult:
     """Kernel values against the fixed point over the (alpha, beta) grid."""
 
-    params: HvmHyperparams
+    kernel: ExpLinearKernel
     alphas: np.ndarray
     betas: np.ndarray
     values: np.ndarray
     normalized: np.ndarray
 
 
-def case_study_2_sweep(params: HvmHyperparams, resolution: int = 181) -> SweepResult:
+def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepResult:
     """Evaluate k(u0, v(alpha, beta)) on a symmetric angle grid.
 
+    kernel is any kernel on two circles (the study uses CASE2_PARAM_SETS).
     u0 is the torus point at angles (0, 0); the grid is the inclusive
     symmetric linspace over [-pi, pi] per axis (odd resolutions contain 0).
     Rows index alpha, columns beta. normalized is values / max(values).
     """
-    if params.m != 2:
+    if kernel.m != 2:
         raise ValueError("the sweep is defined on two circles")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    kernel = params.kernel()
     grid = np.linspace(-np.pi, np.pi, resolution)
     A, Bm = np.meshgrid(grid, grid, indexing="ij")
     pts = np.empty((resolution * resolution, 2, 2))
@@ -396,7 +392,7 @@ def case_study_2_sweep(params: HvmHyperparams, resolution: int = 181) -> SweepRe
     u0 = np.array([[[1.0, 0.0], [1.0, 0.0]]])
     vals = kernel.gram(pts, u0)[:, 0].reshape(resolution, resolution)
     return SweepResult(
-        params=params,
+        kernel=kernel,
         alphas=grid,
         betas=grid.copy(),
         values=vals,

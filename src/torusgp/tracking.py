@@ -220,14 +220,21 @@ def train_method(
     budget: int = 100,
     restarts: int = 2,
     seed: int = 0,
+    **tolerances,
 ) -> TrainedMethod:
-    """Fit one method's measurement model on a training set."""
+    """Fit one method's measurement model on a training set.
+
+    tolerances (rel_tol, grad_tol) pass on to hyperopt.optimize, whose
+    defaults apply when they are left out.
+    """
     if method == "Parametric":
         return TrainedMethod(method, fit_parametric(ts, references))
     if method not in GP_FAMILIES:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     ds = hyperopt.Dataset.from_data(ts.inputs, ts.obs)
-    res = hyperopt.optimize(ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed)
+    res = hyperopt.optimize(
+        ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed, **tolerances
+    )
     trained = gp_mod.fit(ts.inputs, ts.obs, res.kernel, res.noise_var, coreg=res.coreg)
     return TrainedMethod(method, GpRangeModel(trained), gp=trained, opt=res)
 
@@ -337,13 +344,9 @@ def run_tracking(
 # ---------------------------------------------------------------------------
 
 
-def _row_seed(base_seed: int, ni: int, ti: int, run: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(2, ni, ti, run))
-    return int(ss.generate_state(1)[0])
-
-
-def _train_seed(base_seed: int, ni: int, mi: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(1, ni, mi))
+def _int_seed(base_seed: int, *key: int) -> int:
+    """Integer seed drawn from the (seed, purpose...) tuple, as rng_for keys generators."""
+    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=key)
     return int(ss.generate_state(1)[0])
 
 
@@ -360,7 +363,7 @@ def _run_row(task):
     cfg = state["cfgs"][(ni, ti)]
     traj = state["trajs"][(ni, ti)]
     model = state["models"][(ni, method)]
-    seed = _row_seed(state["seed"], ni, ti, run)
+    seed = _int_seed(state["seed"], 2, ni, ti, run)
     result = run_tracking(cfg, method, model, seed, traj=traj)
     return {
         "method": method,
@@ -401,10 +404,7 @@ def campaign(
     trajs = {}
     for ni, xi in enumerate(noise_levels):
         cfg_n = cfg.with_(noise_xi=float(xi), seed=seed)
-        train_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=int(seed), spawn_key=(0, ni))
-        )
-        ts = build_training_set(cfg_n, train_rng)
+        ts = build_training_set(cfg_n, rng_for(seed, 0, ni))
         for mi, method in enumerate(methods):
             tm = train_method(
                 ts,
@@ -412,7 +412,7 @@ def campaign(
                 cfg_n.references_array,
                 budget=opt_budget,
                 restarts=opt_restarts,
-                seed=_train_seed(seed, ni, mi),
+                seed=_int_seed(seed, 1, ni, mi),
             )
             trained[(ni, method)] = tm
             models[(ni, method)] = tm.model

@@ -4,7 +4,9 @@ The scalar kernels are the textbook per-pair formulas the vectorized
 torusgp.kernels.ExpLinearKernel is checked against: the von Mises kernel on
 S^1, the coupled kernel on T^m, and the three per-circle product baselines
 with one signal scale per circle. ``gram`` fills a matrix from any of them
-by a plain double loop.
+by a plain double loop. An hvm kernel is read from its theta
+(omega, lam_1..lam_m, corr in pair order); ``interaction_matrix`` forms the
+paper's hollow symmetric matrix Lam from the pair weights.
 
 The multi-output objective F and its gradient (torusgp.hyperopt) have two
 references: ``dense_icm`` assembles the N x N ICM system and inverts it in
@@ -19,7 +21,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import cho_solve
 
-from torusgp.kernels import HvmHyperparams, pair_order
+from torusgp.kernels import pair_order
 from torusgp.manifold import CirclePoint, TorusPoint, as_input_array
 
 
@@ -68,13 +70,31 @@ def k_vm(u: CirclePoint, v: CirclePoint, p: VmHyperparams) -> float:
     return float(p.omega**2 * np.exp(p.lam * d))
 
 
-def k_hvm(u: TorusPoint, v: TorusPoint, p: HvmHyperparams) -> float:
+def hvm_parts(kernel):
+    """(omega, lam, corr) of an hvm kernel, as Python floats."""
+    if kernel.family != "hvm":
+        raise ValueError(f"expected an hvm kernel, got {kernel.family}")
+    theta = kernel.theta.tolist()
+    return theta[0], theta[1 : 1 + kernel.m], theta[1 + kernel.m :]
+
+
+def interaction_matrix(kernel) -> np.ndarray:
+    """The paper's Lam: hollow symmetric (m, m), an hvm kernel's corr off the diagonal."""
+    m = kernel.m
+    L = np.zeros((m, m))
+    for c, (i, j) in zip(hvm_parts(kernel)[2], pair_order(m)):
+        L[i, j] = L[j, i] = c
+    return L
+
+
+def k_hvm(u: TorusPoint, v: TorusPoint, kernel) -> float:
     """Coupled-torus kernel omega^2 * exp(lam . d + 2 sum_t corr_t d_i d_j)."""
-    if u.m != p.m or v.m != p.m:
-        raise ValueError(f"points have {u.m}/{v.m} circles, parameters expect {p.m}")
+    if u.m != kernel.m or v.m != kernel.m:
+        raise ValueError(f"points have {u.m}/{v.m} circles, the kernel expects {kernel.m}")
+    omega, lam, corr = hvm_parts(kernel)
     d = np.sum(u.array * v.array, axis=1)
-    quad = 2.0 * sum(c * d[i] * d[j] for c, (i, j) in zip(p.corr, pair_order(p.m)))
-    return float(p.omega**2 * np.exp(float(np.dot(p.lam, d)) + quad))
+    quad = 2.0 * sum(c * d[i] * d[j] for c, (i, j) in zip(corr, pair_order(kernel.m)))
+    return float(omega**2 * np.exp(float(np.dot(lam, d)) + quad))
 
 
 def k_pse(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
@@ -152,12 +172,13 @@ def dense_icm(kernel, X, Z, B, sigma):
     return F, g_theta, g_B, g_sigma
 
 
-def _mp_hvm_gram(A, C, params: HvmHyperparams):
+def _mp_hvm_gram(A, C, kernel):
     """hvm cross-Gram matrix of (n, m, 2) and (p, m, 2) float inputs, in mpmath."""
     mpf = mpmath.mpf
-    lam = [mpf(x) for x in params.lam]
-    pairs = [(mpf(c), i, j) for c, (i, j) in zip(params.corr, pair_order(params.m))]
-    omega2 = mpf(params.omega) ** 2
+    omega, lam, corr = hvm_parts(kernel)
+    lam = [mpf(x) for x in lam]
+    pairs = [(mpf(c), i, j) for c, (i, j) in zip(corr, pair_order(kernel.m))]
+    omega2 = mpf(omega) ** 2
     K = mpmath.matrix(A.shape[0], C.shape[0])
     for a, u in enumerate(A.tolist()):
         for b, v in enumerate(C.tolist()):
@@ -181,7 +202,7 @@ def _mp_icm_system(K_x, B, sigma):
     return K
 
 
-def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
+def mp_hvm_icm(X, kernel, Z, B, sigma, dps=50):
     """F, dF/dB and dF/dsigma of the ICM model in dps-digit arithmetic.
 
     Every float input is taken as exact; the hvm Gram matrix, the system
@@ -192,7 +213,7 @@ def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
         mpf = mpmath.mpf
         n, d = Z.shape
         N = n * d
-        K_x = _mp_hvm_gram(X, X, params)
+        K_x = _mp_hvm_gram(X, X, kernel)
         K = _mp_icm_system(K_x, B, sigma)
         z = mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
         L = mpmath.cholesky(K)
@@ -222,7 +243,7 @@ def mp_hvm_icm(X, params: HvmHyperparams, Z, B, sigma, dps=50):
         return float(F), g_B, g_sigma
 
 
-def mp_icm_logpdf(X, params: HvmHyperparams, Z, B, sigma, T, zs, dps=50):
+def mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs, dps=50):
     """Predictive log-density of each observation zs[p] at test input T[p], in mpmath.
 
     The density is that of an hvm ICM GP conditioned on (X, Z): mean
@@ -235,13 +256,13 @@ def mp_icm_logpdf(X, params: HvmHyperparams, Z, B, sigma, T, zs, dps=50):
         mpf = mpmath.mpf
         n, d = Z.shape
         Bm = mpmath.matrix([[mpf(float(b)) for b in row] for row in B])
-        K = _mp_icm_system(_mp_hvm_gram(X, X, params), B, sigma)
+        K = _mp_icm_system(_mp_hvm_gram(X, X, kernel), B, sigma)
         Kinv = mpmath.inverse(K)
         alpha = Kinv * mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
         out = []
         for p in range(T.shape[0]):
-            k = _mp_hvm_gram(X, T[p : p + 1], params)
-            c0 = _mp_hvm_gram(T[p : p + 1], T[p : p + 1], params)[0, 0]
+            k = _mp_hvm_gram(X, T[p : p + 1], kernel)
+            c0 = _mp_hvm_gram(T[p : p + 1], T[p : p + 1], kernel)[0, 0]
             C = mpmath.matrix(n * d, d)  # (B kron k)^T
             for u in range(d):
                 for a in range(n):

@@ -47,12 +47,9 @@ def test_criterion_1_gradients_match_finite_differences(record_detail):
         X = _random_inputs(rng, n, m)
         Z = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0)
         ds = hyperopt.Dataset.from_data(X, Z)
-        params = kernels.HvmHyperparams(
-            float(rng.uniform(0.6, 1.4)),
-            tuple(rng.uniform(0.3, 1.5, m)),
-            tuple(rng.uniform(0.05, 0.5, m * (m - 1) // 2)),
-        )
-        kern = params.kernel()
+        q = m * (m - 1) // 2  # pair weights
+        theta = np.r_[rng.uniform(0.6, 1.4), rng.uniform(0.3, 1.5, m), rng.uniform(0.05, 0.5, q)]
+        kern = kernels.ExpLinearKernel("hvm", m, theta)
         A = rng.standard_normal((d, d))
         G = np.linalg.cholesky(A @ A.T + d * np.eye(d))
         sigma = rng.uniform(0.2, 0.6, d)
@@ -85,9 +82,7 @@ def test_criterion_2_zero_coupling_equals_product_kernel(record_detail):
     for _ in range(1000):
         omega = rng.uniform(0.6, 1.4, m)
         lam = rng.uniform(0.0, 1.5, m)
-        coupled = kernels.HvmHyperparams(
-            float(np.prod(omega)), tuple(lam), (0.0,) * (m * (m - 1) // 2)
-        )
+        coupled = kernels.ExpLinearKernel("hvm", m, np.r_[np.prod(omega), lam, np.zeros(m * (m - 1) // 2)])
         product = BaselineKernelParams(tuple(omega), tuple(lam))
         u = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
         v = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
@@ -141,12 +136,12 @@ def test_criterion_3_posterior_periodicity_and_seam_gap(record_detail):
 def test_criterion_4_sweep_argmax_and_coupling_rank(record_detail):
     """criterion 4: all four sweeps peak at the origin; coupled sweeps are non-separable (sigma2 > 1e-6)"""
     sigma2_coupled = []
-    for idx, params in enumerate(simulator.CASE2_PARAM_SETS):
-        sweep = simulator.case_study_2_sweep(params, resolution=181)
+    for idx, kernel in enumerate(simulator.CASE2_PARAM_SETS):
+        sweep = simulator.case_study_2_sweep(kernel, resolution=181)
         peak = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
         assert peak == (90, 90), f"set {idx + 1} peaks at grid index {peak}"
         assert sweep.alphas[peak[0]] == 0.0 and sweep.betas[peak[1]] == 0.0
-        if any(c > 0.0 for c in params.corr):
+        if kernel.theta[3] > 0.0:  # corr_12
             s = np.linalg.svd(np.log(sweep.values), compute_uv=False)
             sigma2_coupled.append(float(s[1]))
     record_detail(
@@ -168,7 +163,7 @@ def test_criterion_5_identity_mixing_matches_independent_gps(record_detail):
     n, m, d, t = 20, 3, 3, 7
     X = _random_inputs(rng, n, m)
     Z = rng.standard_normal((n, d))
-    kern = kernels.HvmHyperparams(1.1, (0.8, 0.5, 1.2), (0.2, 0.1, 0.3)).kernel()
+    kern = kernels.ExpLinearKernel("hvm", 3, (1.1, 0.8, 0.5, 1.2, 0.2, 0.1, 0.3))
     noise = np.array([0.04, 0.09, 0.02])
     joint = gp.fit(X, Z, kern, noise, coreg=np.eye(d))
     T = _random_inputs(rng, t, m)
@@ -312,12 +307,9 @@ def test_criterion_9_factorization_robustness(record_detail):
     for trial in range(100):
         X = _random_inputs(rng, n, m)
         z = rng.standard_normal(n)
-        params = kernels.HvmHyperparams(
-            float(rng.uniform(0.5, 2.0)),
-            tuple(rng.uniform(0.1, 3.0, m)),
-            tuple(rng.uniform(0.0, 1.0, m * (m - 1) // 2)),
-        )
-        kern = params.kernel()
+        q = m * (m - 1) // 2  # pair weights
+        theta = np.r_[rng.uniform(0.5, 2.0), rng.uniform(0.1, 3.0, m), rng.uniform(0.0, 1.0, q)]
+        kern = kernels.ExpLinearKernel("hvm", m, theta)
         try:
             model = gp.fit(X, z, kern, 1e-8)
         except gp.FactorizationError:

@@ -84,6 +84,23 @@ def test_train_report_trace_nondecreasing(tmp_path):
     assert report["method"] == "HvM"
 
 
+@pytest.mark.parametrize("key, loose", [("rel_tol", 0.5), ("grad_tol", 1e3)])
+def test_train_honours_the_optimizer_tolerances(tmp_path, key, loose):
+    """A loose optimizer tolerance in the config stops the HvM fit sooner."""
+    sim = tmp_path / "sim"
+    cli.main(["simulate", "--config", str(_write_config(tmp_path)), "--out", str(sim)])
+    iterations = {}
+    for tol in (None, loose):
+        opts = dict(TOY_CONFIG["optimizer"], **({} if tol is None else {key: tol}))
+        cfg = _write_config(tmp_path, {"optimizer": opts})
+        out = tmp_path / f"train_{tol}"
+        argv = ["train", "--config", str(cfg), "--out", str(out), "--method", "HvM"]
+        assert cli.main(argv + ["--trainset", str(sim / "training_set.csv")]) == 0
+        report = json.loads((out / "optreport_hvm.json").read_text())
+        iterations[tol] = report["optimization"]["iterations"]
+    assert iterations[loose] < iterations[None]
+
+
 RERUN_STAGES = {
     "simulate": [["simulate"]],
     "case1": [["case1"]],
@@ -331,9 +348,17 @@ def test_case2_outputs_all_sets(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["case2", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "case2_report.json").read_text())
+    # (omega, lam, corr) of the four parameter sets
+    params = {
+        1: (1.0, [0.3, 0.3], [0.0]),
+        2: (1.0, [0.3, 0.3], [0.3]),
+        3: (1.0, [1.0, 1.0], [0.0]),
+        4: (1.0, [1.0, 1.0], [1.0]),
+    }
     for idx in range(1, 5):
         assert (out / f"case2_set{idx}.csv").exists()
         entry = report[f"set{idx}"]
+        assert (entry["omega"], entry["lam"], entry["corr"]) == params[idx]
         assert entry["argmax_alpha_rad"] == 0.0
         assert entry["argmax_beta_rad"] == 0.0
     data = (out / "case2_set1.csv").read_text().splitlines()

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from torusgp import gp
-from torusgp.kernels import HvmHyperparams, kernel_from_family
+from torusgp.kernels import ExpLinearKernel, kernel_from_family
 
 
 def _inputs(rng, n, m):
@@ -13,8 +13,8 @@ def _inputs(rng, n, m):
 
 def _kernel(m=2):
     if m == 2:
-        return HvmHyperparams(1.1, (0.8, 1.3), (0.25,)).kernel()
-    return HvmHyperparams(1.1, (0.8, 1.3, 0.5), (0.25, 0.1, 0.3)).kernel()
+        return ExpLinearKernel("hvm", 2, (1.1, 0.8, 1.3, 0.25))
+    return ExpLinearKernel("hvm", 3, (1.1, 0.8, 1.3, 0.5, 0.25, 0.1, 0.3))
 
 
 def test_single_output_posterior_matches_dense_formula():

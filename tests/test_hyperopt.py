@@ -3,7 +3,7 @@ import pytest
 
 from kernel_oracles import dense_icm, mp_hvm_icm
 from torusgp import gp, hyperopt
-from torusgp.kernels import HvmHyperparams, kernel_from_family
+from torusgp.kernels import ExpLinearKernel, kernel_from_family
 
 
 def _inputs(rng, n, m):
@@ -21,7 +21,7 @@ def test_objective_single_output_matches_dense():
     rng = np.random.default_rng(0)
     X = _inputs(rng, 12, 2)
     z = rng.standard_normal(12)
-    kernel = HvmHyperparams(1.2, (0.9, 0.5), (0.2,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (1.2, 0.9, 0.5, 0.2))
     sigma = 0.3
     ds = hyperopt.Dataset.from_data(X, z)
     got = hyperopt.objective(ds, kernel, sigma)
@@ -34,7 +34,7 @@ def test_objective_multi_output_matches_dense():
     n, d = 10, 3
     X = _inputs(rng, n, 3)
     Z = rng.standard_normal((n, d))
-    kernel = HvmHyperparams(0.9, (1.1, 0.4, 0.7), (0.15, 0.05, 0.3)).kernel()
+    kernel = ExpLinearKernel("hvm", 3, (0.9, 1.1, 0.4, 0.7, 0.15, 0.05, 0.3))
     B = np.cov(rng.standard_normal((7, d)).T) + np.eye(d)
     sigma = np.array([0.2, 0.4, 0.3])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -49,7 +49,7 @@ def test_objective_at_zero_pair_weight_matches_dense():
     rng = np.random.default_rng(4)
     X = _inputs(rng, 30, 2)
     z = rng.standard_normal(30)
-    kernel = HvmHyperparams(1.0, (1.0, 1.0), (0.0,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (1.0, 1.0, 1.0, 0.0))
     got = hyperopt.objective((X, z), kernel, 0.1)
     K = kernel.gram(X, X) + 0.01 * np.eye(30)
     assert got == pytest.approx(_dense_objective(K, z), abs=1e-9)
@@ -102,8 +102,7 @@ def test_icm_precision_against_a_50_digit_reference():
     # clustered on a small patch of T^3, with little noise: cond(K) >= 1e9
     ang = 1.0 + 0.3 * rng.uniform(0.0, 1.0, (n, 3))
     X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    params = HvmHyperparams(1.3, (1.1, 0.7, 0.9), (0.2, 0.1, 0.15))
-    kernel = params.kernel()
+    kernel = ExpLinearKernel("hvm", 3, (1.3, 1.1, 0.7, 0.9, 0.2, 0.1, 0.15))
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.5 * np.eye(d)
     sigma = np.array([3e-4, 5e-4, 4e-4])
@@ -111,7 +110,7 @@ def test_icm_precision_against_a_50_digit_reference():
     Z = (np.linalg.cholesky(K) @ rng.standard_normal(n * d)).reshape(d, n).T
     cond = np.linalg.cond(K)
     assert cond >= 1e9
-    F_ref, gB_ref, gs_ref = mp_hvm_icm(X, params, Z, B, sigma)
+    F_ref, gB_ref, gs_ref = mp_hvm_icm(X, kernel, Z, B, sigma)
     F = hyperopt.objective((X, Z), kernel, sigma, coreg=B)
     _, grads = hyperopt.gradient((X, Z), kernel, sigma, coreg=B)
     k = kernel.theta.size
@@ -128,7 +127,7 @@ def test_objective_with_an_indefinite_system_raises_with_theta():
     rng = np.random.default_rng(41)
     X = _inputs(rng, 25, 2)
     Z = rng.standard_normal((25, 2))
-    kernel = HvmHyperparams(1.0, (0.8, 0.6), (0.1,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (1.0, 0.8, 0.6, 0.1))
     B = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     sigma = np.array([0.1, 0.1])
     with pytest.raises(gp.FactorizationError) as exc:
@@ -142,7 +141,7 @@ def test_indefinite_coreg_with_a_positive_definite_system_gives_the_dense_value(
     n = 25
     X = _inputs(rng, n, 2)
     Z = rng.standard_normal((n, 2))
-    kernel = HvmHyperparams(1.0, (0.8, 0.6), (0.1,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (1.0, 0.8, 0.6, 0.1))
     lam_max = np.linalg.eigvalsh(kernel.gram(X, X))[-1]
     B = np.diag([1.0, -0.5 / lam_max])
     sigma = np.array([1.0, 1.0])
@@ -155,7 +154,7 @@ def test_indefinite_coreg_with_a_positive_definite_system_gives_the_dense_value(
 
 def test_optimize_from_a_zero_free_coordinate_names_it():
     ds = _toy_dataset(seed=3)
-    start = HvmHyperparams(1.0, (1.0, 0.8, 0.5), (0.2, 0.0, 0.15)).kernel()
+    start = ExpLinearKernel("hvm", 3, (1.0, 1.0, 0.8, 0.5, 0.2, 0.0, 0.15))
     with pytest.raises(ValueError, match=r"corr_23.*fixed="):
         hyperopt.optimize(ds, start, budget=5, restarts=1)
     res = hyperopt.optimize(ds, start, fixed={"corr_23": 0.0}, budget=5, restarts=1)
@@ -168,7 +167,7 @@ def test_gradient_kernel_and_noise_coords_match_fd():
     n, d = 9, 3
     X = _inputs(rng, n, 3)
     Z = rng.standard_normal((n, d))
-    kernel = HvmHyperparams(1.1, (0.8, 0.6, 1.2), (0.2, 0.1, 0.25)).kernel()
+    kernel = ExpLinearKernel("hvm", 3, (1.1, 0.8, 0.6, 1.2, 0.2, 0.1, 0.25))
     B = np.cov(rng.standard_normal((8, d)).T) + np.eye(d)
     sigma = np.array([0.3, 0.5, 0.4])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -205,7 +204,7 @@ def test_gradient_coreg_coords_match_symmetric_fd():
     n, d = 8, 2
     X = _inputs(rng, n, 2)
     Z = rng.standard_normal((n, d))
-    kernel = HvmHyperparams(1.0, (0.7, 0.9), (0.2,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (1.0, 0.7, 0.9, 0.2))
     B = np.array([[1.5, 0.4], [0.4, 1.1]])
     sigma = np.array([0.3, 0.4])
     ds = hyperopt.Dataset.from_data(X, Z)
@@ -233,7 +232,7 @@ def test_gradient_coreg_coords_match_symmetric_fd():
 def _toy_dataset(seed=0, n=30):
     rng = np.random.default_rng(seed)
     X = _inputs(rng, n, 3)
-    truth = HvmHyperparams(1.2, (1.0, 0.8, 0.5), (0.2, 0.1, 0.15)).kernel()
+    truth = ExpLinearKernel("hvm", 3, (1.2, 1.0, 0.8, 0.5, 0.2, 0.1, 0.15))
     K = truth.gram(X, X) + 0.01 * np.eye(n)
     z = np.linalg.cholesky(K) @ rng.standard_normal(n)
     return hyperopt.Dataset.from_data(X, z)
@@ -313,7 +312,7 @@ def test_concentration_recovery_from_generated_data():
     for trial in range(6):
         rng = np.random.default_rng(100 + trial)
         X = _inputs(rng, n, 2)
-        kern = HvmHyperparams(1.5, tuple(truth), (0.2,)).kernel()
+        kern = ExpLinearKernel("hvm", 2, (1.5, *truth, 0.2))
         K = kern.gram(X, X) + 0.0025 * np.eye(n)
         z = np.linalg.cholesky(K) @ rng.standard_normal(n)
         ds = hyperopt.Dataset.from_data(X, z)

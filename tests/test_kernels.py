@@ -5,6 +5,7 @@ from kernel_oracles import (
     BaselineKernelParams,
     VmHyperparams,
     gram,
+    interaction_matrix,
     k_hvm,
     k_pprd,
     k_pse,
@@ -13,7 +14,6 @@ from kernel_oracles import (
 )
 from torusgp.kernels import (
     ExpLinearKernel,
-    HvmHyperparams,
     component_distances,
     kernel_from_family,
     pair_order,
@@ -44,14 +44,14 @@ def test_k_vm_requires_positive_concentration():
 
 
 def test_k_hvm_all_ones_value():
-    p = HvmHyperparams(1.0, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    p = ExpLinearKernel("hvm", 3, (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     u = TorusPoint.from_angles([0.0, 0.0, 0.0])
     # exponent = sum(lam) + 2 * sum(corr) = 3 + 6
     assert k_hvm(u, u, p) == pytest.approx(np.exp(9.0), rel=1e-14)
 
 
 def test_k_hvm_quadratic_term_uses_pair_products():
-    p = HvmHyperparams(1.0, (0.0, 0.0, 0.0), (0.5, 0.0, 0.0))
+    p = ExpLinearKernel("hvm", 3, (1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0))
     u = TorusPoint.from_angles([0.0, 0.0, 1.0])
     v = TorusPoint.from_angles([1.0, 0.5, 1.0])
     d1, d2 = np.cos(1.0), np.cos(0.5)
@@ -60,15 +60,22 @@ def test_k_hvm_quadratic_term_uses_pair_products():
 
 def test_hvm_corr_length_checked():
     with pytest.raises(ValueError):
-        HvmHyperparams(1.0, (1.0, 1.0, 1.0), (0.1,))
+        ExpLinearKernel("hvm", 3, (1.0, 1.0, 1.0, 1.0, 0.1))
 
 
 def test_interaction_matrix_is_hollow_symmetric():
-    p = HvmHyperparams(1.0, (1.0, 1.0, 1.0), (0.1, 0.2, 0.3))
-    L = p.interaction_matrix()
+    kernel = ExpLinearKernel("hvm", 3, (1.3, 0.7, 0.3, 1.1, 0.1, 0.2, 0.3))
+    L = interaction_matrix(kernel)
     assert np.allclose(L, L.T)
     assert np.all(np.diag(L) == 0.0)
     assert L[0, 1] == 0.1 and L[1, 2] == 0.2 and L[0, 2] == 0.3
+    # the kernel is the paper's omega^2 exp(lam . d + d^T Lam d)
+    rng = np.random.default_rng(3)
+    X = _random_inputs(rng, 5, 3)
+    D = component_distances(X, X)
+    lam = np.array([0.7, 0.3, 1.1])
+    expo = np.einsum("s,sij->ij", lam, D) + np.einsum("sij,st,tij->ij", D, L, D)
+    assert np.allclose(kernel.gram(X, X), 1.3**2 * np.exp(expo), rtol=1e-13, atol=0)
 
 
 def test_k_pse_uses_chart_difference():
@@ -125,7 +132,7 @@ _OMEGAS = (1.2, 0.9, 1.3)
 @pytest.mark.parametrize(
     "family, oracle, params",
     [
-        ("hvm", k_hvm, HvmHyperparams(1.4, (0.7, 0.3, 1.1), (0.2, 0.05, 0.4))),
+        ("hvm", k_hvm, ExpLinearKernel("hvm", 3, (1.4, 0.7, 0.3, 1.1, 0.2, 0.05, 0.4))),
         ("pvm", k_pvm, BaselineKernelParams(_OMEGAS, (0.7, 0.3, 1.1))),
         ("pprd", k_pprd, BaselineKernelParams(_OMEGAS, (0.9, 1.8, 1.2))),
         ("pse", k_pse, BaselineKernelParams(_OMEGAS, (1.5, 2.0, 0.8))),
@@ -136,7 +143,7 @@ def test_gram_matches_scalar_kernel(family, oracle, params):
     rng = np.random.default_rng(7)
     X = _random_inputs(rng, 6, 3)
     if family == "hvm":
-        kernel = params.kernel()
+        kernel = params
     else:
         # the product oracles carry one signal scale per circle
         kernel = ExpLinearKernel(family, 3, (np.prod(params.omega),) + params.scale)
@@ -152,7 +159,7 @@ def test_gram_matches_scalar_kernel(family, oracle, params):
 def test_hvm_gram_symmetry_and_diag():
     rng = np.random.default_rng(9)
     X = _random_inputs(rng, 10, 2)
-    kernel = HvmHyperparams(0.9, (1.0, 2.0), (0.3,)).kernel()
+    kernel = ExpLinearKernel("hvm", 2, (0.9, 1.0, 2.0, 0.3))
     K = kernel.gram(X, X)
     assert np.allclose(K, K.T, atol=1e-15)
     assert np.allclose(np.diag(K), kernel.prior_variance(), rtol=1e-13)
@@ -207,7 +214,7 @@ def test_gram_and_partials_match_finite_differences():
 def test_hvm_with_zero_corr_matches_pvm():
     rng = np.random.default_rng(13)
     X = _random_inputs(rng, 8, 3)
-    hvm = HvmHyperparams(1.3, (0.6, 1.1, 0.4), (0.0, 0.0, 0.0)).kernel()
+    hvm = ExpLinearKernel("hvm", 3, (1.3, 0.6, 1.1, 0.4, 0.0, 0.0, 0.0))
     pvm = ExpLinearKernel("pvm", 3, (1.3, 0.6, 1.1, 0.4))
     assert np.max(np.abs(hvm.gram(X, X) - pvm.gram(X, X))) < 1e-14
 

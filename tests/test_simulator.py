@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torusgp import simulator
 from torusgp.simulator import (
     CASE2_PARAM_SETS,
     CircularDensity,
@@ -109,6 +112,17 @@ def test_rounded_rectangle_step_length_matches_perimeter():
     assert np.median(inc) == pytest.approx(perimeter / steps, rel=1e-3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_rounded_rectangle_points_lie_at_the_corner_radius(extra):
+    """Every T3 point is r = 2 from the inner square [7, 23]^2, on the straights
+    and the arcs alike; a swapped leg or arc puts points elsewhere."""
+    t = np.concatenate([np.linspace(0.0, 1.0, 20001), extra])
+    pts = simulator._curve_points("T3", t)
+    gap = np.maximum(np.maximum(7.0 - pts, pts - 23.0), 0.0)
+    assert np.max(np.abs(np.hypot(gap[:, 0], gap[:, 1]) - 2.0)) <= 1e-12
+
+
 def test_each_mixture_component_integrates_to_its_weight():
     # Quadrature oracle for the I0 normalizers: every von Mises bump and the
     # axial bump is a density on the circle, so alone it integrates to its
@@ -182,17 +196,17 @@ def test_case2_grid_is_inclusive_and_contains_zero():
 
 
 def test_case2_maximum_at_origin_all_sets():
-    for params in CASE2_PARAM_SETS:
-        sweep = case_study_2_sweep(params, resolution=61)
+    for kernel in CASE2_PARAM_SETS:
+        sweep = case_study_2_sweep(kernel, resolution=61)
         idx = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
         assert sweep.alphas[idx[0]] == 0.0
         assert sweep.betas[idx[1]] == 0.0
 
 
 def test_case2_zero_interaction_sets_factorize():
-    for params in (CASE2_PARAM_SETS[0], CASE2_PARAM_SETS[2]):
-        sweep = case_study_2_sweep(params, resolution=41)
-        lam = params.lam
+    for kernel in (CASE2_PARAM_SETS[0], CASE2_PARAM_SETS[2]):
+        sweep = case_study_2_sweep(kernel, resolution=41)
+        lam = kernel.theta[1:3]
         f = np.exp(lam[0] * np.cos(sweep.alphas))
         g = np.exp(lam[1] * np.cos(sweep.betas))
         assert np.max(np.abs(sweep.values - np.outer(f, g))) < 1e-12
@@ -205,8 +219,8 @@ def test_case2_set2_corner_value():
 
 
 def test_case2_point_symmetry():
-    for params in CASE2_PARAM_SETS:
-        sweep = case_study_2_sweep(params, resolution=41)
+    for kernel in CASE2_PARAM_SETS:
+        sweep = case_study_2_sweep(kernel, resolution=41)
         assert np.max(np.abs(sweep.values - sweep.values[::-1, ::-1])) < 1e-12
 
 

@@ -4,7 +4,7 @@ from scipy import stats
 
 from kernel_oracles import mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
-from torusgp.kernels import HvmHyperparams
+from torusgp.kernels import ExpLinearKernel
 from torusgp.manifold import aoa_embedding_batch
 from torusgp.simulator import ScenarioConfig, build_training_set, rng_for, trajectory
 
@@ -87,8 +87,7 @@ def test_particle_log_density_against_a_50_digit_reference():
     # training and test particles clustered on a 2 m patch, little noise: cond(K) >= 1e9
     pos = np.array([12.0, 11.0]) + 2.0 * rng.uniform(0.0, 1.0, (n + p, 2))
     E = aoa_embedding_batch(pos, refs)
-    params = HvmHyperparams(1.3, (1.1, 0.7, 0.9), (0.2, 0.1, 0.15))
-    kernel = params.kernel()
+    kernel = ExpLinearKernel("hvm", 3, (1.3, 1.1, 0.7, 0.9, 0.2, 0.1, 0.15))
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.5 * np.eye(d)
     sigma = np.array([3e-4, 5e-4, 4e-4])
@@ -97,7 +96,7 @@ def test_particle_log_density_against_a_50_digit_reference():
     X, Z, T, zs = E[:n], Y[:n], E[n:], Y[n:]
     cond = np.linalg.cond(np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(sigma**2), np.eye(n)))
     assert cond >= 1e9
-    ref = mp_icm_logpdf(X, params, Z, B, sigma, T, zs)
+    ref = mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs)
     model = tracking.GpRangeModel(gp.fit(X, Z, kernel, sigma**2, coreg=B))
     tol = 4.0 * cond * np.finfo(float).eps
     for i in range(p):
