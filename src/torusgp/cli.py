@@ -49,14 +49,17 @@ bit-exactly.
 
 Every stage writes manifest_<command>.json into the output directory listing
 the resolved configuration, the seed, the artifact files it produced, the
-tool version, wall-clock timings, and a summary of the run.
+tool version, wall-clock timings, and a summary of the run. Every table is a
+headed CSV with LF line ends, written by simulator.write_csv.
 
 Exit codes
 ----------
 0 success; 2 configuration error (unparseable or invalid config, bad flag
-values); 3 missing or malformed upstream artifact (an input file another
-stage should have produced); 4 numerical failure (a factorization or
-optimization that did not survive the jitter policy).
+values, a scenario whose trajectories or training grid the simulator refuses,
+a model file that does not match --method or the scenario); 3 missing or
+malformed upstream artifact (an input file another stage should have
+produced); 4 numerical failure (a factorization or optimization that did not
+survive the jitter policy).
 """
 
 import argparse
@@ -85,6 +88,7 @@ from .simulator import (
     save_trajectory,
     save_training_set,
     trajectory,
+    write_csv,
 )
 
 DEFAULT_SEED = 1234
@@ -269,13 +273,6 @@ def normalize_method(name: str, where: str = "--method") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (str, int)) else repr(float(c)) for c in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -300,6 +297,14 @@ def _fit_summary(tm: tracking.TrainedMethod) -> dict:
         "failed_restarts": len(tm.opt.restart_failures),
         "jitter_used": tm.gp.jitter_used,
     }
+
+
+def _from_scenario(make, cfg):
+    """make(cfg), reporting scenario geometry that make refuses as a ConfigError."""
+    try:
+        return make(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"config section 'scenario': {exc}") from exc
 
 
 def _load_artifact(path: Path, hint: str, load, *args):
@@ -361,9 +366,9 @@ def cmd_case1(args, config, seed, out):
 
     truth = density.mean_value(grid)
     train_path = out / "case1_training.csv"
-    _write_csv(train_path, ["theta_rad", "z"], zip(thetas, z))
+    write_csv(train_path, ["theta_rad", "z"], zip(thetas, z))
     curves_path = out / "case1_curves.csv"
-    _write_csv(
+    write_csv(
         curves_path,
         ["theta_rad", "truth", "se_mean", "se_var", "vm_mean", "vm_var"],
         zip(grid, truth, curves["se"][0], curves["se"][1], curves["vm"][0], curves["vm"][1]),
@@ -396,7 +401,7 @@ def cmd_case2(args, config, seed, out):
             for j, b in enumerate(sweep.betas)
         ]
         path = out / f"case2_set{idx}.csv"
-        _write_csv(path, ["alpha_rad", "beta_rad", "k", "k_normalized"], rows)
+        write_csv(path, ["alpha_rad", "beta_rad", "k", "k_normalized"], rows)
         artifacts.append(path.name)
         amax = np.unravel_index(int(np.argmax(sweep.values)), sweep.values.shape)
         logvals = np.log(sweep.values)
@@ -423,8 +428,8 @@ def cmd_case2(args, config, seed, out):
 
 def cmd_simulate(args, config, seed, out):
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
-    ts = build_training_set(cfg)
-    traj = trajectory(cfg)
+    ts = _from_scenario(build_training_set, cfg)
+    traj = _from_scenario(trajectory, cfg)
     ts_path = out / "training_set.csv"
     traj_path = out / "trajectory.csv"
     save_training_set(ts, ts_path)
@@ -487,23 +492,26 @@ def cmd_track(args, config, seed, out):
     model = _load_artifact(
         model_path, f"a trained {method} model (train stage output)", tracking.load_range_model
     )
-    if isinstance(model, tracking.GpRangeModel) and model.gp.m != cfg.m:
-        raise ConfigError(f"model was trained with {model.gp.m} references, scenario has {cfg.m}")
+    if isinstance(model, tracking.GpRangeModel):
+        family, refs = model.gp.kernel.family, model.gp.m
+    else:
+        family, refs = "parametric", model.bias.size
+    if family != tracking.GP_FAMILIES.get(method, "parametric"):
+        raise ConfigError(f"--method {method} cannot track with {model_path}, a {family} model")
+    if refs != cfg.m:
+        raise ConfigError(f"model was trained with {refs} references, scenario has {cfg.m}")
 
     traj_arg = args.trajectory or sec["trajectory"]
     traj_path = out / "trajectory.csv" if traj_arg is None else Path(traj_arg)
     if traj_arg is None and not traj_path.exists():
-        traj = trajectory(cfg)
+        traj = _from_scenario(trajectory, cfg)
     else:
         traj = _load_artifact(traj_path, "a trajectory file", load_trajectory, cfg.trajectory)
 
     result = tracking.run_tracking(cfg, method, model, seed, traj=traj)
     track_path = out / f"track_{method.lower()}.csv"
-    rows = [
-        (t, result.truth[t, 0], result.truth[t, 1], result.estimates[t, 0], result.estimates[t, 1], result.ape[t])
-        for t in range(result.truth.shape[0])
-    ]
-    _write_csv(track_path, ["step", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "ape_m"], rows)
+    rows = zip(range(traj.steps), *result.truth.T, *result.estimates.T, result.ape)
+    write_csv(track_path, ["step", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "ape_m"], rows)
     return (
         {"scenario": config["scenario"], "track": {"model": str(model_path), "trajectory": traj_arg}},
         [track_path.name],
@@ -515,6 +523,10 @@ def cmd_track(args, config, seed, out):
 def cmd_campaign(args, config, seed, out):
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
     sec = config["campaign"]
+    # tracking.campaign builds its trajectories only after training every method
+    _from_scenario(build_training_set, cfg)
+    for name in sec["trajectories"]:
+        _from_scenario(trajectory, cfg.with_(trajectory=name))
     rows, trained = tracking.campaign(cfg, seed=seed, jobs=args.jobs, **sec)
     csv_path = out / "campaign.csv"
     tracking.write_campaign_csv(rows, csv_path)

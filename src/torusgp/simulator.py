@@ -14,8 +14,9 @@ on S^1 (three von Mises bumps plus one antipodally symmetric bump and
 Gaussian observation noise), and the sweep of four coupled (hvm) kernels
 over two circles, evaluated on a symmetric angle grid.
 
-Trajectories and training sets serialize to headed CSV so simulation output
-can feed the training and tracking stages as files.
+Every table the package writes, the training set and trajectory included,
+goes through write_csv: headed CSV with LF line ends and full float precision,
+so simulation output can feed the training and tracking stages as files.
 """
 
 import csv
@@ -46,6 +47,7 @@ __all__ = [
     "load_training_set",
     "save_trajectory",
     "load_trajectory",
+    "write_csv",
 ]
 
 TRAJECTORY_NAMES = ("T1", "T2", "T3")
@@ -401,44 +403,51 @@ def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepR
 
 
 # ---------------------------------------------------------------------------
-# File formats: headed CSV, full float precision.
+# File formats: headed CSV, LF line ends, full float precision.
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def write_csv(path, header, rows) -> None:
+    """Write a headed CSV table whose lines end with LF on every platform.
+
+    str and Python int cells are written as they are, every other cell as
+    repr(float(cell)), which reads back to the same float.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (str, int)) else repr(float(c)) for c in row))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_csv(path) -> list:
+    """Rows of a CSV file as lists of strings; LF and CRLF line ends both load."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _training_header(m: int, d: int) -> list:
+    aoa = [f"aoa{s}_e{k}" for s in range(1, m + 1) for k in (1, 2)]
+    return ["x_m", "y_m", *aoa, *(f"range{s}_m" for s in range(1, d + 1))]
+
+
+_TRAJECTORY_HEADER = ["step", "x_m", "y_m"]
 
 
 def save_training_set(ts: TrainingSet, path) -> None:
-    m = ts.inputs.shape[1]
-    header = ["x_m", "y_m"]
-    for s in range(m):
-        header += [f"aoa{s + 1}_e1", f"aoa{s + 1}_e2"]
-    header += [f"range{s + 1}_m" for s in range(ts.obs.shape[1])]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ts.n):
-            row = [_fmt(ts.positions[i, 0]), _fmt(ts.positions[i, 1])]
-            for s in range(m):
-                row += [_fmt(ts.inputs[i, s, 0]), _fmt(ts.inputs[i, s, 1])]
-            row += [_fmt(v) for v in ts.obs[i]]
-            w.writerow(row)
+    n, m = ts.inputs.shape[:2]
+    rows = np.column_stack([ts.positions, ts.inputs.reshape(n, -1), ts.obs])
+    write_csv(path, _training_header(m, ts.obs.shape[1]), rows)
 
 
 def load_training_set(path) -> TrainingSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows:
         raise ValueError(f"{path}: empty training-set file")
     header = rows[0]
     m = sum(1 for h in header if h.endswith("_e1"))
     d = sum(1 for h in header if h.startswith("range"))
-    expected = ["x_m", "y_m"]
-    for s in range(m):
-        expected += [f"aoa{s + 1}_e1", f"aoa{s + 1}_e2"]
-    expected += [f"range{s + 1}_m" for s in range(d)]
-    if header != expected:
+    if header != _training_header(m, d):
         raise ValueError(f"{path}: unexpected training-set header {header}")
     data = np.asarray(rows[1:], dtype=float)
     pos = data[:, :2]
@@ -448,17 +457,12 @@ def load_training_set(path) -> TrainingSet:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "x_m", "y_m"])
-        for i, (x, y) in enumerate(traj.positions):
-            w.writerow([i, _fmt(x), _fmt(y)])
+    write_csv(path, _TRAJECTORY_HEADER, ((i, x, y) for i, (x, y) in enumerate(traj.positions)))
 
 
 def load_trajectory(path, name: str = "file") -> Trajectory:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["step", "x_m", "y_m"]:
+    rows = _read_csv(path)
+    if not rows or rows[0] != _TRAJECTORY_HEADER:
         raise ValueError(f"{path}: unexpected trajectory header")
     data = np.asarray(rows[1:], dtype=float)
     return Trajectory(name=name, positions=data[:, 1:3])

@@ -3,8 +3,8 @@
 The filter propagates a particle cloud through the random-walk process model,
 reweights every particle by the likelihood of the incoming range vector under
 a measurement model, normalizes in log space, and resamples systematically at
-every step. Divergence (all weights underflowing to zero) resets the cloud to
-uniform weights and flags the run.
+every step. Divergence (no particle with a finite log weight) resets the
+cloud to uniform weights and flags the run.
 
 Two measurement-model families are supported:
 
@@ -22,7 +22,6 @@ training set, runs seeded Monte Carlo repetitions, and emits one summary row
 per (method, trajectory, noise, run).
 """
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .simulator import (
     rng_for,
     simulate_dynamics,
     trajectory,
+    write_csv,
 )
 
 __all__ = [
@@ -253,9 +253,10 @@ def step(
 ) -> ParticleSet:
     """One filter update: propagate, reweight, normalize, resample.
 
-    If every weight underflows to zero (or no particle has a finite
-    likelihood), the weights reset to uniform and the returned set is marked
-    diverged.
+    If no particle has a finite log weight (every likelihood is -inf, or one
+    is NaN or +inf), the weights reset to uniform and the returned set is
+    marked diverged. Otherwise the largest weight is exp(0) = 1 before
+    normalizing, so their sum cannot underflow.
     """
     prop = simulate_dynamics(particles.positions, cfg.process_cov_array, rng)
     ll = model.logpdf(prop, np.asarray(z, dtype=float), cfg.references_array)
@@ -263,18 +264,12 @@ def step(
         logw = np.log(particles.weights) + ll
     N = particles.n
     shift = np.max(logw)
-    diverged = False
-    if not np.isfinite(shift):
+    diverged = not np.isfinite(shift)
+    if diverged:
         w = np.full(N, 1.0 / N)
-        diverged = True
     else:
         w = np.exp(logw - shift)
-        total = float(np.sum(w))
-        if total <= 0.0 or not np.isfinite(total):
-            w = np.full(N, 1.0 / N)
-            diverged = True
-        else:
-            w = w / total
+        w = w / float(np.sum(w))
     idx = systematic_resample(w, rng)
     return ParticleSet(prop[idx], np.full(N, 1.0 / N), diverged=diverged)
 
@@ -442,17 +437,4 @@ def campaign(
 
 def write_campaign_csv(rows, path) -> None:
     """Summary table: method, trajectory, noise_level, seed, rmse, diverged."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CAMPAIGN_HEADER)
-        for row in rows:
-            w.writerow(
-                [
-                    row["method"],
-                    row["trajectory"],
-                    repr(float(row["noise_level"])),
-                    int(row["seed"]),
-                    repr(float(row["rmse"])),
-                    int(row["diverged"]),
-                ]
-            )
+    write_csv(path, CAMPAIGN_HEADER, ([row[key] for key in CAMPAIGN_HEADER] for row in rows))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgp import cli
+from torusgp import cli, tracking
 
 TOY_CONFIG = {
     "seed": 55,
@@ -23,6 +23,14 @@ TOY_CONFIG = {
         "opt_restarts": 1,
     },
 }
+
+
+# Scenarios whose geometry the simulator refuses. T1, the circle of radius 9
+# around (15, 15), leaves a 20 m arena; T3, the rounded box over [5, 25]^2,
+# leaves a 24 m high one; (5.625, 4.5) is a cell centre of the default grid.
+ARENA_TOO_SMALL = {"arena": [20, 20], "references": [[5, 5], [15, 5], [10, 15]]}
+ARENA_TOO_LOW = {"arena": [30, 24], "references": [[5, 5], [25, 5], [15, 20]]}
+REFERENCE_ON_GRID = {"references": [[5.625, 4.5], [25, 5], [15, 25]]}
 
 
 def _write_config(tmp_path, overrides=None):
@@ -71,6 +79,8 @@ def test_full_pipeline_toy_scale(tmp_path):
     track = (out / "track_hvm.csv").read_text().splitlines()
     assert track[0] == "step,truth_x_m,truth_y_m,est_x_m,est_y_m,ape_m"
     assert len(track) == 1 + 40
+    for path in out.glob("*.csv"):
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 def test_train_report_trace_nondecreasing(tmp_path):
@@ -197,6 +207,8 @@ BAD_VALUES = [
     (["case2"], {"case2": {"resolution": None}}, "resolution"),
     (["case2"], {"case2": {"resolution": float("nan")}}, "resolution"),
     (["simulate"], {"scenario": {"noise_xi": float("inf")}}, "noise_xi"),
+    (["simulate"], {"scenario": ARENA_TOO_SMALL}, "scenario"),
+    (["simulate"], {"scenario": REFERENCE_ON_GRID}, "scenario"),
 ]
 
 
@@ -250,6 +262,70 @@ def test_invalid_scenario_value_exits_2(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "noise_xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, trajectories",
+    [(ARENA_TOO_SMALL, ["T1"]), (ARENA_TOO_LOW, ["T1", "T3"]), (REFERENCE_ON_GRID, ["T1"])],
+    ids=["T1-leaves-arena", "T3-leaves-arena", "reference-on-grid"],
+)
+def test_campaign_refuses_scenario_geometry_before_any_fit(
+    tmp_path, capsys, monkeypatch, scenario, trajectories
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a method was trained")
+
+    monkeypatch.setattr(tracking, "train_method", no_fit)
+    campaign = dict(TOY_CONFIG["campaign"], trajectories=trajectories)
+    cfg = _write_config(tmp_path, {"scenario": scenario, "campaign": campaign})
+    rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "scenario" in capsys.readouterr().err
+
+
+def test_track_refuses_a_trajectory_that_leaves_the_arena(tmp_path, capsys):
+    """track regenerates the trajectory when --out holds none; bad geometry exits 2."""
+    out = tmp_path / "run"
+    out.mkdir()
+    model = tracking.ParametricRangeModel(np.zeros(3), np.eye(3))
+    tracking.save_parametric(model, out / "model.json")
+    cfg = _write_config(tmp_path, {"scenario": ARENA_TOO_SMALL})
+    argv = ["track", "--config", str(cfg), "--out", str(out), "--method", "Parametric"]
+    assert cli.main(argv + ["--model", str(out / "model.json")]) == 2
+    assert "leaves the arena" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def toy_models(tmp_path_factory):
+    """The toy scenario's HvM and Parametric model files."""
+    out = tmp_path_factory.mktemp("models")
+    cfg = _write_config(out)
+    for argv in (["simulate"], ["train", "--method", "HvM"], ["train", "--method", "Parametric"]):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+FOUR_REFERENCES = dict(TOY_CONFIG["scenario"], references=[[5, 5], [25, 5], [15, 25], [5, 25]])
+
+
+@pytest.mark.parametrize(
+    "method, model, scenario, text",
+    [
+        ("Parametric", "hvm", None, "hvm model"),
+        ("PvM", "hvm", None, "hvm model"),
+        ("HvM", "parametric", None, "parametric model"),
+        ("Parametric", "parametric", FOUR_REFERENCES, "scenario has 4"),
+    ],
+    ids=["gp-as-parametric", "hvm-as-pvm", "parametric-as-gp", "parametric-4-references"],
+)
+def test_track_refuses_a_model_that_does_not_match(
+    tmp_path, capsys, toy_models, method, model, scenario, text
+):
+    """The model file must hold --method's model, trained for the scenario's references."""
+    cfg = _write_config(tmp_path, scenario and {"scenario": scenario})
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", method]
+    assert cli.main(argv + ["--model", str(toy_models / f"model_{model}.json")]) == 2
+    assert text in capsys.readouterr().err
 
 
 def test_fit_summaries_report_jitter_and_counts(tmp_path):
@@ -332,6 +408,8 @@ def test_case1_outputs_and_periodicity_report(tmp_path):
     assert len(curves) == 1 + 41
     training = (out / "case1_training.csv").read_text().splitlines()
     assert len(training) == 1 + 10
+    for name in ("case1_curves.csv", "case1_training.csv"):
+        assert b"\r" not in (out / name).read_bytes()
 
 
 @pytest.mark.parametrize("seed", ["316", "785"])
@@ -356,7 +434,7 @@ def test_case2_outputs_all_sets(tmp_path):
         4: (1.0, [1.0, 1.0], [1.0]),
     }
     for idx in range(1, 5):
-        assert (out / f"case2_set{idx}.csv").exists()
+        assert b"\r" not in (out / f"case2_set{idx}.csv").read_bytes()
         entry = report[f"set{idx}"]
         assert (entry["omega"], entry["lam"], entry["corr"]) == params[idx]
         assert entry["argmax_alpha_rad"] == 0.0

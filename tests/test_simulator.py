@@ -224,24 +224,35 @@ def test_case2_point_symmetry():
         assert np.max(np.abs(sweep.values - sweep.values[::-1, ::-1])) < 1e-12
 
 
+def _crlf_copy(path):
+    """The same table with CRLF line ends, as csv.writer writes it."""
+    crlf = path.with_name("crlf_" + path.name)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return crlf
+
+
 def test_training_set_file_roundtrip(tmp_path):
+    """The file ends its lines with LF; it and a CRLF copy load exactly."""
     cfg = ScenarioConfig(grid=(5, 4), seed=2)
     ts = build_training_set(cfg)
     path = tmp_path / "ts.csv"
     save_training_set(ts, path)
-    back = load_training_set(path)
-    assert np.array_equal(ts.positions, back.positions)
-    assert np.array_equal(ts.inputs, back.inputs)
-    assert np.array_equal(ts.obs, back.obs)
+    assert b"\r" not in path.read_bytes()
+    for back in (load_training_set(path), load_training_set(_crlf_copy(path))):
+        assert np.array_equal(ts.positions, back.positions)
+        assert np.array_equal(ts.inputs, back.inputs)
+        assert np.array_equal(ts.obs, back.obs)
 
 
 def test_trajectory_file_roundtrip(tmp_path):
+    """The file ends its lines with LF; it and a CRLF copy load exactly."""
     cfg = ScenarioConfig(trajectory="T2", steps=77)
     traj = trajectory(cfg)
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
-    back = load_trajectory(path, "T2")
-    assert np.array_equal(traj.positions, back.positions)
+    assert b"\r" not in path.read_bytes()
+    for back in (load_trajectory(path, "T2"), load_trajectory(_crlf_copy(path), "T2")):
+        assert np.array_equal(traj.positions, back.positions)
 
 
 def test_rng_for_is_stable_and_key_sensitive():

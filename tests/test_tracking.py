@@ -146,16 +146,23 @@ def test_parametric_file_roundtrip(tmp_path, toy_trainset):
     assert np.array_equal(model.cov, back.cov)
 
 
-class _AllRejectModel:
+class _FixedModel:
+    """Scores the i-th particle ll[i], wherever it is."""
+
+    def __init__(self, ll):
+        self.ll = np.asarray(ll, dtype=float)
+
     def logpdf(self, positions, z, references):
-        return np.full(positions.shape[0], -np.inf)
+        return self.ll
 
 
 def test_step_divergence_resets_to_uniform():
+    """No finite log weight, or a NaN or +inf one among finite ones, resets the cloud."""
     particles = tracking.ParticleSet(np.full((20, 2), 10.0), np.full(20, 0.05))
-    out = tracking.step(particles, np.ones(3), _AllRejectModel(), TOY, rng_for(1, 0))
-    assert out.diverged
-    assert np.allclose(out.weights, 0.05)
+    for ll in (np.full(20, -np.inf), np.r_[np.zeros(19), np.nan], np.r_[np.zeros(19), np.inf]):
+        out = tracking.step(particles, np.ones(3), _FixedModel(ll), TOY, rng_for(1, 0))
+        assert out.diverged
+        assert np.allclose(out.weights, 0.05)
 
 
 def test_step_resamples_every_step(toy_gp_model):
@@ -252,6 +259,6 @@ def test_campaign_csv_format(tmp_path):
     ]
     path = tmp_path / "campaign.csv"
     tracking.write_campaign_csv(rows, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "method,trajectory,noise_level,seed,rmse,diverged"
-    assert text[1] == "HvM,T1,0.01,42,0.125,0"
+    assert path.read_bytes() == (
+        b"method,trajectory,noise_level,seed,rmse,diverged\n" b"HvM,T1,0.01,42,0.125,0\n"
+    )
