@@ -64,7 +64,11 @@ class PosteriorGaussian:
 
 @dataclass
 class IcmFactor:
-    """Kronecker-eigen factor of an ICM system (names as in the module docstring)."""
+    """Kronecker-eigen factor of an ICM system (names as in the module docstring).
+
+    G = B P and Dinv = 1 / D are the per-model constants of predict and
+    observation_moments.
+    """
 
     U: np.ndarray
     lam: np.ndarray
@@ -72,6 +76,8 @@ class IcmFactor:
     S: np.ndarray
     P: np.ndarray
     D: np.ndarray
+    G: np.ndarray
+    Dinv: np.ndarray
 
     def solve(self, Z: np.ndarray) -> np.ndarray:
         """The n x d matrix A with vec(A) = K^-1 vec(Z)."""
@@ -121,7 +127,10 @@ class TrainedGp(Dataset):
     noise_var is a scalar variance (single output) or a (d,) vector of
     per-output variances; coreg is the (d, d) mixing matrix or None. chol
     factors K + jitter_used * I: lower Cholesky factor for one output,
-    IcmFactor for several. alpha caches (K + jitter_used * I)^-1 zvec.
+    IcmFactor for several. alpha caches (K + jitter_used * I)^-1 zvec. With
+    several outputs, Alpha is alpha as the n x d matrix and prior_cov is
+    k(x, x) B, the latent covariance at any single point; both are None for
+    one output.
     """
 
     kernel: object
@@ -130,6 +139,8 @@ class TrainedGp(Dataset):
     chol: np.ndarray | IcmFactor
     alpha: np.ndarray
     jitter_used: float
+    Alpha: np.ndarray | None
+    prior_cov: np.ndarray | None
 
 
 def _jitters(scale: float) -> list:
@@ -182,7 +193,8 @@ def icm_factor(K_x, B, sigma, label: str = "kernel", jitters=(0.0,)):
             S, Q = np.linalg.eigh(B * np.outer(r, r))
             D = np.outer(lam, S) + 1.0
             if np.all(D > 0.0):
-                return IcmFactor(U, lam, Q, S, Q * r[:, None], D), jitter
+                P = Q * r[:, None]
+                return IcmFactor(U, lam, Q, S, P, D, B @ P, 1.0 / D), jitter
     except np.linalg.LinAlgError as err:
         raise FactorizationError(f"{label}: eigendecomposition failed ({err})") from None
     raise FactorizationError(
@@ -230,6 +242,7 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         K = system_matrix(kernel, X, noise_var, None)
         factor, jitter = cholesky_with_jitter(K, label=kernel.family)
         alpha = cho_solve((factor, True), Y)
+        Alpha = prior_cov = None
     else:
         d = Y.shape[1]
         if coreg is None:
@@ -248,6 +261,8 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         A = factor.solve(Y)
         A += factor.solve(Y - K_x @ A @ coreg - A * (noise_var + jitter))
         alpha = np.ravel(A, order="F")
+        Alpha = alpha.reshape(d, -1).T
+        prior_cov = kernel.prior_variance() * coreg
     return TrainedGp(
         kernel=kernel,
         inputs=X,
@@ -257,14 +272,9 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         chol=factor,
         alpha=alpha,
         jitter_used=jitter,
+        Alpha=Alpha,
+        prior_cov=prior_cov,
     )
-
-
-def _icm_cross(gp: TrainedGp, T: np.ndarray):
-    """Kt = Ktn U, G = B P and the (t, d) posterior mean Ktn Alpha B."""
-    Ktn = gp.kernel.gram(T, gp.inputs)
-    Alpha = gp.alpha.reshape(gp.d, gp.n).T
-    return Ktn @ gp.chol.U, gp.coreg @ gp.chol.P, Ktn @ Alpha @ gp.coreg
 
 
 def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
@@ -282,7 +292,8 @@ def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
         mean = Ktn @ gp.alpha
         cov = gp.kernel.gram(T, T) - Ktn @ cho_solve((gp.chol, True), Ktn.T)
     else:
-        Kt, G, M = _icm_cross(gp, T)
+        Ktn = gp.kernel.gram(T, gp.inputs)
+        Kt, G, M = Ktn @ gp.chol.U, gp.chol.G, Ktn @ gp.Alpha @ gp.coreg
         W = (Kt / gp.chol.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
         cov = gp.coreg[:, None, :, None] * gp.kernel.gram(T, T)[None, :, None, :]
         cov -= np.einsum("is,js,sab->iajb", G, G, W)
@@ -302,12 +313,17 @@ def observation_moments(gp: TrainedGp, tests):
 
     Returns means (t, d) and covariances (t, d, d), the diagonal blocks of
     predict_observation: with the names of predict, point p has covariance
-    k(x, x) B - G diag(c_p) G^T + R with c_p = (Kt_p o Kt_p) D^-1.
+    k(x, x) B - G diag(c_p) G^T + R with c_p = (Kt_p o Kt_p) D^-1. Only the
+    cross-Gram and what follows from it are computed here; G, 1/D, Alpha and
+    k(x, x) B were formed when the model was fitted.
     """
     T = as_input_array(tests, m=gp.m)
-    Kt, G, mean = _icm_cross(gp, T)
-    c = (Kt * Kt) @ (1.0 / gp.chol.D)
-    cov = gp.kernel.prior_variance() * gp.coreg - np.einsum("is,ps,js->pij", G, c, G)
+    Ktn = gp.kernel.gram(T, gp.inputs)
+    Kt = Ktn @ gp.chol.U
+    mean = Ktn @ gp.Alpha @ gp.coreg
+    c = (Kt * Kt) @ gp.chol.Dinv
+    G = gp.chol.G
+    cov = gp.prior_cov - np.einsum("is,ps,js->pij", G, c, G)
     cov[:, np.arange(gp.d), np.arange(gp.d)] += gp.noise_var
     return mean, cov
 

@@ -146,7 +146,7 @@ class _Problem:
             raise ValueError(f"fixed refers to unknown coordinates {sorted(unknown)}")
         self.free_idx = [i for i, nm in enumerate(self.names) if nm not in self.fixed]
         X = dataset.inputs
-        self.features = np.ascontiguousarray(kernel_template.features(X, X))
+        self.features = kernel_template.features(X, X)
         self.d = dataset.d
         self.multi = dataset.multi_output
         self.n = dataset.n
@@ -251,10 +251,9 @@ class _Problem:
         logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(f.D))
         F = float(-np.sum(Zt * M) - logdet - self.N * _LOG2PI)
         Alpha = f.U @ M @ f.P.T
-        Dinv = 1.0 / f.D
-        Abar = Alpha @ B @ Alpha.T - (f.U * (Dinv @ f.S)) @ f.U.T
-        g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ Dinv)) @ f.P.T
-        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ Dinv.sum(axis=0))
+        Abar = Alpha @ B @ Alpha.T - (f.U * (f.Dinv @ f.S)) @ f.U.T
+        g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ f.Dinv)) @ f.P.T
+        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ f.Dinv.sum(axis=0))
         return F, Abar, g_B, g_sigma
 
     def value_and_grad(self, phi: np.ndarray):

@@ -25,6 +25,14 @@ aperiodic across the chart seam. The derivatives follow from the form:
     dK/d omega   = (2 / omega) * K
     dK/d theta_f = c_f'(theta_f) * K * F_f
 
+Every path sums the exponent in one order, theta order. gram() never builds
+the stack: it forms each per-circle feature as a contiguous (n, p) matrix,
+adds c_f * F_f into one exponent circle by circle, then the hvm pair terms,
+and exponentiates in place. features() stacks the same matrices for the
+optimizer's gradient, and gram_from() sums them in the same order, so
+gram(A, B) equals gram_from(features(A, B)) bit for bit. prior_variance()
+sums the features' coincident-point values the same way.
+
 A kernel is named by its family, m and theta alone; the optimizer, model
 files and the case-2 parameter sets all carry that form.
 """
@@ -51,31 +59,41 @@ def pair_order(m: int) -> list:
     return [(i, i + g) for g in range(1, m) for i in range(m - g)]
 
 
+def _inner_products(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
+    """D^s[i, j] = A_is . B_js as a contiguous (n, p) matrix."""
+    return A[:, None, s, 0] * B[None, :, s, 0] + A[:, None, s, 1] * B[None, :, s, 1]
+
+
 def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Componentwise inner products between two input sets.
 
     A: (n, m, 2), B: (p, m, 2)  ->  (m, n, p) with D[s, i, j] = A_is . B_js.
     """
-    # einsum("imk,jmk->mij")'s products, sums and memory layout, without its slow strided loop
-    D = A[:, None, :, 0] * B[None, :, :, 0] + A[:, None, :, 1] * B[None, :, :, 1]
-    return D.transpose(2, 0, 1)
+    return np.stack([_inner_products(A, B, s) for s in range(A.shape[1])])
 
 
-def _chart_features(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    F = chart_angles(A)[:, None, :] - chart_angles(B)[None, :, :]
+def _shifted_inner_products(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
+    F = _inner_products(A, B, s)
+    F -= 1.0
+    return F
+
+
+def _chart_difference(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
+    F = chart_angles(A[:, s])[:, None] - chart_angles(B[:, s])[None, :]
     F *= F
     F *= -0.5
-    return F.transpose(2, 0, 1)
+    return F
 
 
-# family -> (per-circle features, per-circle coordinate, its default value).
-# Coordinates named "lam" enter the exponent linearly, coordinates named
-# "ell" as ell^-2; only hvm adds the pair features, with weights from 0.1.
+# family -> (feature of circle s as an (n, p) matrix, its value at coincident
+# points, per-circle coordinate, its default value). Coordinates named "lam"
+# enter the exponent linearly, coordinates named "ell" as ell^-2; only hvm
+# adds the pair features, with weights from 0.1.
 _FAMILIES = {
-    "hvm": (component_distances, "lam", 1.0),
-    "pvm": (component_distances, "lam", 1.0),
-    "pprd": (lambda A, B: component_distances(A, B) - 1.0, "ell", 1.0),
-    "pse": (_chart_features, "ell", 2.0),
+    "hvm": (_inner_products, 1.0, "lam", 1.0),
+    "pvm": (_inner_products, 1.0, "lam", 1.0),
+    "pprd": (_shifted_inner_products, 0.0, "ell", 1.0),
+    "pse": (_chart_difference, 0.0, "ell", 2.0),
 }
 
 
@@ -92,7 +110,7 @@ class ExpLinearKernel:
             raise ValueError(f"unknown kernel family {family!r}")
         self.family = family
         self.m = int(m)
-        self._circle_features, self._scale, _ = _FAMILIES[family]
+        self._circle_feature, self._coincident, self._scale, _ = _FAMILIES[family]
         self._pairs = pair_order(self.m) if family == "hvm" else []
         theta = np.array(theta, dtype=float).ravel()
         if theta.size != 1 + self.m + len(self._pairs):
@@ -127,22 +145,34 @@ class ExpLinearKernel:
         weight[self.m :] = 2.0  # pair weights enter as 2 * corr
         return weight * t, weight
 
+    def _feature_matrices(self, A: np.ndarray, B: np.ndarray):
+        """The feature matrices F_f in theta order, each a contiguous (n, p) array."""
+        F = [self._circle_feature(A, B, s) for s in range(self.m)]
+        yield from F
+        for i, j in self._pairs:
+            yield F[i] * F[j]
+
+    def _exp_linear(self, features) -> np.ndarray:
+        """omega^2 * exp(sum_f c_f F_f), the sum taken in theta order."""
+        c = self.coefficients()[0]
+        features = iter(features)
+        E = c[0] * next(features)
+        for c_f, F in zip(c[1:], features):
+            E += c_f * F
+        np.exp(E, out=E)
+        E *= self.theta[0] ** 2
+        return E
+
     def features(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(len(theta) - 1, n, p) stack of the feature matrices F_f."""
-        F = self._circle_features(A, B)
-        if self._pairs:
-            i, j = np.array(self._pairs).T
-            F = np.concatenate([F, F[i] * F[j]])
-        return F
+        """C-contiguous (len(theta) - 1, n, p) stack of the feature matrices F_f."""
+        return np.stack(list(self._feature_matrices(A, B)))
 
     def gram_from(self, F: np.ndarray) -> np.ndarray:
-        """Kernel matrix from a feature stack made by features()."""
-        K = np.exp(np.einsum("f,fij->ij", self.coefficients()[0], F))
-        K *= self.theta[0] ** 2
-        return K
+        """Kernel matrix from a feature stack made by features(); equal to gram()."""
+        return self._exp_linear(F)
 
     def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.gram_from(self.features(A, B))
+        return self._exp_linear(self._feature_matrices(A, B))
 
     def gram_and_partials(self, X: np.ndarray):
         """Gram matrix and its derivatives in theta order, as a stack."""
@@ -153,9 +183,10 @@ class ExpLinearKernel:
         return K, parts
 
     def prior_variance(self) -> float:
-        """k(x, x), identical for every x."""
-        x = np.tile([1.0, 0.0], (1, self.m, 1))
-        return float(self.gram(x, x)[0, 0])
+        """k(x, x), identical for every x: each F_f takes its coincident-point value."""
+        f = self._coincident
+        F = np.array([f] * self.m + [f * f] * len(self._pairs))
+        return float(self._exp_linear(F[:, None, None])[0, 0])
 
 
 def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
@@ -164,4 +195,4 @@ def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     q = m * (m - 1) // 2 if family == "hvm" else 0
-    return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][2]] * m + [0.1] * q)
+    return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][3]] * m + [0.1] * q)

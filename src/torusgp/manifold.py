@@ -18,6 +18,7 @@ __all__ = [
     "torus_metric",
     "aoa_embedding",
     "aoa_embedding_batch",
+    "aoa_directions",
     "as_input_array",
     "chart_angles",
     "UNIT_NORM_TOL",
@@ -154,6 +155,23 @@ def aoa_embedding_batch(positions, references) -> np.ndarray:
     -------
     (n, m, 2) array of unit vectors (references - position, normalized).
     """
+    units, dist = aoa_directions(positions, references)
+    if np.any(dist < AOA_SINGULARITY_TOL):
+        i, s = np.argwhere(dist < AOA_SINGULARITY_TOL)[0]
+        raise ValueError(
+            f"position {np.asarray(positions, dtype=float)[i]} coincides with reference {s} "
+            f"within {AOA_SINGULARITY_TOL} m; direction undefined"
+        )
+    return units
+
+
+def aoa_directions(positions, references):
+    """Unit vectors from each position toward each reference, and the distances.
+
+    Returns the (n, m, 2) directions and the (n, m) distances. Directions at
+    a distance below AOA_SINGULARITY_TOL are undefined: callers mask them by
+    the distance (aoa_embedding_batch raises instead).
+    """
     pos = np.asarray(positions, dtype=float)
     refs = np.asarray(references, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -162,13 +180,8 @@ def aoa_embedding_batch(positions, references) -> np.ndarray:
         raise ValueError(f"references must be (m, 2), got {refs.shape}")
     diff = refs[None, :, :] - pos[:, None, :]
     dist = np.linalg.norm(diff, axis=2)
-    if np.any(dist < AOA_SINGULARITY_TOL):
-        i, s = np.argwhere(dist < AOA_SINGULARITY_TOL)[0]
-        raise ValueError(
-            f"position {pos[i]} coincides with reference {s} within "
-            f"{AOA_SINGULARITY_TOL} m; direction undefined"
-        )
-    return diff / dist[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return diff / dist[:, :, None], dist
 
 
 def as_input_array(inputs, m: int | None = None) -> np.ndarray:

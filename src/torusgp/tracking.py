@@ -31,7 +31,7 @@ from scipy.linalg import solve_triangular
 
 from . import gp as gp_mod
 from . import hyperopt
-from .manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
+from .manifold import AOA_SINGULARITY_TOL, aoa_directions
 from .simulator import (
     ScenarioConfig,
     TrainingSet,
@@ -130,12 +130,11 @@ class GpRangeModel:
     def logpdf(self, positions: np.ndarray, z: np.ndarray, references: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         out = np.full(positions.shape[0], -np.inf)
-        dist = range_function(positions, references)
+        units, dist = aoa_directions(positions, references)
         ok = np.min(dist, axis=1) >= AOA_SINGULARITY_TOL
         if not np.any(ok):
             return out
-        emb = aoa_embedding_batch(positions[ok], references)
-        means, S = gp_mod.observation_moments(self.gp, emb)
+        means, S = gp_mod.observation_moments(self.gp, units[ok])
         r = z[None, :] - means
         # slogdet and solve factor each S by the same LU, so sign > 0 means
         # no zero pivot and solve cannot raise on S[good]

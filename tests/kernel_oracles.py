@@ -12,7 +12,8 @@ The multi-output objective F and its gradient (torusgp.hyperopt) have two
 references: ``dense_icm`` assembles the N x N ICM system and inverts it in
 double precision, and ``mp_hvm_icm`` repeats the algebra in 50-digit
 arithmetic for small hvm problems. ``mp_icm_logpdf`` is the 50-digit
-reference for the predictive log-density that scores filter particles.
+reference for the predictive log-density that scores filter particles, for
+every kernel family.
 """
 
 from dataclasses import dataclass
@@ -172,19 +173,41 @@ def dense_icm(kernel, X, Z, B, sigma):
     return F, g_theta, g_B, g_sigma
 
 
-def _mp_hvm_gram(A, C, kernel):
-    """hvm cross-Gram matrix of (n, m, 2) and (p, m, 2) float inputs, in mpmath."""
-    mpf = mpmath.mpf
-    omega, lam, corr = hvm_parts(kernel)
-    lam = [mpf(x) for x in lam]
-    pairs = [(mpf(c), i, j) for c, (i, j) in zip(corr, pair_order(kernel.m))]
-    omega2 = mpf(omega) ** 2
+def _mp_chart_angle(e):
+    """Chart angle in [0, 2*pi) of a float 2-vector taken as exact."""
+    a = mpmath.atan2(mpmath.mpf(e[1]), mpmath.mpf(e[0]))
+    return a + 2 * mpmath.pi if a < 0 else a
+
+
+def _mp_exponent(kernel, u, v):
+    """The exponent log(k(u, v) / omega^2) of any exp-linear kernel, in mpmath.
+
+    u and v are (m, 2) lists of floats taken as exact. hvm is
+    lam . d + 2 sum_t corr_t d_i d_j with d_s = u_s . v_s, pvm is hvm with
+    corr = 0, pprd is sum (d_s - 1) / ell_s^2 and pse is
+    -sum (chart difference on circle s)^2 / (2 ell_s^2).
+    """
+    m = kernel.m
+    t = [mpmath.mpf(x) for x in kernel.theta.tolist()[1:]]
+    if kernel.family == "pse":
+        gaps = [_mp_chart_angle(u[s]) - _mp_chart_angle(v[s]) for s in range(m)]
+        return -sum(g**2 / (2 * ell**2) for g, ell in zip(gaps, t))
+    d = [mpmath.mpf(u[s][0]) * mpmath.mpf(v[s][0]) + mpmath.mpf(u[s][1]) * mpmath.mpf(v[s][1]) for s in range(m)]
+    if kernel.family == "pprd":
+        return sum((ds - 1) / ell**2 for ds, ell in zip(d, t))
+    corr = t[m:] if kernel.family == "hvm" else []
+    return sum(lv * ds for lv, ds in zip(t, d)) + 2 * sum(
+        c * d[i] * d[j] for c, (i, j) in zip(corr, pair_order(m))
+    )
+
+
+def _mp_gram(A, C, kernel):
+    """Cross-Gram matrix of (n, m, 2) and (p, m, 2) float inputs, in mpmath."""
+    omega2 = mpmath.mpf(float(kernel.theta[0])) ** 2
     K = mpmath.matrix(A.shape[0], C.shape[0])
     for a, u in enumerate(A.tolist()):
         for b, v in enumerate(C.tolist()):
-            D = [mpf(u[s][0]) * mpf(v[s][0]) + mpf(u[s][1]) * mpf(v[s][1]) for s in range(len(lam))]
-            e = sum(lv * Dv for lv, Dv in zip(lam, D)) + 2 * sum(c * D[i] * D[j] for c, i, j in pairs)
-            K[a, b] = omega2 * mpmath.exp(e)
+            K[a, b] = omega2 * mpmath.exp(_mp_exponent(kernel, u, v))
     return K
 
 
@@ -213,7 +236,7 @@ def mp_hvm_icm(X, kernel, Z, B, sigma, dps=50):
         mpf = mpmath.mpf
         n, d = Z.shape
         N = n * d
-        K_x = _mp_hvm_gram(X, X, kernel)
+        K_x = _mp_gram(X, X, kernel)
         K = _mp_icm_system(K_x, B, sigma)
         z = mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
         L = mpmath.cholesky(K)
@@ -246,9 +269,9 @@ def mp_hvm_icm(X, kernel, Z, B, sigma, dps=50):
 def mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs, dps=50):
     """Predictive log-density of each observation zs[p] at test input T[p], in mpmath.
 
-    The density is that of an hvm ICM GP conditioned on (X, Z): mean
-    (B kron k)^T K^-1 z and covariance k(x, x) B - (B kron k)^T K^-1 (B kron k) + R,
-    with k the cross-covariance column of the test point and k(x, x) taken
+    The density is that of an ICM GP with any exp-linear kernel conditioned
+    on (X, Z): mean (B kron k)^T K^-1 z and covariance
+    k(x, x) B - (B kron k)^T K^-1 (B kron k) + R, with k the cross-covariance column of the test point and k(x, x) taken
     at the test point itself. Every float input is taken as exact. Returns a
     float array, one value per test point.
     """
@@ -256,13 +279,13 @@ def mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs, dps=50):
         mpf = mpmath.mpf
         n, d = Z.shape
         Bm = mpmath.matrix([[mpf(float(b)) for b in row] for row in B])
-        K = _mp_icm_system(_mp_hvm_gram(X, X, kernel), B, sigma)
+        K = _mp_icm_system(_mp_gram(X, X, kernel), B, sigma)
         Kinv = mpmath.inverse(K)
         alpha = Kinv * mpmath.matrix([mpf(float(Z[a, i])) for i in range(d) for a in range(n)])
         out = []
         for p in range(T.shape[0]):
-            k = _mp_hvm_gram(X, T[p : p + 1], kernel)
-            c0 = _mp_hvm_gram(T[p : p + 1], T[p : p + 1], kernel)[0, 0]
+            k = _mp_gram(X, T[p : p + 1], kernel)
+            c0 = _mp_gram(T[p : p + 1], T[p : p + 1], kernel)[0, 0]
             C = mpmath.matrix(n * d, d)  # (B kron k)^T
             for u in range(d):
                 for a in range(n):

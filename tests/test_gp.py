@@ -108,6 +108,26 @@ def test_identity_mixing_reduces_to_independent_gps():
         assert np.max(np.abs(cov_ii - ref.cov)) < 1e-10
 
 
+@pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
+def test_observation_moments_are_the_diagonal_blocks_of_predict_observation(family):
+    """The per-point moments, from the constants fixed at fit time, against the joint posterior."""
+    rng = np.random.default_rng(31)
+    n, t, d = 16, 6, 3
+    X, T = _inputs(rng, n, 3), _inputs(rng, t, 3)
+    Z = rng.standard_normal((n, d))
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.3 * np.eye(d)
+    kernel = kernel_from_family(family, 3)
+    model = gp.fit(X, Z, kernel, np.array([0.02, 0.05, 0.01]), coreg=B)
+    means, covs = gp.observation_moments(model, T)
+    post = gp.predict_observation(model, T)
+    # output-major layout: entry (i, p) of the joint posterior sits at i * t + p
+    idx = np.arange(d)[:, None] * t + np.arange(t)[None, :]
+    assert np.allclose(means, post.mean[idx].T, rtol=0, atol=1e-12)
+    want = post.cov[idx[:, None, :], idx[None, :, :]].transpose(2, 0, 1)
+    assert np.allclose(covs, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_zvec_is_output_major():
     rng = np.random.default_rng(2)
     X = _inputs(rng, 4, 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_oracles import (
     BaselineKernelParams,
@@ -234,3 +236,29 @@ def test_periodic_kernel_wraps():
     lo = np.array([[[np.cos(1e-3), np.sin(1e-3)]]])
     hi = np.array([[[np.cos(2 * np.pi - 1e-3), np.sin(2 * np.pi - 1e-3)]]])
     assert p.gram(lo, hi)[0, 0] == pytest.approx(1.0, abs=1e-5)
+
+
+_AXIS_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["hvm", "pvm", "pprd", "pse"]),
+    m=st.integers(1, 4),
+    t=st.integers(1, 7),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_is_the_theta_order_sum_of_the_feature_stack(family, m, t, n, seed):
+    """gram, gram_from(features) and prior_variance sum one exponent in one order."""
+    rng = np.random.default_rng(seed)
+    template = kernel_from_family(family, m)
+    kernel = template.with_theta(template.theta * rng.uniform(0.2, 5.0, template.theta.size))
+    A, B = _random_inputs(rng, t, m), _random_inputs(rng, n, m)
+    F = kernel.features(A, B)
+    assert F.shape == (template.theta.size - 1, t, n)
+    assert F.flags.c_contiguous
+    assert np.array_equal(kernel.gram(A, B), kernel.gram_from(F))
+    # at a point built from axis vectors every embedded inner product is exactly 1
+    x = _AXIS_POINTS[rng.integers(0, 4, m)][None]
+    assert kernel.prior_variance() == kernel.gram(x, x)[0, 0]

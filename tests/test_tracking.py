@@ -5,7 +5,7 @@ from scipy import stats
 from kernel_oracles import mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel
-from torusgp.manifold import aoa_embedding_batch
+from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
 from torusgp.simulator import ScenarioConfig, build_training_set, rng_for, trajectory
 
 TOY = ScenarioConfig(grid=(6, 4), steps=40, seed=3)
@@ -79,38 +79,51 @@ def test_gp_model_logpdf_matches_reference(toy_gp_model):
         assert got[i] == pytest.approx(want, abs=1e-6)
 
 
+_FAMILY_THETAS = {
+    "hvm": (1.3, 1.1, 0.7, 0.9, 0.2, 0.1, 0.15),
+    "pvm": (1.3, 1.1, 0.7, 0.9),
+    "pprd": (1.3, 0.9, 1.4, 1.1),
+    "pse": (1.3, 1.2, 0.8, 1.5),
+}
+
+
 def test_particle_log_density_against_a_50_digit_reference():
-    """logpdf and log_likelihood within 4 cond(K) eps of an mpmath evaluation."""
+    """logpdf and log_likelihood within 4 cond(K) eps of an mpmath evaluation, every family."""
     refs = TOY.references_array
     rng = np.random.default_rng(17)
     n, d, p = 20, 3, 6
     # training and test particles clustered on a 2 m patch, little noise: cond(K) >= 1e9
     pos = np.array([12.0, 11.0]) + 2.0 * rng.uniform(0.0, 1.0, (n + p, 2))
     E = aoa_embedding_batch(pos, refs)
-    kernel = ExpLinearKernel("hvm", 3, (1.3, 1.1, 0.7, 0.9, 0.2, 0.1, 0.15))
+    X, T = E[:n], E[n:]
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.5 * np.eye(d)
     sigma = np.array([3e-4, 5e-4, 4e-4])
-    K_all = np.kron(B, kernel.gram(E, E)) + np.kron(np.diag(sigma**2), np.eye(n + p))
-    Y = (np.linalg.cholesky(K_all) @ rng.standard_normal((n + p) * d)).reshape(d, n + p).T
-    X, Z, T, zs = E[:n], Y[:n], E[n:], Y[n:]
-    cond = np.linalg.cond(np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(sigma**2), np.eye(n)))
-    assert cond >= 1e9
-    ref = mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs)
-    model = tracking.GpRangeModel(gp.fit(X, Z, kernel, sigma**2, coreg=B))
-    tol = 4.0 * cond * np.finfo(float).eps
-    for i in range(p):
-        got = model.logpdf(pos[n + i : n + i + 1], zs[i], refs)[0]
-        assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (i, got, ref[i])
-        got = gp.log_likelihood(model.gp, T[i : i + 1], zs[i])
-        assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (i, got, ref[i])
+    for family, theta in _FAMILY_THETAS.items():
+        kernel = ExpLinearKernel(family, 3, theta)
+        K_all = np.kron(B, kernel.gram(E, E)) + np.kron(np.diag(sigma**2), np.eye(n + p))
+        Y = (np.linalg.cholesky(K_all) @ rng.standard_normal((n + p) * d)).reshape(d, n + p).T
+        Z, zs = Y[:n], Y[n:]
+        cond = np.linalg.cond(np.kron(B, kernel.gram(X, X)) + np.kron(np.diag(sigma**2), np.eye(n)))
+        assert cond >= 1e9, family
+        ref = mp_icm_logpdf(X, kernel, Z, B, sigma, T, zs)
+        model = tracking.GpRangeModel(gp.fit(X, Z, kernel, sigma**2, coreg=B))
+        tol = 4.0 * cond * np.finfo(float).eps
+        for i in range(p):
+            got = model.logpdf(pos[n + i : n + i + 1], zs[i], refs)[0]
+            assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (family, i, got, ref[i])
+            got = gp.log_likelihood(model.gp, T[i : i + 1], zs[i])
+            assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (family, i, got, ref[i])
 
 
 def test_gp_model_rejects_particles_on_references(toy_gp_model):
-    pos = np.vstack([TOY.references_array[0], [10.0, 10.0]])
-    ll = toy_gp_model.logpdf(pos, np.array([1.0, 2.0, 3.0]), TOY.references_array)
+    refs = TOY.references_array
+    near = refs[2] + [0.0, 0.5 * AOA_SINGULARITY_TOL]
+    pos = np.vstack([refs[0], [10.0, 10.0], near])
+    ll = toy_gp_model.logpdf(pos, np.array([1.0, 2.0, 3.0]), refs)
     assert ll[0] == -np.inf
     assert np.isfinite(ll[1])
+    assert ll[2] == -np.inf
 
 
 def test_parametric_model_matches_scipy(toy_trainset):
