@@ -19,9 +19,7 @@ from .gp import (
     cholesky_with_jitter,
     fit,
     load_model,
-    log_likelihood,
     predict,
-    predict_observation,
     save_model,
 )
 from .hyperopt import Dataset, OptResult, objective, gradient, optimize
@@ -67,9 +65,7 @@ __all__ = [
     "cholesky_with_jitter",
     "fit",
     "load_model",
-    "log_likelihood",
     "predict",
-    "predict_observation",
     "save_model",
     "Dataset",
     "OptResult",

@@ -144,9 +144,10 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Lower bounds of integer keys; ScenarioConfig and CircularDensity check their own.
+# Lower bounds of integer keys and flags; ScenarioConfig and CircularDensity check their own.
 _MINIMUM = {
     "seed": 0,
+    "--jobs": 1,
     "optimizer.budget": 1,
     "optimizer.restarts": 1,
     "case1.n_train": 2,
@@ -523,11 +524,12 @@ def cmd_track(args, config, seed, out):
 def cmd_campaign(args, config, seed, out):
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
     sec = config["campaign"]
+    jobs = _parse(args.jobs, 1, "--jobs")
     # tracking.campaign builds its trajectories only after training every method
     _from_scenario(build_training_set, cfg)
     for name in sec["trajectories"]:
         _from_scenario(trajectory, cfg.with_(trajectory=name))
-    rows, trained = tracking.campaign(cfg, seed=seed, jobs=args.jobs, **sec)
+    rows, trained = tracking.campaign(cfg, seed=seed, jobs=jobs, **sec)
     csv_path = out / "campaign.csv"
     tracking.write_campaign_csv(rows, csv_path)
     fits = [

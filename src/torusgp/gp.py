@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from . import kernels
 from .manifold import as_input_array
@@ -39,9 +39,7 @@ __all__ = [
     "icm_factor",
     "fit",
     "predict",
-    "predict_observation",
     "observation_moments",
-    "log_likelihood",
     "save_model",
     "load_model",
 ]
@@ -301,21 +299,15 @@ def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
     return PosteriorGaussian(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def predict_observation(gp: TrainedGp, tests) -> PosteriorGaussian:
-    """Posterior of noisy observations at the test points (adds the noise)."""
-    post = predict(gp, tests)
-    noise = np.repeat(gp.noise_var, post.mean.size // gp.d)
-    return PosteriorGaussian(mean=post.mean, cov=post.cov + np.diag(noise))
-
-
 def observation_moments(gp: TrainedGp, tests):
     """Per-point moments of the noisy observation vector, multi-output only.
 
-    Returns means (t, d) and covariances (t, d, d), the diagonal blocks of
-    predict_observation: with the names of predict, point p has covariance
-    k(x, x) B - G diag(c_p) G^T + R with c_p = (Kt_p o Kt_p) D^-1. Only the
-    cross-Gram and what follows from it are computed here; G, 1/D, Alpha and
-    k(x, x) B were formed when the model was fitted.
+    Returns means (t, d) and covariances (t, d, d): the diagonal blocks of
+    the joint posterior from predict, plus R. With the names of predict,
+    point p has covariance k(x, x) B - G diag(c_p) G^T + R with
+    c_p = (Kt_p o Kt_p) D^-1. Only the cross-Gram and what follows from it
+    are computed here; G, 1/D, Alpha and k(x, x) B were formed when the
+    model was fitted.
     """
     T = as_input_array(tests, m=gp.m)
     Ktn = gp.kernel.gram(T, gp.inputs)
@@ -326,18 +318,6 @@ def observation_moments(gp: TrainedGp, tests):
     cov = gp.prior_cov - np.einsum("is,ps,js->pij", G, c, G)
     cov[:, np.arange(gp.d), np.arange(gp.d)] += gp.noise_var
     return mean, cov
-
-
-def log_likelihood(gp: TrainedGp, point, z) -> float:
-    """Log density of an observation vector z at a single test point."""
-    post = predict_observation(gp, point)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != post.mean.shape:
-        raise ValueError(f"observation has shape {z.shape}, expected {post.mean.shape}")
-    L, _ = cholesky_with_jitter(post.cov, label="predictive covariance")
-    r = solve_triangular(L, z - post.mean, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(-0.5 * (r @ r + logdet + z.size * np.log(2.0 * np.pi)))
 
 
 # ---------------------------------------------------------------------------

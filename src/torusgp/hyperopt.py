@@ -18,15 +18,16 @@ Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
     d sigma_s: 2 sigma_s * tr(A_ss)
 
 The feature stack F is built once per dataset; no per-coordinate n x n
-matrix is formed. How K is factored depends on the number of outputs d.
+matrix is formed. How K is factored depends on the shape of the observations.
 
-One output: K = b K_x + sigma^2 I is n x n, and its Cholesky factor gives F
-and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
+1-D observations: K = K_x + sigma^2 I is n x n, and its Cholesky factor gives
+F and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
 eigendecomposition of the same matrix, and the optimizer evaluates F and its
 gradient at every line-search probe, so this path stays on Cholesky.
 
-Several outputs: K is factored by torusgp.gp.icm_factor (U, lam, S, P and
-D as defined there), and with Alpha = U ((U^T Z P) / D) P^T = K^-1 Z,
+2-D observations, one column included (as in torusgp.gp.fit): K is factored
+by torusgp.gp.icm_factor (U, lam, S, P and D as defined there), and with
+Alpha = U ((U^T Z P) / D) P^T = K^-1 Z,
 
     log|K|  = n sum_s log sigma_s^2 + sum log D
     Abar    = Alpha B Alpha^T - U diag(D^-1 S) U^T
@@ -203,17 +204,19 @@ class _Problem:
     def evaluate(self, kernel, B, sigma, coords):
         """(F, dF/dtheta, dF/dB, dF/dsigma) at constrained hyperparameters.
 
-        B is None for one output; its entries count as independent. A system
-        matrix that overflows or is not positive definite raises
-        FactorizationError carrying coords as .theta.
+        B and dF/dB are None for one output; B's entries count as
+        independent. A system matrix that overflows or is not positive
+        definite raises FactorizationError carrying coords as .theta.
         """
         # overflow is tolerated here: the finiteness checks make it a rejected
         # step, and the optimizer never reads a rejected probe's gradient
         with np.errstate(all="ignore"):
             try:
                 K_x = kernel.gram_from(self.features)
-                factor = self._cholesky if self.d == 1 else self._icm
-                F, Abar, g_B, g_sigma = factor(K_x, B, sigma)
+                if self.multi:
+                    F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
+                else:
+                    F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
             except np.linalg.LinAlgError as err:
                 if not isinstance(err, FactorizationError):
                     err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
@@ -226,10 +229,9 @@ class _Problem:
             )
         return F, g_theta, g_B, g_sigma
 
-    def _cholesky(self, K_x, B, sigma):
-        """(F, Abar, dF/dB, dF/dsigma) for one output: K = b K_x + sigma^2 I."""
-        b = 1.0 if B is None else B[0, 0]
-        K = b * K_x
+    def _cholesky(self, K_x, sigma):
+        """(F, Abar, None, dF/dsigma) for one output: K = K_x + sigma^2 I."""
+        K = K_x.copy()
         K.flat[:: self.n + 1] += sigma**2
         if not np.all(np.isfinite(K)):
             raise FactorizationError(
@@ -240,8 +242,7 @@ class _Problem:
         alpha = cho_solve((L, True), z)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
         A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n))
-        g_B = np.array([[np.sum(A * K_x)]])
-        return F, b * A, g_B, 2.0 * sigma * np.einsum("ii->", A)
+        return F, A, None, 2.0 * sigma * np.einsum("ii->", A)
 
     def _icm(self, K_x, B, sigma):
         """(F, Abar, dF/dB, dF/dsigma) for d outputs from the ICM factor."""
@@ -343,7 +344,7 @@ def default_initialization(dataset, family_or_kernel):
     if dataset.multi_output:
         sig = 0.1 * np.std(dataset.obs, axis=0)
         sig[sig <= 0.0] = 0.1
-        B0 = _psd_project(np.cov(dataset.obs.T), floor=1e-6)
+        B0 = _psd_project(np.atleast_2d(np.cov(dataset.obs.T)), floor=1e-6)
         return kernel, sig, B0
     sig0 = 0.1 * scale
     return kernel, np.array([sig0]), None

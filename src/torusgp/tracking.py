@@ -168,7 +168,7 @@ def fit_parametric(ts: TrainingSet, references) -> ParametricRangeModel:
     """Bias and covariance of the training residuals z - h(x)."""
     h = range_function(ts.positions, np.asarray(references, dtype=float))
     res = ts.obs - h
-    return ParametricRangeModel(bias=res.mean(axis=0), cov=np.cov(res.T))
+    return ParametricRangeModel(bias=res.mean(axis=0), cov=np.atleast_2d(np.cov(res.T)))
 
 
 _PARAMETRIC_FORMAT = "torusgp-parametric"

@@ -11,8 +11,11 @@ paper's hollow symmetric matrix Lam from the pair weights.
 The multi-output objective F and its gradient (torusgp.hyperopt) have two
 references: ``dense_icm`` assembles the N x N ICM system and inverts it in
 double precision, and ``mp_hvm_icm`` repeats the algebra in 50-digit
-arithmetic for small hvm problems. ``mp_icm_logpdf`` is the 50-digit
-reference for the predictive log-density that scores filter particles, for
+arithmetic for small hvm problems. The predictive log-density that scores
+filter particles (torusgp.tracking.GpRangeModel.logpdf) has two as well:
+``dense_observation_logpdf`` is the plain dense Gaussian formula over
+``dense_observation_posterior``, the joint posterior of torusgp.gp.predict
+with the noise added, and ``mp_icm_logpdf`` is the 50-digit reference for
 every kernel family.
 """
 
@@ -22,6 +25,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import cho_solve
 
+from torusgp import gp
 from torusgp.kernels import pair_order
 from torusgp.manifold import CirclePoint, TorusPoint, as_input_array
 
@@ -171,6 +175,22 @@ def dense_icm(kernel, X, Z, B, sigma):
     g_theta = dK.reshape(dK.shape[0], -1) @ (B.ravel() @ A2)
     g_sigma = 2.0 * sigma * np.einsum("ipip->i", A4)
     return F, g_theta, g_B, g_sigma
+
+
+def dense_observation_posterior(model, tests) -> gp.PosteriorGaussian:
+    """Joint posterior of the noisy observations: gp.predict plus R on the diagonal."""
+    post = gp.predict(model, tests)
+    noise = np.repeat(model.noise_var, post.mean.size // model.d)
+    return gp.PosteriorGaussian(post.mean, post.cov + np.diag(noise))
+
+
+def dense_observation_logpdf(model, point, z) -> float:
+    """Log density of the observation vector z at one test point, by slogdet and solve."""
+    post = dense_observation_posterior(model, point)
+    r = np.atleast_1d(np.asarray(z, dtype=float)) - post.mean
+    sign, logdet = np.linalg.slogdet(post.cov)
+    assert sign > 0, "predictive covariance is not positive definite"
+    return float(-0.5 * (r @ np.linalg.solve(post.cov, r) + logdet + r.size * np.log(2.0 * np.pi)))
 
 
 def _mp_chart_angle(e):

@@ -31,6 +31,8 @@ TOY_CONFIG = {
 ARENA_TOO_SMALL = {"arena": [20, 20], "references": [[5, 5], [15, 5], [10, 15]]}
 ARENA_TOO_LOW = {"arena": [30, 24], "references": [[5, 5], [25, 5], [15, 20]]}
 REFERENCE_ON_GRID = {"references": [[5.625, 4.5], [25, 5], [15, 25]]}
+# One reference gives one-column observations, whose np.cov is a 0-d array.
+ONE_REFERENCE = {"references": [[5, 5]], "grid": [4, 3], "steps": 20}
 
 
 def _write_config(tmp_path, overrides=None):
@@ -188,6 +190,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
 
 
 COMMANDS = ["case1", "case2", "simulate", "train", "track", "campaign"]
+# A campaign that finishes in a second if a bad value gets through.
+ONE_PARAMETRIC_RUN = {
+    "scenario": {"grid": [4, 3], "steps": 20},
+    "campaign": {"methods": ["Parametric"], "trajectories": ["T1"], "runs": 1},
+}
 
 BAD_VALUES = [
     (["simulate"], {"scenario": {"arena": 5}}, "arena"),
@@ -209,6 +216,7 @@ BAD_VALUES = [
     (["simulate"], {"scenario": {"noise_xi": float("inf")}}, "noise_xi"),
     (["simulate"], {"scenario": ARENA_TOO_SMALL}, "scenario"),
     (["simulate"], {"scenario": REFERENCE_ON_GRID}, "scenario"),
+    *[(["campaign", "--jobs", jobs], ONE_PARAMETRIC_RUN, "--jobs") for jobs in ("0", "-3")],
 ]
 
 
@@ -293,6 +301,15 @@ def test_track_refuses_a_trajectory_that_leaves_the_arena(tmp_path, capsys):
     argv = ["track", "--config", str(cfg), "--out", str(out), "--method", "Parametric"]
     assert cli.main(argv + ["--model", str(out / "model.json")]) == 2
     assert "leaves the arena" in capsys.readouterr().err
+
+
+def test_one_reference_scenario_runs_every_stage(tmp_path):
+    cfg = _write_config(tmp_path, {"scenario": ONE_REFERENCE})
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert cli.main(["simulate", *argv]) == 0
+    assert cli.main(["train", *argv, "--method", "all"]) == 0
+    for method in ("HvM", "Parametric"):
+        assert cli.main(["track", *argv, "--method", method]) == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_oracles import dense_icm, mp_hvm_icm
 from torusgp import gp, hyperopt
@@ -74,7 +76,7 @@ def _icm_problem(rng, family, n, d, m=3):
 ICM_RTOL = 1e-9
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
 def test_icm_objective_and_gradient_match_the_dense_oracle(family, d):
     """The eigen factorization against the dense N x N inverse, block by block."""
@@ -246,6 +248,24 @@ def test_optimize_trace_is_nondecreasing():
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     assert res.objective == trace[-1]
     assert res.objective > trace[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["hvm", "pvm", "pprd", "pse"]),
+    d=st.sampled_from([0, 1, 2]),
+    n=st.integers(4, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimize_trace_is_nondecreasing_on_random_problems(family, d, n, seed):
+    """Random small problems, one output (d = 0, 1-D observations) or several."""
+    rng = np.random.default_rng(seed)
+    X = _inputs(rng, n, 2)
+    obs = rng.standard_normal(n) if d == 0 else rng.standard_normal((n, d))
+    res = hyperopt.optimize((X, obs), family, budget=12, restarts=2, seed=seed)
+    trace = res.trace
+    assert all(b >= a for a, b in zip(trace, trace[1:]))
+    assert res.objective == trace[-1]
 
 
 def test_optimize_is_deterministic_for_a_seed():

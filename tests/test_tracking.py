@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kernel_oracles import mp_icm_logpdf
+from kernel_oracles import dense_observation_logpdf, mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel
 from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
@@ -68,14 +68,14 @@ def test_systematic_resample_deterministic_for_seed():
 
 
 def test_gp_model_logpdf_matches_reference(toy_gp_model):
-    """Batched per-particle scores against the exact per-point likelihood."""
+    """Batched per-particle scores against the dense per-point Gaussian density."""
     rng = np.random.default_rng(4)
     pos = rng.uniform(2, 28, (12, 2))
     z = np.array([14.0, 15.0, 13.0])
     got = toy_gp_model.logpdf(pos, z, TOY.references_array)
     emb = aoa_embedding_batch(pos, TOY.references_array)
     for i in range(12):
-        want = gp.log_likelihood(toy_gp_model.gp, emb[i : i + 1], z)
+        want = dense_observation_logpdf(toy_gp_model.gp, emb[i : i + 1], z)
         assert got[i] == pytest.approx(want, abs=1e-6)
 
 
@@ -88,7 +88,7 @@ _FAMILY_THETAS = {
 
 
 def test_particle_log_density_against_a_50_digit_reference():
-    """logpdf and log_likelihood within 4 cond(K) eps of an mpmath evaluation, every family."""
+    """logpdf and the dense oracle within 4 cond(K) eps of an mpmath evaluation, every family."""
     refs = TOY.references_array
     rng = np.random.default_rng(17)
     n, d, p = 20, 3, 6
@@ -112,7 +112,7 @@ def test_particle_log_density_against_a_50_digit_reference():
         for i in range(p):
             got = model.logpdf(pos[n + i : n + i + 1], zs[i], refs)[0]
             assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (family, i, got, ref[i])
-            got = gp.log_likelihood(model.gp, T[i : i + 1], zs[i])
+            got = dense_observation_logpdf(model.gp, T[i : i + 1], zs[i])
             assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (family, i, got, ref[i])
 
 
