@@ -13,12 +13,7 @@ Run:  python3 demos/circular_regression.py
 import numpy as np
 
 from torusgp import gp, hyperopt, simulator
-
-
-def embed(theta):
-    """Angles -> (n, 1, 2) embedded inputs for a one-circle GP."""
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+from torusgp.manifold import embed_angles
 
 
 def main():
@@ -32,7 +27,7 @@ def main():
     z = simulator.case_study_1_observe(thetas, rng)
     print(f"training set: {n_train} noisy density readings on the circle")
 
-    ds = hyperopt.Dataset.from_data(embed(thetas), z)
+    ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
     models = {}
     for label, family in (("circular", "hvm"), ("chart", "pse")):
         res = hyperopt.optimize(ds, family, budget=100, restarts=2, seed=7)
@@ -47,7 +42,7 @@ def main():
     probe = np.deg2rad(np.array([0.0, 45.0, 120.0, 240.0, 330.0]))
     truth = simulator.DEFAULT_DENSITY.mean_value(probe)
     for label in ("circular", "chart"):
-        post = gp.predict(models[label], embed(probe))
+        post = gp.predict(models[label], embed_angles(probe[:, None]))
         row = "  ".join(f"{v:7.3f}" for v in post.mean)
         print(f"  {label:8s}  {row}")
     print(f"  {'truth':8s}  " + "  ".join(f"{v:7.3f}" for v in truth))
@@ -55,7 +50,7 @@ def main():
     print()
     print("seam behavior: the SAME circle point written as 0 and as 2pi")
     for label in ("circular", "chart"):
-        edge = gp.predict(models[label], embed(np.array([0.0, 2.0 * np.pi])))
+        edge = gp.predict(models[label], embed_angles(np.array([[0.0], [2.0 * np.pi]])))
         gap = abs(edge.mean[0] - edge.mean[1])
         print(
             f"  {label:8s}  mean(0) = {edge.mean[0]:8.4f}   "

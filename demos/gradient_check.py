@@ -11,7 +11,7 @@ Run:  python3 demos/gradient_check.py
 
 import numpy as np
 
-from torusgp import hyperopt, kernels
+from torusgp import hyperopt, kernels, manifold
 from torusgp.hyperopt import _Problem
 
 
@@ -19,7 +19,7 @@ def main():
     rng = np.random.default_rng(123)
     n, m, d = 14, 3, 2
     ang = rng.uniform(0.0, 2.0 * np.pi, (n, m))
-    X = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    X = manifold.embed_angles(ang)
     Z = rng.standard_normal((n, d))
     ds = hyperopt.Dataset.from_data(X, Z)
 

@@ -74,6 +74,7 @@ import numpy as np
 from . import __version__
 from . import gp as gp_mod
 from . import hyperopt, tracking
+from .manifold import embed_angles
 from .simulator import (
     CASE2_PARAM_SETS,
     CircularDensity,
@@ -283,11 +284,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _embed_angles(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
-
-
 def _hyperparam_dict(kernel) -> dict:
     return {name: float(v) for name, v in zip(kernel.theta_names, kernel.theta)}
 
@@ -337,7 +333,7 @@ def cmd_case1(args, config, seed, out):
     rng = rng_for(seed, 0)
     thetas = rng.uniform(0.0, TWO_PI, sec["n_train"])
     z = case_study_1_observe(thetas, rng, density)
-    ds = hyperopt.Dataset.from_data(_embed_angles(thetas), z)
+    ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
     clocks = {}
 
     models = {}
@@ -354,17 +350,17 @@ def cmd_case1(args, config, seed, out):
         clocks[f"fit_{label}"] = time.perf_counter() - t1
 
     grid = np.linspace(-TWO_PI, 2.0 * TWO_PI, sec["curve_points"])
-    emb = _embed_angles(grid)
+    emb = embed_angles(grid[:, None])
     check = np.linspace(0.0, TWO_PI, sec["periodicity_angles"], endpoint=False)
     curves, gap, per = {}, {}, {}
     for label, model in models.items():
         posts = [gp_mod.predict(model, emb[i : i + _CURVE_BLOCK]) for i in range(0, len(emb), _CURVE_BLOCK)]
         curves[label] = (np.concatenate([p.mean for p in posts]), np.concatenate([np.diag(p.cov) for p in posts]))
         # Seam behavior: the same circle point reached from both chart sides.
-        edge = gp_mod.predict(model, _embed_angles(np.array([0.0, TWO_PI])))
+        edge = gp_mod.predict(model, embed_angles(np.array([[0.0], [TWO_PI]])))
         gap[label] = float(abs(edge.mean[0] - edge.mean[1]))
-        a = gp_mod.predict(model, _embed_angles(check))
-        b = gp_mod.predict(model, _embed_angles(check + TWO_PI))
+        a = gp_mod.predict(model, embed_angles(check[:, None]))
+        b = gp_mod.predict(model, embed_angles(check[:, None] + TWO_PI))
         per[label] = {
             "mean_max_abs": float(np.max(np.abs(a.mean - b.mean))),
             "var_max_abs": float(np.max(np.abs(np.diag(a.cov) - np.diag(b.cov)))),
@@ -499,13 +495,15 @@ def cmd_track(args, config, seed, out):
         model_path, f"a trained {method} model (train stage output)", tracking.load_range_model
     )
     if isinstance(model, tracking.GpRangeModel):
-        family, refs = model.gp.kernel.family, model.gp.m
+        family, refs, ranges = model.gp.kernel.family, model.gp.m, model.gp.d
     else:
-        family, refs = "parametric", model.bias.size
+        family, refs, ranges = "parametric", model.bias.size, model.bias.size
     if family != tracking.GP_FAMILIES.get(method, "parametric"):
         raise ConfigError(f"--method {method} cannot track with {model_path}, a {family} model")
     if refs != cfg.m:
         raise ConfigError(f"model was trained with {refs} references, scenario has {cfg.m}")
+    if ranges != cfg.m:
+        raise ConfigError(f"model predicts {ranges} ranges, scenario has {cfg.m} references")
 
     traj_arg = args.trajectory or sec["trajectory"]
     traj_path = out / "trajectory.csv" if traj_arg is None else Path(traj_arg)

@@ -14,7 +14,7 @@ import numpy as np
 __all__ = [
     "CirclePoint",
     "TorusPoint",
-    "circle_from_angle",
+    "embed_angles",
     "torus_metric",
     "aoa_embedding",
     "aoa_embedding_batch",
@@ -67,11 +67,6 @@ class CirclePoint:
         return float(np.mod(np.arctan2(self.e2, self.e1), 2.0 * np.pi))
 
 
-def circle_from_angle(theta: float) -> CirclePoint:
-    """Embed an angle (radians, any real value) as a point on S^1."""
-    return CirclePoint.from_angle(theta)
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point on T^m: an ordered tuple of circle points."""
@@ -109,6 +104,12 @@ class TorusPoint:
     def angles(self) -> np.ndarray:
         """Chart angles of all components, each in [0, 2*pi)."""
         return np.array([c.angle for c in self.components])
+
+
+def embed_angles(angles) -> np.ndarray:
+    """Embed an (..., m) array of angles (radians) as its (..., m, 2) points (cos, sin)."""
+    theta = np.asarray(angles, dtype=float)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
 def torus_metric(u: TorusPoint, v: TorusPoint) -> np.ndarray:
@@ -188,7 +189,8 @@ def as_input_array(inputs, m: int | None = None) -> np.ndarray:
     """Normalize GP inputs to an (n, m, 2) float array.
 
     Accepts a single TorusPoint, a sequence of TorusPoint, or an already
-    stacked (n, m, 2) array. Unit norms are validated to UNIT_NORM_TOL.
+    stacked (n, m, 2) array. Unit norms are validated to UNIT_NORM_TOL, and a
+    NaN or infinite component fails that check.
     """
     if isinstance(inputs, TorusPoint):
         arr = inputs.array[None, :, :]
@@ -210,7 +212,7 @@ def as_input_array(inputs, m: int | None = None) -> np.ndarray:
     if m is not None and arr.shape[1] != m:
         raise ValueError(f"expected m={m} circles, got {arr.shape[1]}")
     norm_err = np.abs(np.sum(arr * arr, axis=2) - 1.0)
-    if np.max(norm_err) > UNIT_NORM_TOL:
+    if not np.max(norm_err) <= UNIT_NORM_TOL:
         raise ValueError(
             f"input components off the unit circle by up to {np.max(norm_err):.3e}"
         )

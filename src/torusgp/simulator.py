@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import ExpLinearKernel
-from .manifold import aoa_embedding_batch
+from .manifold import aoa_embedding_batch, as_input_array, embed_angles
 
 __all__ = [
     "ScenarioConfig",
@@ -149,9 +149,13 @@ def simulate_dynamics(x, Q, rng: np.random.Generator) -> np.ndarray:
 
 
 def measure_range(x, cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Offset, noisy range vector z = (1 + c) h(x) + v at one position."""
+    """Offset, noisy ranges z = (1 + c) h(x) + v: (m,) at one position, (n, m) for (n, 2).
+
+    The noise is drawn with the shape of h, row by row, so a batch takes the
+    same stream as one call per position in order.
+    """
     h = range_function(x, cfg.references_array)
-    return (1.0 + cfg.offset_ratio) * h + cfg.noise_xi * rng.standard_normal(cfg.m)
+    return (1.0 + cfg.offset_ratio) * h + cfg.noise_xi * rng.standard_normal(h.shape)
 
 
 def training_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -182,14 +186,15 @@ class TrainingSet:
 
 
 def build_training_set(cfg: ScenarioConfig, rng: np.random.Generator | None = None) -> TrainingSet:
-    """Sample one observation per grid position (seeded from cfg by default)."""
+    """Sample one observation per grid position (seeded from cfg by default).
+
+    The observations are one batched measure_range over the grid.
+    """
     if rng is None:
         rng = rng_for(cfg.seed, 0)
     pos = training_grid(cfg)
     inputs = aoa_embedding_batch(pos, cfg.references_array)
-    h = range_function(pos, cfg.references_array)
-    obs = (1.0 + cfg.offset_ratio) * h + cfg.noise_xi * rng.standard_normal(h.shape)
-    return TrainingSet(positions=pos, inputs=inputs, obs=obs)
+    return TrainingSet(positions=pos, inputs=inputs, obs=measure_range(pos, cfg, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +391,8 @@ def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepR
         raise ValueError("resolution must be >= 2")
     grid = np.linspace(-np.pi, np.pi, resolution)
     A, Bm = np.meshgrid(grid, grid, indexing="ij")
-    pts = np.empty((resolution * resolution, 2, 2))
-    pts[:, 0, 0] = np.cos(A).ravel()
-    pts[:, 0, 1] = np.sin(A).ravel()
-    pts[:, 1, 0] = np.cos(Bm).ravel()
-    pts[:, 1, 1] = np.sin(Bm).ravel()
-    u0 = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    pts = embed_angles(np.column_stack([A.ravel(), Bm.ravel()]))
+    u0 = embed_angles(np.zeros((1, 2)))
     vals = kernel.gram(pts, u0)[:, 0].reshape(resolution, resolution)
     return SweepResult(
         kernel=kernel,
@@ -426,9 +427,18 @@ def _read_csv(path) -> list:
         return list(csv.reader(fh))
 
 
-def _training_header(m: int, d: int) -> list:
+def _finite_cells(path, rows) -> np.ndarray:
+    """The data rows of a table as a float array; a NaN or infinite cell is refused."""
+    data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: a cell is NaN or infinite")
+    return data
+
+
+def _training_header(m: int) -> list:
+    """Position, the m AoA components, then one range column per reference."""
     aoa = [f"aoa{s}_e{k}" for s in range(1, m + 1) for k in (1, 2)]
-    return ["x_m", "y_m", *aoa, *(f"range{s}_m" for s in range(1, d + 1))]
+    return ["x_m", "y_m", *aoa, *(f"range{s}_m" for s in range(1, m + 1))]
 
 
 _TRAJECTORY_HEADER = ["step", "x_m", "y_m"]
@@ -437,7 +447,7 @@ _TRAJECTORY_HEADER = ["step", "x_m", "y_m"]
 def save_training_set(ts: TrainingSet, path) -> None:
     n, m = ts.inputs.shape[:2]
     rows = np.column_stack([ts.positions, ts.inputs.reshape(n, -1), ts.obs])
-    write_csv(path, _training_header(m, ts.obs.shape[1]), rows)
+    write_csv(path, _training_header(m), rows)
 
 
 def load_training_set(path) -> TrainingSet:
@@ -446,12 +456,11 @@ def load_training_set(path) -> TrainingSet:
         raise ValueError(f"{path}: empty training-set file")
     header = rows[0]
     m = sum(1 for h in header if h.endswith("_e1"))
-    d = sum(1 for h in header if h.startswith("range"))
-    if header != _training_header(m, d):
+    if header != _training_header(m):
         raise ValueError(f"{path}: unexpected training-set header {header}")
-    data = np.asarray(rows[1:], dtype=float)
+    data = _finite_cells(path, rows[1:])
     pos = data[:, :2]
-    inputs = data[:, 2 : 2 + 2 * m].reshape(-1, m, 2)
+    inputs = as_input_array(data[:, 2 : 2 + 2 * m].reshape(-1, m, 2), m)
     obs = data[:, 2 + 2 * m :]
     return TrainingSet(positions=pos, inputs=inputs, obs=obs)
 
@@ -464,5 +473,5 @@ def load_trajectory(path, name: str = "file") -> Trajectory:
     rows = _read_csv(path)
     if not rows or rows[0] != _TRAJECTORY_HEADER:
         raise ValueError(f"{path}: unexpected trajectory header")
-    data = np.asarray(rows[1:], dtype=float)
+    data = _finite_cells(path, rows[1:])
     return Trajectory(name=name, positions=data[:, 1:3])

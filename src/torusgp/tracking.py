@@ -296,16 +296,16 @@ def run_tracking(
 ) -> TrackingResult:
     """Filter one measurement sequence along the configured trajectory.
 
-    The measurement stream and the filter's randomness are derived from seed
-    through fixed subkeys, so identical (cfg, method, model, seed) arguments
-    reproduce the result exactly. The particle cloud starts from a unit
-    Gaussian around the true initial position; the estimate is the weighted
-    particle mean (uniform after resampling).
+    The measurement stream (drawn for the whole run before filtering) and the
+    filter's randomness are derived from seed through fixed subkeys, so
+    identical (cfg, method, model, seed) arguments reproduce the result
+    exactly. The particle cloud starts from a unit Gaussian around the true
+    initial position; the estimate is the weighted particle mean (uniform
+    after resampling).
     """
     if traj is None:
         traj = trajectory(cfg)
     truth = traj.positions
-    steps = truth.shape[0]
     meas_rng = rng_for(seed, 1)
     filt_rng = rng_for(seed, 2)
     N = cfg.particles
@@ -314,8 +314,7 @@ def run_tracking(
     estimates = np.empty_like(truth)
     estimates[0] = particles.mean()
     diverged = False
-    for t in range(1, steps):
-        z = measure_range(truth[t], cfg, meas_rng)
+    for t, z in enumerate(measure_range(truth[1:], cfg, meas_rng), start=1):
         particles = step(particles, z, model, cfg, filt_rng)
         diverged = diverged or particles.diverged
         estimates[t] = particles.mean()

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgp import cli, tracking
+from torusgp import cli, gp, tracking
 
 TOY_CONFIG = {
     "seed": 55,
@@ -343,6 +347,60 @@ def test_track_refuses_a_model_that_does_not_match(
     argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", method]
     assert cli.main(argv + ["--model", str(toy_models / f"model_{model}.json")]) == 2
     assert text in capsys.readouterr().err
+
+
+def test_track_refuses_a_gp_that_predicts_fewer_ranges(tmp_path, capsys, toy_models):
+    """A GP on the scenario's three AoA circles with two range outputs exits 2."""
+    full = gp.load_model(toy_models / "model_hvm.json")
+    two = gp.fit(full.inputs, full.obs[:, :2], full.kernel, full.noise_var[:2], full.coreg[:2, :2])
+    gp.save_model(two, tmp_path / "model.json")
+    cfg = _write_config(tmp_path)
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", "HvM"]
+    assert cli.main(argv + ["--model", str(tmp_path / "model.json")]) == 2
+    assert "predicts 2 ranges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cell", ["0.5", "nan", None], ids=["aoa-off-circle", "aoa-nan", "range-column-dropped"]
+)
+def test_train_refuses_a_broken_training_set(tmp_path, capsys, toy_models, cell):
+    """A training set that train or track would crash on exits 3 naming the file.
+
+    cell replaces the first AoA component of the first point; None drops the
+    last range column instead.
+    """
+    rows = [line.split(",") for line in (toy_models / "training_set.csv").read_text().splitlines()]
+    if cell is None:
+        rows = [row[:-1] for row in rows]
+    else:
+        rows[1][2] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    cfg = _write_config(tmp_path)
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out"), "--trainset", str(bad)]
+    assert cli.main(argv) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_track_refuses_a_trajectory_with_a_nan_cell(tmp_path, capsys, toy_models):
+    text = (toy_models / "trajectory.csv").read_text().splitlines()
+    text[3] = ",".join(text[3].split(",")[:2] + ["nan"])
+    bad = tmp_path / "trajectory.csv"
+    bad.write_text("\n".join(text) + "\n")
+    cfg = _write_config(tmp_path)
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", "Parametric"]
+    argv += ["--model", str(toy_models / "model_parametric.json"), "--trajectory", str(bad)]
+    assert cli.main(argv) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_import_torusgp_exposes_the_library_modules():
+    """The package root imports its six library modules and nothing else is needed."""
+    code = "import torusgp; print(*sorted(m for m in vars(torusgp) if not m.startswith('_')))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["gp", "hyperopt", "kernels", "manifold", "simulator", "tracking"]
 
 
 def test_fit_summaries_report_jitter_and_counts(tmp_path):

@@ -20,7 +20,7 @@ from torusgp.kernels import (
     kernel_from_family,
     pair_order,
 )
-from torusgp.manifold import TorusPoint, circle_from_angle
+from torusgp.manifold import CirclePoint, TorusPoint
 
 
 def _random_inputs(rng, n, m):
@@ -36,7 +36,7 @@ def test_pair_order_adjacent_pairs_first():
 
 def test_k_vm_at_coincident_points():
     p = VmHyperparams(omega=2.0, lam=1.5)
-    u = circle_from_angle(0.3)
+    u = CirclePoint.from_angle(0.3)
     assert k_vm(u, u, p) == pytest.approx(4.0 * np.exp(1.5), rel=1e-15)
 
 
@@ -109,8 +109,8 @@ def test_k_pvm_is_product_of_circle_kernels():
     prod = 1.0
     for s in range(2):
         prod *= k_vm(
-            circle_from_angle(u.angles[s]),
-            circle_from_angle(v.angles[s]),
+            CirclePoint.from_angle(u.angles[s]),
+            CirclePoint.from_angle(v.angles[s]),
             VmHyperparams(p.omega[s], p.scale[s]),
         )
     assert k_pvm(u, v, p) == pytest.approx(prod, rel=1e-12)

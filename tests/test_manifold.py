@@ -8,7 +8,7 @@ from torusgp.manifold import (
     aoa_embedding_batch,
     as_input_array,
     chart_angles,
-    circle_from_angle,
+    embed_angles,
     torus_metric,
 )
 
@@ -20,7 +20,7 @@ def test_circle_point_roundtrip():
 
 
 def test_circle_point_angle_wraps_to_canonical_range():
-    p = circle_from_angle(-0.5)
+    p = CirclePoint.from_angle(-0.5)
     assert 0.0 <= p.angle < 2.0 * np.pi
     assert p.angle == pytest.approx(2.0 * np.pi - 0.5, abs=1e-12)
 
@@ -100,6 +100,19 @@ def test_as_input_array_validates_norms():
     bad = np.zeros((2, 2, 2))
     with pytest.raises(ValueError):
         as_input_array(bad)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            as_input_array(np.array([[[value, 0.0]]]))
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (5, 3)], ids=["n-by-1", "n-by-m"])
+def test_embed_angles_matches_circle_points_bit_for_bit(shape):
+    theta = np.random.default_rng(8).uniform(-10, 10, shape)
+    emb = embed_angles(theta)
+    assert emb.shape == (*shape, 2)
+    for idx in np.ndindex(*shape):
+        p = CirclePoint.from_angle(theta[idx])
+        assert emb[idx][0] == p.e1 and emb[idx][1] == p.e2
 
 
 def test_chart_angles_range_and_inverse():

@@ -38,6 +38,16 @@ def test_measure_range_applies_relative_offset():
     assert z[0] == pytest.approx(5.25, abs=1e-9)
 
 
+def test_batched_measure_range_is_the_per_position_stream():
+    cfg = ScenarioConfig()
+    positions = np.random.default_rng(6).uniform(1.0, 29.0, (9, 2))
+    batch = measure_range(positions, cfg, rng_for(3, 1))
+    rng = rng_for(3, 1)
+    one_by_one = np.array([measure_range(x, cfg, rng) for x in positions])
+    assert batch.shape == (9, cfg.m)
+    assert np.array_equal(batch, one_by_one)
+
+
 def test_measurement_noise_variance():
     cfg = ScenarioConfig(noise_xi=0.01)
     rng = rng_for(123, 0)
