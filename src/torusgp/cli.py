@@ -47,7 +47,9 @@ valid --config argument: it carries the fully resolved configuration and
 seed, so rerunning a stage from its manifest reproduces the outputs
 bit-exactly.
 
-Every stage writes manifest_<command>.json into the output directory listing
+Every stage writes a manifest into the output directory: manifest_<command>.json,
+or manifest_<command>_<method>.json for train and track (the method lowercased,
+"all" for train --method all), so runs of several methods keep one each. It lists
 the resolved configuration, the seed, the artifact files it produced, the
 tool version, wall-clock timings, and a summary of the run. Every table is a
 headed CSV with LF line ends, written by simulator.write_csv.
@@ -574,7 +576,9 @@ def _run(args) -> int:
     }
     if summary is not None:
         doc["summary"] = summary
-    _write_json(out / f"manifest_{args.command}.json", doc)
+    method = getattr(args, "method", None)
+    name = args.command if method is None else f"{args.command}_{method.lower()}"
+    _write_json(out / f"manifest_{name}.json", doc)
     return EXIT_OK
 
 

@@ -216,7 +216,7 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
 
     Parameters
     ----------
-    inputs : (n, m, 2) array or sequence of TorusPoint
+    inputs : (n, m, 2) array of per-circle unit vectors (manifold.as_input_array)
     obs : (n,) array for a single output, (n, d) for d outputs
     kernel : a kernel object from torusgp.kernels
     noise_var : scalar observation-noise variance, or (d,) vector (one per

@@ -69,6 +69,8 @@ def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     A: (n, m, 2), B: (p, m, 2)  ->  (m, n, p) with D[s, i, j] = A_is . B_js.
     """
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"input sets have {A.shape[1]} and {B.shape[1]} circles")
     return np.stack([_inner_products(A, B, s) for s in range(A.shape[1])])
 
 
@@ -147,6 +149,10 @@ class ExpLinearKernel:
 
     def _feature_matrices(self, A: np.ndarray, B: np.ndarray):
         """The feature matrices F_f in theta order, each a contiguous (n, p) array."""
+        if A.shape[1] != self.m or B.shape[1] != self.m:
+            raise ValueError(
+                f"{self.family} kernel on T^{self.m} got inputs with {A.shape[1]} and {B.shape[1]} circles"
+            )
         F = [self._circle_feature(A, B, s) for s in range(self.m)]
         yield from F
         for i, j in self._pairs:

@@ -3,8 +3,10 @@
 The scalar kernels are the textbook per-pair formulas the vectorized
 torusgp.kernels.ExpLinearKernel is checked against: the von Mises kernel on
 S^1, the coupled kernel on T^m, and the three per-circle product baselines
-with one signal scale per circle. ``gram`` fills a matrix from any of them
-by a plain double loop. An hvm kernel is read from its theta
+with one signal scale per circle. A circle point is a (2,) unit vector and a
+torus point an (m, 2) array of them; the oracles read chart angles with
+their own arctan2, not through torusgp. ``gram`` fills a matrix from any of
+them by a plain double loop. An hvm kernel is read from its theta
 (omega, lam_1..lam_m, corr in pair order); ``interaction_matrix`` forms the
 paper's hollow symmetric matrix Lam from the pair weights.
 
@@ -27,7 +29,7 @@ from scipy.linalg import cho_solve
 
 from torusgp import gp
 from torusgp.kernels import pair_order
-from torusgp.manifold import CirclePoint, TorusPoint, as_input_array
+from torusgp.manifold import as_input_array
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,9 @@ class BaselineKernelParams:
         return len(self.omega)
 
 
-def k_vm(u: CirclePoint, v: CirclePoint, p: VmHyperparams) -> float:
-    """von Mises kernel on S^1: omega^2 * exp(lam * u.v)."""
-    d = u.e1 * v.e1 + u.e2 * v.e2
+def k_vm(u, v, p: VmHyperparams) -> float:
+    """von Mises kernel on S^1 between (2,) points: omega^2 * exp(lam * u.v)."""
+    d = u[0] * v[0] + u[1] * v[1]
     return float(p.omega**2 * np.exp(p.lam * d))
 
 
@@ -92,17 +94,22 @@ def interaction_matrix(kernel) -> np.ndarray:
     return L
 
 
-def k_hvm(u: TorusPoint, v: TorusPoint, kernel) -> float:
+def k_hvm(u, v, kernel) -> float:
     """Coupled-torus kernel omega^2 * exp(lam . d + 2 sum_t corr_t d_i d_j)."""
-    if u.m != kernel.m or v.m != kernel.m:
-        raise ValueError(f"points have {u.m}/{v.m} circles, the kernel expects {kernel.m}")
+    if len(u) != kernel.m or len(v) != kernel.m:
+        raise ValueError(f"points have {len(u)}/{len(v)} circles, the kernel expects {kernel.m}")
     omega, lam, corr = hvm_parts(kernel)
-    d = np.sum(u.array * v.array, axis=1)
+    d = np.sum(u * v, axis=1)
     quad = 2.0 * sum(c * d[i] * d[j] for c, (i, j) in zip(corr, pair_order(kernel.m)))
     return float(omega**2 * np.exp(float(np.dot(lam, d)) + quad))
 
 
-def k_pse(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
+def _angles(u) -> np.ndarray:
+    """Chart angles in [0, 2*pi) of an (m, 2) torus point."""
+    return np.mod(np.arctan2(u[:, 1], u[:, 0]), 2.0 * np.pi)
+
+
+def k_pse(u, v, p: BaselineKernelParams) -> float:
     """Product of squared-exponential factors on unwrapped chart differences.
 
     Both angles are first mapped into [0, 2*pi); the factor uses the raw
@@ -110,35 +117,35 @@ def k_pse(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
     chart seam by construction.
     """
     _check_m(u, v, p)
-    a, b = u.angles, v.angles
+    a, b = _angles(u), _angles(v)
     om = np.asarray(p.omega)
     ell = np.asarray(p.scale)
     return float(np.prod(om**2 * np.exp(-((a - b) ** 2) / (2.0 * ell**2))))
 
 
-def k_pprd(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
+def k_pprd(u, v, p: BaselineKernelParams) -> float:
     """Product of periodic factors exp(-2 sin^2((a - b)/2) / l^2) per circle."""
     _check_m(u, v, p)
-    a, b = u.angles, v.angles
+    a, b = _angles(u), _angles(v)
     om = np.asarray(p.omega)
     ell = np.asarray(p.scale)
     return float(np.prod(om**2 * np.exp(-2.0 * np.sin((a - b) / 2.0) ** 2 / ell**2)))
 
 
-def k_pvm(u: TorusPoint, v: TorusPoint, p: BaselineKernelParams) -> float:
+def k_pvm(u, v, p: BaselineKernelParams) -> float:
     """Product of von Mises factors omega_s^2 * exp(lam_s * u_s.v_s)."""
     _check_m(u, v, p)
-    d = np.sum(u.array * v.array, axis=1)
+    d = np.sum(u * v, axis=1)
     om = np.asarray(p.omega)
     lam = np.asarray(p.scale)
     return float(np.prod(om**2 * np.exp(lam * d)))
 
 
-def _check_m(u: TorusPoint, v: TorusPoint, p) -> None:
-    if u.m != v.m:
-        raise ValueError(f"torus dimensions differ: {u.m} vs {v.m}")
-    if u.m != p.m:
-        raise ValueError(f"points have {u.m} circles, parameters expect {p.m}")
+def _check_m(u, v, p) -> None:
+    if len(u) != len(v):
+        raise ValueError(f"torus dimensions differ: {len(u)} vs {len(v)}")
+    if len(u) != p.m:
+        raise ValueError(f"points have {len(u)} circles, parameters expect {p.m}")
 
 
 def gram(inputs_a, inputs_b, kernel) -> np.ndarray:
@@ -147,9 +154,8 @@ def gram(inputs_a, inputs_b, kernel) -> np.ndarray:
     B = as_input_array(inputs_b, m=A.shape[1])
     out = np.empty((A.shape[0], B.shape[0]))
     for i in range(A.shape[0]):
-        ui = TorusPoint.from_array(A[i])
         for j in range(B.shape[0]):
-            out[i, j] = kernel(ui, TorusPoint.from_array(B[j]))
+            out[i, j] = kernel(A[i], B[j])
     return out
 
 

@@ -15,7 +15,6 @@ from kernel_oracles import BaselineKernelParams, k_hvm, k_pvm
 
 from torusgp import gp, hyperopt, kernels, simulator, tracking
 from torusgp.hyperopt import _Problem
-from torusgp.manifold import TorusPoint
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,8 +83,7 @@ def test_criterion_2_zero_coupling_equals_product_kernel(record_detail):
         lam = rng.uniform(0.0, 1.5, m)
         coupled = kernels.ExpLinearKernel("hvm", m, np.r_[np.prod(omega), lam, np.zeros(m * (m - 1) // 2)])
         product = BaselineKernelParams(tuple(omega), tuple(lam))
-        u = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
-        v = TorusPoint.from_angles(rng.uniform(0.0, TWO_PI, m))
+        u, v = _random_inputs(rng, 2, m)
         diff = abs(k_hvm(u, v, coupled) - k_pvm(u, v, product))
         worst = max(worst, diff)
     record_detail(f"max abs diff {worst:.2e}")

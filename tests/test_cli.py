@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgp import cli, gp, tracking
+from torusgp import cli, gp, kernels, tracking
 
 TOY_CONFIG = {
     "seed": 55,
@@ -72,8 +72,8 @@ def test_full_pipeline_toy_scale(tmp_path):
         "track_hvm.csv",
         "campaign.csv",
         "manifest_simulate.json",
-        "manifest_train.json",
-        "manifest_track.json",
+        "manifest_train_all.json",
+        "manifest_track_hvm.json",
         "manifest_campaign.json",
     ):
         assert (out / name).exists(), name
@@ -136,8 +136,10 @@ def test_manifest_rerun_is_bit_exact(tmp_path, stage):
     stages = RERUN_STAGES[stage]
     for argv in stages:
         assert cli.main([*argv, "--config", str(cfg), "--out", str(a)]) == 0
-    manifest = a / f"manifest_{stages[-1][0]}.json"
-    assert cli.main([*stages[-1], "--config", str(manifest), "--out", str(b)]) == 0
+    last = stages[-1]
+    method = f"_{last[last.index('--method') + 1].lower()}" if "--method" in last else ""
+    manifest = a / f"manifest_{last[0]}{method}.json"
+    assert cli.main([*last, "--config", str(manifest), "--out", str(b)]) == 0
     artifacts = json.loads(manifest.read_text())["artifacts"]
     assert artifacts == json.loads((b / manifest.name).read_text())["artifacts"]
     for name in artifacts:
@@ -410,7 +412,7 @@ def test_fit_summaries_report_jitter_and_counts(tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "optreport_hvm.json").read_text())
-    fit = json.loads((out / "manifest_train.json").read_text())["summary"]["HvM"]
+    fit = json.loads((out / "manifest_train_hvm.json").read_text())["summary"]["HvM"]
     assert report["jitter_used"] == fit["jitter_used"] >= 0.0
     assert fit["evaluations"] == report["optimization"]["evaluations"] > 0
     assert fit["backtracks"] == report["optimization"]["backtracks"] >= 0
@@ -463,9 +465,42 @@ def test_track_parametric_model(tmp_path):
     cli.main(["train", "--config", str(cfg), "--out", str(out), "--method", "Parametric"])
     rc = cli.main(["track", "--config", str(cfg), "--out", str(out), "--method", "Parametric"])
     assert rc == 0
-    doc = json.loads((out / "manifest_track.json").read_text())
+    doc = json.loads((out / "manifest_track_parametric.json").read_text())
     assert doc["summary"]["method"] == "Parametric"
     assert np.isfinite(doc["summary"]["rmse"])
+
+
+def test_runs_of_two_methods_keep_one_manifest_each(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for command in ("train", "track"):
+        for method in ("HvM", "Parametric"):
+            argv = [command, "--config", str(cfg), "--out", str(out), "--method", method]
+            assert cli.main(argv) == 0
+    for command in ("train", "track"):
+        names = sorted(p.name for p in out.glob(f"manifest_{command}*.json"))
+        assert names == [f"manifest_{command}_hvm.json", f"manifest_{command}_parametric.json"]
+    for method in ("hvm", "parametric"):
+        doc = json.loads((out / f"manifest_track_{method}.json").read_text())
+        assert doc["summary"]["method"].lower() == method
+        assert doc["artifacts"] == [f"track_{method}.csv"]
+
+
+def test_model_with_a_kernel_on_another_torus_exits_3(tmp_path, capsys):
+    """A model file whose kernel has fewer circles than its inputs is malformed."""
+    rng = np.random.default_rng(2)
+    theta = rng.uniform(0.0, 2.0 * np.pi, (8, 2))
+    X = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    path = tmp_path / "model.json"
+    kernel = kernels.kernel_from_family("hvm", 2)
+    gp.save_model(gp.fit(X, rng.standard_normal((8, 3)), kernel, np.full(3, 0.01), np.eye(3)), path)
+    doc = json.loads(path.read_text())
+    doc["inputs"] = np.concatenate([X, X[:, :1]], axis=1).tolist()
+    path.write_text(json.dumps(doc))
+    argv = ["track", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--method", "HvM", "--model", str(path)]) == 3
+    assert "T^2 got inputs with 3 and 3 circles" in capsys.readouterr().err
 
 
 def test_case1_outputs_and_periodicity_report(tmp_path):

@@ -216,6 +216,14 @@ def test_fit_validates_coreg_and_noise():
         gp.fit(X, Z, _kernel(), 0.1)  # matrix obs need a mixing matrix
 
 
+@pytest.mark.parametrize("m", [2, 4], ids=["fewer-circles", "more-circles"])
+def test_fit_rejects_a_kernel_on_another_torus(m):
+    rng = np.random.default_rng(6)
+    X = _inputs(rng, 10, 3)
+    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 and 3 circles"):
+        gp.fit(X, rng.standard_normal(10), kernel_from_family("hvm", m), 0.01)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(["hvm", "pvm", "pprd", "pse"]),

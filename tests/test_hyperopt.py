@@ -163,6 +163,14 @@ def test_optimize_from_a_zero_free_coordinate_names_it():
     assert dict(zip(res.kernel.theta_names, res.kernel.theta))["corr_23"] == 0.0
 
 
+@pytest.mark.parametrize("m", [2, 4], ids=["fewer-circles", "more-circles"])
+def test_optimize_rejects_a_kernel_on_another_torus(m):
+    rng = np.random.default_rng(6)
+    X = _inputs(rng, 10, 3)
+    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 and 3 circles"):
+        hyperopt.optimize((X, rng.standard_normal(10)), kernel_from_family("hvm", m), budget=5, restarts=1)
+
+
 def test_gradient_kernel_and_noise_coords_match_fd():
     """Central differences on the public objective, coordinate by coordinate."""
     rng = np.random.default_rng(2)

@@ -1,41 +1,36 @@
 import numpy as np
 import pytest
 
+from torusgp.kernels import component_distances
 from torusgp.manifold import (
-    CirclePoint,
-    TorusPoint,
-    aoa_embedding,
     aoa_embedding_batch,
     as_input_array,
     chart_angles,
     embed_angles,
-    torus_metric,
 )
 
 
 def test_circle_point_roundtrip():
-    p = CirclePoint.from_angle(0.7)
-    assert p.angle == pytest.approx(0.7, abs=1e-14)
-    assert np.hypot(p.e1, p.e2) == pytest.approx(1.0, abs=1e-15)
+    p = embed_angles(0.7)
+    assert chart_angles(p) == pytest.approx(0.7, abs=1e-14)
+    assert np.hypot(*p) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_circle_point_angle_wraps_to_canonical_range():
-    p = CirclePoint.from_angle(-0.5)
-    assert 0.0 <= p.angle < 2.0 * np.pi
-    assert p.angle == pytest.approx(2.0 * np.pi - 0.5, abs=1e-12)
+    angle = chart_angles(embed_angles(-0.5))
+    assert 0.0 <= angle < 2.0 * np.pi
+    assert angle == pytest.approx(2.0 * np.pi - 0.5, abs=1e-12)
 
 
 def test_circle_point_rejects_off_circle():
     with pytest.raises(ValueError):
-        CirclePoint(1.0, 1.0)
+        as_input_array([[[1.0, 1.0]]])
     with pytest.raises(ValueError):
-        CirclePoint(np.nan, 0.0)
+        as_input_array([[[np.nan, 0.0]]])
 
 
 def test_torus_point_from_angles():
-    t = TorusPoint.from_angles([0.0, np.pi / 2, np.pi])
-    assert t.m == 3
-    arr = t.array
+    arr = embed_angles([0.0, np.pi / 2, np.pi])
     assert arr.shape == (3, 2)
     assert np.allclose(arr[0], [1.0, 0.0], atol=1e-15)
     assert np.allclose(arr[1], [0.0, 1.0], atol=1e-15)
@@ -43,29 +38,28 @@ def test_torus_point_from_angles():
 
 
 def test_torus_metric_known_values():
-    u = TorusPoint.from_angles([0.0, 0.0])
-    v = TorusPoint.from_angles([np.pi / 2, np.pi / 3])
-    d = torus_metric(u, v)
+    u = embed_angles([[0.0, 0.0]])
+    v = embed_angles([[np.pi / 2, np.pi / 3]])
+    d = component_distances(u, v)[:, 0, 0]
     assert d == pytest.approx([0.0, 0.5], abs=1e-12)
 
 
 def test_torus_metric_bounds_and_mismatch():
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        u = TorusPoint.from_angles(rng.uniform(0, 2 * np.pi, 3))
-        v = TorusPoint.from_angles(rng.uniform(0, 2 * np.pi, 3))
-        d = torus_metric(u, v)
-        assert np.all(d >= -1.0) and np.all(d <= 1.0)
-    with pytest.raises(ValueError):
-        torus_metric(TorusPoint.from_angles([0.0]), TorusPoint.from_angles([0.0, 0.0]))
+    A = embed_angles(rng.uniform(0, 2 * np.pi, (50, 3)))
+    B = embed_angles(rng.uniform(0, 2 * np.pi, (50, 3)))
+    D = component_distances(A, B)
+    assert np.all(D >= -1.0) and np.all(D <= 1.0)
+    with pytest.raises(ValueError, match="1 and 2 circles"):
+        component_distances(embed_angles([[0.0]]), embed_angles([[0.0, 0.0]]))
 
 
 def test_aoa_embedding_normalizes_direction():
     # reference offset (3, 4) from the position has distance 5
     refs = np.array([[3.0, 4.0], [10.0, 0.0]])
-    t = aoa_embedding(np.zeros(2), refs)
-    assert np.allclose(t.array[0], [0.6, 0.8], atol=1e-15)
-    assert np.allclose(t.array[1], [1.0, 0.0], atol=1e-15)
+    t = aoa_embedding_batch(np.zeros((1, 2)), refs)[0]
+    assert np.allclose(t[0], [0.6, 0.8], atol=1e-15)
+    assert np.allclose(t[1], [1.0, 0.0], atol=1e-15)
 
 
 def test_aoa_embedding_batch_matches_single():
@@ -75,8 +69,8 @@ def test_aoa_embedding_batch_matches_single():
     batch = aoa_embedding_batch(pos, refs)
     assert batch.shape == (20, 3, 2)
     for i in range(20):
-        single = aoa_embedding(pos[i], refs)
-        assert np.allclose(batch[i], single.array, atol=1e-14)
+        single = aoa_embedding_batch(pos[i : i + 1], refs)[0]
+        assert np.allclose(batch[i], single, atol=1e-14)
 
 
 def test_aoa_embedding_batch_rejects_reference_collision():
@@ -87,13 +81,16 @@ def test_aoa_embedding_batch_rejects_reference_collision():
 
 
 def test_as_input_array_accepts_points_and_arrays():
-    pts = [TorusPoint.from_angles([0.1, 0.2]), TorusPoint.from_angles([1.0, 2.0])]
-    arr = as_input_array(pts)
+    arr = as_input_array(embed_angles([[0.1, 0.2], [1.0, 2.0]]).tolist())
     assert arr.shape == (2, 2, 2)
-    same = as_input_array(arr)
-    assert np.array_equal(arr, same)
-    single = as_input_array(pts[0])
-    assert single.shape == (1, 2, 2)
+    # a float array passes through without a copy
+    assert as_input_array(arr) is arr
+    assert as_input_array(arr[:1]).shape == (1, 2, 2)
+    with pytest.raises(ValueError, match=r"shape \(n, m, 2\)"):
+        as_input_array(arr[0])
+    for empty in (arr[:0], arr[:, :0]):
+        with pytest.raises(ValueError, match="at least one point and one circle"):
+            as_input_array(empty)
 
 
 def test_as_input_array_validates_norms():
@@ -111,8 +108,7 @@ def test_embed_angles_matches_circle_points_bit_for_bit(shape):
     emb = embed_angles(theta)
     assert emb.shape == (*shape, 2)
     for idx in np.ndindex(*shape):
-        p = CirclePoint.from_angle(theta[idx])
-        assert emb[idx][0] == p.e1 and emb[idx][1] == p.e2
+        assert emb[idx][0] == np.cos(theta[idx]) and emb[idx][1] == np.sin(theta[idx])
 
 
 def test_chart_angles_range_and_inverse():
