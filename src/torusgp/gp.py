@@ -128,7 +128,7 @@ class TrainedGp(Dataset):
     IcmFactor for several. alpha caches (K + jitter_used * I)^-1 zvec. With
     several outputs, Alpha is alpha as the n x d matrix and prior_cov is
     k(x, x) B, the latent covariance at any single point; both are None for
-    one output.
+    one output. lifted is kernel.lift(inputs).
     """
 
     kernel: object
@@ -137,6 +137,7 @@ class TrainedGp(Dataset):
     chol: np.ndarray | IcmFactor
     alpha: np.ndarray
     jitter_used: float
+    lifted: np.ndarray
     Alpha: np.ndarray | None
     prior_cov: np.ndarray | None
 
@@ -231,14 +232,16 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     """
     data = Dataset.from_data(inputs, obs)
     X, Y = data.inputs, data.obs
+    lifted = kernel.lift(X)
+    K_x = kernel.gram_lifted(lifted)
     if Y.ndim == 1:
         if coreg is not None:
             raise ValueError("coreg given but observations are single-output")
         noise_var = float(noise_var)
         if not noise_var > 0.0:
             raise ValueError("noise variance must be positive")
-        K = system_matrix(kernel, X, noise_var, None)
-        factor, jitter = cholesky_with_jitter(K, label=kernel.family)
+        K_x.flat[:: data.n + 1] += noise_var  # the system matrix, in place
+        factor, jitter = cholesky_with_jitter(K_x, label=kernel.family)
         alpha = cho_solve((factor, True), Y)
         Alpha = prior_cov = None
     else:
@@ -253,7 +256,6 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
         if not np.all(noise_var > 0.0):
             raise ValueError("noise variances must be positive")
-        K_x = kernel.gram(X, X)
         scale = float(np.mean(np.outer(np.diag(K_x), np.diag(coreg)) + noise_var))
         factor, jitter = icm_factor(K_x, coreg, np.sqrt(noise_var), kernel.family, _jitters(scale))
         A = factor.solve(Y)
@@ -270,6 +272,7 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
         chol=factor,
         alpha=alpha,
         jitter_used=jitter,
+        lifted=lifted,
         Alpha=Alpha,
         prior_cov=prior_cov,
     )
@@ -284,16 +287,15 @@ def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
     Kt = Ktn U and G = B P, the mean is vec(Ktn Alpha B) and block (i, j)
     of the covariance is B_ij Ktt - sum_s G_is G_js Kt diag(1/D[:, s]) Kt^T.
     """
-    T = as_input_array(tests, m=gp.m)
+    LT = gp.kernel.lift(as_input_array(tests, m=gp.m))
+    Ktn, Ktt = gp.kernel.gram_lifted(LT, gp.lifted), gp.kernel.gram_lifted(LT)
     if not gp.multi_output:
-        Ktn = gp.kernel.gram(T, gp.inputs)
         mean = Ktn @ gp.alpha
-        cov = gp.kernel.gram(T, T) - Ktn @ cho_solve((gp.chol, True), Ktn.T)
+        cov = Ktt - Ktn @ cho_solve((gp.chol, True), Ktn.T)
     else:
-        Ktn = gp.kernel.gram(T, gp.inputs)
         Kt, G, M = Ktn @ gp.chol.U, gp.chol.G, Ktn @ gp.Alpha @ gp.coreg
         W = (Kt / gp.chol.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
-        cov = gp.coreg[:, None, :, None] * gp.kernel.gram(T, T)[None, :, None, :]
+        cov = gp.coreg[:, None, :, None] * Ktt[None, :, None, :]
         cov -= np.einsum("is,js,sab->iajb", G, G, W)
         mean, cov = np.ravel(M, order="F"), cov.reshape(M.size, M.size)
     return PosteriorGaussian(mean=mean, cov=0.5 * (cov + cov.T))
@@ -306,16 +308,15 @@ def observation_moments(gp: TrainedGp, tests):
     the joint posterior from predict, plus R. With the names of predict,
     point p has covariance k(x, x) B - G diag(c_p) G^T + R with
     c_p = (Kt_p o Kt_p) D^-1. Only the cross-Gram and what follows from it
-    are computed here; G, 1/D, Alpha and k(x, x) B were formed when the
-    model was fitted.
+    are computed here; the lifted inputs, G, 1/D, Alpha and k(x, x) B were
+    formed when the model was fitted.
     """
-    T = as_input_array(tests, m=gp.m)
-    Ktn = gp.kernel.gram(T, gp.inputs)
+    Ktn = gp.kernel.gram_lifted(gp.kernel.lift(as_input_array(tests, m=gp.m)), gp.lifted)
     Kt = Ktn @ gp.chol.U
     mean = Ktn @ gp.Alpha @ gp.coreg
     c = (Kt * Kt) @ gp.chol.Dinv
-    G = gp.chol.G
-    cov = gp.prior_cov - np.einsum("is,ps,js->pij", G, c, G)
+    G = gp.chol.G  # sum_s G_is c_ps G_js in s order, as einsum would sum it
+    cov = gp.prior_cov - sum(G[:, None, s] * c[:, None, None, s] * G[None, :, s] for s in range(gp.d))
     cov[:, np.arange(gp.d), np.arange(gp.d)] += gp.noise_var
     return mean, cov
 

@@ -17,8 +17,8 @@ Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
     d B_ij:    sum(A_ij * K_x)                  (each entry independent)
     d sigma_s: 2 sigma_s * tr(A_ss)
 
-The feature stack F is built once per dataset; no per-coordinate n x n
-matrix is formed. How K is factored depends on the shape of the observations.
+Each dataset is lifted once (kernel.lift), and kernel.feature_sums takes
+the theta_f sums from that lift. How K is factored depends on the outputs.
 
 1-D observations: K = K_x + sigma^2 I is n x n, and its Cholesky factor gives
 F and, for the gradient, K^-1. A Cholesky factor costs a fraction of an
@@ -133,8 +133,8 @@ class _Problem:
     """Objective/gradient in unconstrained coordinates for one dataset.
 
     fixed maps kernel-coordinate names to pinned values; pinned coordinates
-    are evaluated at their values and dropped from phi. The kernel's feature
-    stack is built once here, so an evaluation only recombines it.
+    are evaluated at their values and dropped from phi. The kernel's lift of
+    the training inputs is formed once here.
     """
 
     def __init__(self, dataset: Dataset, kernel_template, fixed: dict | None = None):
@@ -146,8 +146,7 @@ class _Problem:
         if unknown:
             raise ValueError(f"fixed refers to unknown coordinates {sorted(unknown)}")
         self.free_idx = [i for i, nm in enumerate(self.names) if nm not in self.fixed]
-        X = dataset.inputs
-        self.features = kernel_template.features(X, X)
+        self.lifted = kernel_template.lift(dataset.inputs)
         self.d = dataset.d
         self.multi = dataset.multi_output
         self.n = dataset.n
@@ -175,29 +174,30 @@ class _Problem:
         phi = np.asarray(phi, dtype=float)
         nk, ng = len(self.free_idx), self.diag.size
         theta = np.array([self.fixed.get(nm, 0.0) for nm in self.names])
-        with np.errstate(over="ignore"):
+        # A line-search probe can push exp(), and ell^-2 with it, past the float
+        # range either way; report that as a factorization failure so the caller
+        # backs off instead of crashing inside a parameter constructor.
+        with np.errstate(over="ignore", divide="ignore"):
             free = np.exp(phi[:nk])
             g = phi[nk : nk + ng].copy()
             g[self.diag] = np.exp(g[self.diag])
             sigma = np.exp(phi[nk + ng :])
-        # A line-search probe can push exp() past the float range in either
-        # direction; report that as a factorization failure so the caller
-        # backs off instead of crashing inside a parameter constructor.
-        grown = np.concatenate([free, g[self.diag], sigma])
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(grown) & (grown > 0.0))):
-            err = FactorizationError(
-                f"{self.template.family}: hyperparameter coordinates "
-                "left the representable positive range"
-            )
-            err.theta = phi.copy()
-            raise err
-        theta[self.free_idx] = free
+            grown = np.concatenate([free, g[self.diag], sigma])
+            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(grown) & (grown > 0.0))):
+                err = FactorizationError(
+                    f"{self.template.family}: hyperparameter coordinates "
+                    "left the representable positive range"
+                )
+                err.theta = phi.copy()
+                raise err
+            theta[self.free_idx] = free
+            kernel = self.template.with_theta(theta)
         G = B = None
         if self.multi:
             G = np.zeros((self.d, self.d))
             G[self.tril] = g
             B = G @ G.T
-        return self.template.with_theta(theta), G, B, sigma
+        return kernel, G, B, sigma
 
     # -- evaluation ---------------------------------------------------------
 
@@ -212,7 +212,7 @@ class _Problem:
         # step, and the optimizer never reads a rejected probe's gradient
         with np.errstate(all="ignore"):
             try:
-                K_x = kernel.gram_from(self.features)
+                K_x = kernel.gram_lifted(self.lifted)
                 if self.multi:
                     F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
                 else:
@@ -222,11 +222,9 @@ class _Problem:
                     err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
                 err.theta = np.array(coords, dtype=float)
                 raise err
-            W = (Abar * K_x).ravel()
-            dc = kernel.coefficients()[1]
-            g_theta = np.concatenate(
-                [[(2.0 / kernel.theta[0]) * W.sum()], dc * (self.features.reshape(dc.size, -1) @ W)]
-            )
+            W = Abar * K_x
+            g_kernel = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
+            g_theta = np.concatenate([[(2.0 / kernel.theta[0]) * W.sum()], g_kernel])
         return F, g_theta, g_B, g_sigma
 
     def _cholesky(self, K_x, sigma):

@@ -1,41 +1,43 @@
 """Covariance functions on hypertori.
 
-Every kernel here has the exp-linear form
+Every kernel here is K = omega^2 exp(sum_f c_f F_f): one feature F_f per
+coordinate of theta after omega, with a coefficient c_f that depends on that
+coordinate alone. D^s holds the embedded inner products u_s . v_s on circle
+s. hvm, pvm and pprd are bilinear in a lift of each point (D^s = u_s . v_s
+and D^i D^j = (u_i (x) u_j) . (v_i (x) v_j)), so their exponent is
+lift(A) diag(w) lift(B)^T + e0, with w each c_f repeated over its block:
 
-    K = omega^2 * exp(sum_f c_f(theta) * F_f)
+    family  features F_f                   c_f                lift (width)
+    hvm     D^s, then D^i D^j (pair order)  lam_s, 2 corr_t    u_s, u_i (x) u_j (2m + 4m(m-1)/2)
+    pvm     D^s                             lam_s              u_s (2m)
+    pprd    D^s - 1                         ell_s^-2           u_s (2m), e0 = -sum c_f
+    pse     -(chart difference)^2 / 2       ell_s^-2           chart angles (m)
 
-over a fixed stack of feature matrices F_f, one per coordinate of theta
-after omega, with a coefficient c_f that depends on that coordinate alone.
-D^s holds the embedded inner products u_s . v_s on circle s:
+hvm is the coupled kernel omega^2 exp(lam . d + d^T Lam d), Lam hollow and
+symmetric with the pair weights corr >= 0 off the diagonal, in the pair
+order (1,2), (2,3), ..., (m-1,m), (1,3), ...; with corr = 0 it is pvm, a
+product of von Mises kernels. pprd is exp(-2 sin^2((a - b)/2) / l^2). pse
+keeps the chart-difference form, aperiodic across the chart seam by design:
+lifted, (a - b)^2 = a^2 - 2ab + b^2 with angles up to 2 pi would lose digits
+and the diagonal would no longer be exactly 0. dK/d omega = (2/omega) K and
+dK/d theta_f = c_f' K F_f.
 
-    family  features F_f                        coefficients c_f
-    hvm     D^s, then D^i * D^j in pair order    lam_s, then 2 * corr_t
-    pvm     D^s                                  lam_s
-    pprd    D^s - 1                              ell_s^-2
-    pse     -(chart difference on circle s)^2/2  ell_s^-2
-
-hvm is the coupled kernel omega^2 exp(lam . d + d^T Lam d), where Lam is
-hollow and symmetric with the pair weights corr >= 0 off the diagonal,
-stored in the canonical pair order (1,2), (2,3), ..., (m-1,m), (1,3), ...;
-with corr = 0 it is pvm, a product of per-circle von Mises kernels. pprd is
-the periodic factor exp(-2 sin^2((a - b)/2) / l^2) = exp((u.v - 1) / l^2).
-pse uses raw differences of chart angles in [0, 2*pi), so it is deliberately
-aperiodic across the chart seam. The derivatives follow from the form:
-
-    dK/d omega   = (2 / omega) * K
-    dK/d theta_f = c_f'(theta_f) * K * F_f
-
-Every path sums the exponent in one order, theta order. gram() never builds
-the stack: it forms each per-circle feature as a contiguous (n, p) matrix,
-adds c_f * F_f into one exponent circle by circle, then the hvm pair terms,
-and exponentiates in place. features() stacks the same matrices for the
-optimizer's gradient, and gram_from() sums them in the same order, so
-gram(A, B) equals gram_from(features(A, B)) bit for bit. prior_variance()
-sums the features' coincident-point values the same way.
+For hvm, pvm and pprd every Gram, gram(A, B) and the self-Gram gram(A)
+alike, is one GEMM Psi(A) Psi(B)^T with Psi = lift diag(sqrt w) (every
+weight is nonnegative), then one in-place exp. The self-Gram is symmetric: each entry is its
+mirror's sum of the same products, in the same order. Its diagonal is set
+to the coincident exponent sum_f c_f F_f(x, x) in theta order: k(x, x) is
+the same for every x, and prior_variance() returns it. gram_lifted()
+takes lifts made once, as gp.fit and the optimizer keep for the training
+inputs; feature_sums() gives the optimizer's sum_ij W_ij F_f(x_i, x_j), the
+block sums of diag(lift^T W lift).
 
 A kernel is named by its family, m and theta alone; the optimizer, model
 files and the case-2 parameter sets all carry that form.
 """
+
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .manifold import chart_angles
 
 __all__ = [
     "pair_order",
-    "component_distances",
     "ExpLinearKernel",
     "kernel_from_family",
 ]
@@ -59,44 +60,18 @@ def pair_order(m: int) -> list:
     return [(i, i + g) for g in range(1, m) for i in range(m - g)]
 
 
-def _inner_products(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
-    """D^s[i, j] = A_is . B_js as a contiguous (n, p) matrix."""
-    return A[:, None, s, 0] * B[None, :, s, 0] + A[:, None, s, 1] * B[None, :, s, 1]
+# family -> (per-circle coordinate, its default value): "lam" enters the
+# exponent linearly, "ell" as ell^-2; only hvm adds pair weights, from 0.1.
+_FAMILIES = {"hvm": ("lam", 1.0), "pvm": ("lam", 1.0), "pprd": ("ell", 1.0), "pse": ("ell", 2.0)}
 
 
-def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Componentwise inner products between two input sets.
-
-    A: (n, m, 2), B: (p, m, 2)  ->  (m, n, p) with D[s, i, j] = A_is . B_js.
-    """
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"input sets have {A.shape[1]} and {B.shape[1]} circles")
-    return np.stack([_inner_products(A, B, s) for s in range(A.shape[1])])
-
-
-def _shifted_inner_products(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
-    F = _inner_products(A, B, s)
-    F -= 1.0
-    return F
-
-
-def _chart_difference(A: np.ndarray, B: np.ndarray, s: int) -> np.ndarray:
-    F = chart_angles(A[:, s])[:, None] - chart_angles(B[:, s])[None, :]
-    F *= F
-    F *= -0.5
-    return F
-
-
-# family -> (feature of circle s as an (n, p) matrix, its value at coincident
-# points, per-circle coordinate, its default value). Coordinates named "lam"
-# enter the exponent linearly, coordinates named "ell" as ell^-2; only hvm
-# adds the pair features, with weights from 0.1.
-_FAMILIES = {
-    "hvm": (_inner_products, 1.0, "lam", 1.0),
-    "pvm": (_inner_products, 1.0, "lam", 1.0),
-    "pprd": (_shifted_inner_products, 0.0, "ell", 1.0),
-    "pse": (_chart_difference, 0.0, "ell", 2.0),
-}
+@lru_cache
+def _layout(family: str, m: int):
+    """Per (family, m): the pairs, block widths and starts in the lift, the "lam" slopes dc_f/dtheta_f."""
+    pairs = tuple(pair_order(m)) if family == "hvm" else ()
+    widths, slopes = np.array([2] * m + [4] * len(pairs)), np.array([1.0] * m + [2.0] * len(pairs))
+    widths.flags.writeable = slopes.flags.writeable = False
+    return pairs, widths, np.cumsum(widths) - widths, slopes
 
 
 class ExpLinearKernel:
@@ -112,8 +87,8 @@ class ExpLinearKernel:
             raise ValueError(f"unknown kernel family {family!r}")
         self.family = family
         self.m = int(m)
-        self._circle_feature, self._coincident, self._scale, _ = _FAMILIES[family]
-        self._pairs = pair_order(self.m) if family == "hvm" else []
+        self._scale = _FAMILIES[family][0]
+        self._pairs, self._widths, self._starts, slopes = _layout(family, self.m)
         theta = np.array(theta, dtype=float).ravel()
         if theta.size != 1 + self.m + len(self._pairs):
             raise ValueError(
@@ -128,6 +103,10 @@ class ExpLinearKernel:
             )
         theta.flags.writeable = False
         self.theta = theta
+        t, lam = theta[1:], self._scale == "lam"
+        self._c, self._dc = (slopes * t, slopes) if lam else (1.0 / t**2, -2.0 / t**3)
+        if family != "pse":  # c_f over its block of the lift, rooted
+            self._root_w = np.sqrt(np.repeat(self._c, self._widths))
 
     @property
     def theta_names(self) -> tuple:
@@ -140,59 +119,76 @@ class ExpLinearKernel:
 
     def coefficients(self):
         """Exponent coefficients c_f and their derivatives dc_f / dtheta_f."""
-        t = self.theta[1:]
-        if self._scale == "ell":
-            return 1.0 / t**2, -2.0 / t**3
-        weight = np.ones(t.size)
-        weight[self.m :] = 2.0  # pair weights enter as 2 * corr
-        return weight * t, weight
+        return self._c, self._dc
 
-    def _feature_matrices(self, A: np.ndarray, B: np.ndarray):
-        """The feature matrices F_f in theta order, each a contiguous (n, p) array."""
-        if A.shape[1] != self.m or B.shape[1] != self.m:
-            raise ValueError(
-                f"{self.family} kernel on T^{self.m} got inputs with {A.shape[1]} and {B.shape[1]} circles"
-            )
-        F = [self._circle_feature(A, B, s) for s in range(self.m)]
-        yield from F
-        for i, j in self._pairs:
-            yield F[i] * F[j]
+    def lift(self, A: np.ndarray) -> np.ndarray:
+        """The lift of (n, m, 2) inputs: (n, width) rows, the (n, m) chart angles for pse."""
+        if A.shape[1] != self.m:
+            raise ValueError(f"{self.family} kernel on T^{self.m} got inputs with {A.shape[1]} circles")
+        if self.family == "pse":
+            return chart_angles(A)
+        i, j = np.array(self._pairs, dtype=int).reshape(-1, 2).T
+        pairs = A[:, i, :, None] * A[:, j, None, :]  # u_i (x) u_j, pair by pair
+        return np.concatenate([A.reshape(len(A), -1), pairs.reshape(len(A), -1)], axis=1)
 
-    def _exp_linear(self, features) -> np.ndarray:
-        """omega^2 * exp(sum_f c_f F_f), the sum taken in theta order."""
-        c = self.coefficients()[0]
-        features = iter(features)
-        E = c[0] * next(features)
-        for c_f, F in zip(c[1:], features):
-            E += c_f * F
+    def _coincident_exponent(self) -> float:
+        """sum_f c_f F_f(x, x), summed in theta order: F_f(x, x) is 1 for hvm/pvm, 0 for pprd/pse."""
+        return 0.0 if self._scale == "ell" else reduce(add, self._c.tolist(), 0.0)
+
+    def _chart_term(self, LA: np.ndarray, LB: np.ndarray, s: int, c_s: float, out=None) -> np.ndarray:
+        """c_s * -(a_s - b_s)^2 / 2 between the chart angles of two lifts."""
+        F = np.subtract(LA[:, s, None], LB[None, :, s], out=out)
+        F *= F
+        F *= -0.5 * c_s
+        return F
+
+    def gram_lifted(self, LA: np.ndarray, LB: np.ndarray | None = None) -> np.ndarray:
+        """Kernel matrix between lifted inputs; LB = None gives the self-Gram of LA."""
+        own, LB = LB is None, LA if LB is None else LB
+        if self.family == "pse":
+            E = self._chart_term(LA, LB, 0, self._c[0])
+            F = np.empty_like(E) if self.m > 1 else None
+            for s in range(1, self.m):
+                E += self._chart_term(LA, LB, s, self._c[s], out=F)
+        else:  # two distinct factors, so a self-Gram takes the same GEMM as a cross-Gram
+            E = (LA * self._root_w) @ (LB * self._root_w).T
+            if self.family == "pprd":
+                E -= np.sum(self._c)
+            if own:  # pse's diagonal is exactly 0 already
+                E.flat[:: E.shape[0] + 1] = self._coincident_exponent()
         np.exp(E, out=E)
         E *= self.theta[0] ** 2
         return E
 
-    def features(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """C-contiguous (len(theta) - 1, n, p) stack of the feature matrices F_f."""
-        return np.stack(list(self._feature_matrices(A, B)))
+    def gram(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+        """Kernel matrix between two input sets; gram(A) or gram(A, A) is A's self-Gram."""
+        return self.gram_lifted(self.lift(A), None if B is None or B is A else self.lift(B))
 
-    def gram_from(self, F: np.ndarray) -> np.ndarray:
-        """Kernel matrix from a feature stack made by features(); equal to gram()."""
-        return self._exp_linear(F)
+    def _features(self, L: np.ndarray) -> list:
+        """The (n, n) feature matrices F_f between the lifted points, in theta order."""
+        if self.family == "pse":
+            return [self._chart_term(L, L, s, 1.0) for s in range(self.m)]
+        blocks = [L[:, a : a + w] for a, w in zip(self._starts, self._widths)]
+        return [b @ b.T - (1.0 if self.family == "pprd" else 0.0) for b in blocks]
 
-    def gram(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self._exp_linear(self._feature_matrices(A, B))
+    def feature_sums(self, L: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """sum_ij W_ij F_f(x_i, x_j) for every feature f, from the lift L of the x_i."""
+        if self.family == "pse":  # every circle's squared chart differences, one (m, n, n) stack
+            D2 = np.subtract(L.T[:, :, None], L.T[:, None, :], order="C") ** 2
+            return -0.5 * (D2.reshape(self.m, -1) @ W.ravel())
+        sums = np.add.reduceat((L * (W @ L)).sum(axis=0), self._starts)
+        return sums - np.sum(W) if self.family == "pprd" else sums
 
     def gram_and_partials(self, X: np.ndarray):
         """Gram matrix and its derivatives in theta order, as a stack."""
-        F = self.features(X, X)
-        K = self.gram_from(F)
-        dc = self.coefficients()[1]
-        parts = np.concatenate([[(2.0 / self.theta[0]) * K], dc[:, None, None] * K * F])
-        return K, parts
+        L = self.lift(X)
+        K = self.gram_lifted(L)
+        parts = [(2.0 / self.theta[0]) * K] + [dc * K * F for dc, F in zip(self._dc, self._features(L))]
+        return K, np.stack(parts)
 
     def prior_variance(self) -> float:
-        """k(x, x), identical for every x: each F_f takes its coincident-point value."""
-        f = self._coincident
-        F = np.array([f] * self.m + [f * f] * len(self._pairs))
-        return float(self._exp_linear(F[:, None, None])[0, 0])
+        """k(x, x), identical for every x, and the diagonal of every self-Gram."""
+        return float(np.exp(self._coincident_exponent()) * self.theta[0] ** 2)
 
 
 def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
@@ -201,4 +197,4 @@ def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     q = m * (m - 1) // 2 if family == "hvm" else 0
-    return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][3]] * m + [0.1] * q)
+    return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][1]] * m + [0.1] * q)

@@ -21,6 +21,7 @@ so simulation output can feed the training and tracking stages as files.
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,7 @@ class ScenarioConfig:
     Defaults describe a 30 x 30 m arena with three references, a random-walk
     process model with per-axis variance 0.16 m^2, a 5 % relative range
     offset, and a 24 x 10 training grid (cell-centered, half-cell margins).
+    Array forms and the process noise root are computed once, read-only.
     """
 
     arena: tuple = (30.0, 30.0)
@@ -112,13 +114,19 @@ class ScenarioConfig:
     def m(self) -> int:
         return len(self.references)
 
-    @property
+    @cached_property
     def references_array(self) -> np.ndarray:
-        return np.asarray(self.references, dtype=float)
+        return _read_only(np.array(self.references, dtype=float))
 
-    @property
+    @cached_property
     def process_cov_array(self) -> np.ndarray:
-        return np.asarray(self.process_cov, dtype=float)
+        return _read_only(np.array(self.process_cov, dtype=float))
+
+    @cached_property
+    def process_noise_root(self) -> np.ndarray:
+        """Symmetric square root S of process_cov (S S^T = Q), singular Q included."""
+        w, V = np.linalg.eigh(self.process_cov_array)
+        return _read_only((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
     def with_(self, **kw) -> "ScenarioConfig":
         return replace(self, **kw)
@@ -134,18 +142,15 @@ def range_function(x, references) -> np.ndarray:
     return h[0] if single else h
 
 
-def _cov_sqrt(Q: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix (handles the singular case)."""
-    w, V = np.linalg.eigh(Q)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def simulate_dynamics(x, Q, rng: np.random.Generator) -> np.ndarray:
-    """One random-walk step x_next = x + w, w ~ N(0, Q). x may be (2,) or (n, 2)."""
+def simulate_dynamics(x, cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """One random-walk step x_next = x + w, w ~ N(0, cfg.process_cov). x may be (2,) or (n, 2)."""
     x = np.asarray(x, dtype=float)
-    S = _cov_sqrt(np.asarray(Q, dtype=float))
-    w = rng.standard_normal(x.shape) @ S.T
-    return x + w
+    return x + rng.standard_normal(x.shape) @ cfg.process_noise_root.T
 
 
 def measure_range(x, cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:

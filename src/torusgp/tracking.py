@@ -257,7 +257,7 @@ def step(
     marked diverged. Otherwise the largest weight is exp(0) = 1 before
     normalizing, so their sum cannot underflow.
     """
-    prop = simulate_dynamics(particles.positions, cfg.process_cov_array, rng)
+    prop = simulate_dynamics(particles.positions, cfg, rng)
     ll = model.logpdf(prop, np.asarray(z, dtype=float), cfg.references_array)
     with np.errstate(divide="ignore"):
         logw = np.log(particles.weights) + ll

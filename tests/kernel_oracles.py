@@ -11,7 +11,9 @@ them by a plain double loop. An hvm kernel is read from its theta
 paper's hollow symmetric matrix Lam from the pair weights.
 
 The multi-output objective F and its gradient (torusgp.hyperopt) have two
-references: ``dense_icm`` assembles the N x N ICM system and inverts it in
+references: ``dense_icm`` assembles the N x N ICM system from the scalar
+kernels (``scalar_kernel``) and per-point feature values
+(``feature_values``), never from torusgp's own Gram, and inverts it in
 double precision, and ``mp_hvm_icm`` repeats the algebra in 50-digit
 arithmetic for small hvm problems. The predictive log-density that scores
 filter particles (torusgp.tracking.GpRangeModel.logpdf) has two as well:
@@ -148,6 +150,13 @@ def _check_m(u, v, p) -> None:
         raise ValueError(f"points have {len(u)} circles, parameters expect {p.m}")
 
 
+def component_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Componentwise inner products: (n, m, 2) and (p, m, 2) -> (m, n, p), D[s, i, j] = A_is . B_js."""
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"input sets have {A.shape[1]} and {B.shape[1]} circles")
+    return np.einsum("isk,jsk->sij", A, B)
+
+
 def gram(inputs_a, inputs_b, kernel) -> np.ndarray:
     """Cross-covariance matrix of a scalar kernel k(u, v) by a double loop."""
     A = as_input_array(inputs_a)
@@ -159,17 +168,58 @@ def gram(inputs_a, inputs_b, kernel) -> np.ndarray:
     return out
 
 
+def scalar_kernel(kernel):
+    """The scalar oracle k(u, v) of an exp-linear kernel, at its theta.
+
+    hvm goes to k_hvm; the product baselines carry omega on their first
+    circle and 1 on the others, so their product of signal scales is omega^2.
+    """
+    if kernel.family == "hvm":
+        return lambda u, v: k_hvm(u, v, kernel)
+    theta = kernel.theta.tolist()
+    params = BaselineKernelParams((theta[0],) + (1.0,) * (kernel.m - 1), theta[1:])
+    oracle = {"pvm": k_pvm, "pprd": k_pprd, "pse": k_pse}[kernel.family]
+    return lambda u, v: oracle(u, v, params)
+
+
+def feature_values(kernel, u, v) -> np.ndarray:
+    """F_f(u, v) for every theta coordinate after omega, from the textbook forms.
+
+    d_s = u_s . v_s (hvm then adds d_i d_j in pair order), pprd's
+    -2 sin^2((a - b)/2) and pse's -(a - b)^2/2 on chart angles a, b.
+    """
+    if kernel.family in ("pprd", "pse"):
+        gap = _angles(u) - _angles(v)
+        return -2.0 * np.sin(gap / 2.0) ** 2 if kernel.family == "pprd" else -(gap**2) / 2.0
+    d = np.sum(u * v, axis=1)
+    pairs = [d[i] * d[j] for i, j in pair_order(kernel.m)] if kernel.family == "hvm" else []
+    return np.r_[d, pairs]
+
+
+def coefficient_slopes(kernel) -> np.ndarray:
+    """dc_f/dtheta_f: 1 per concentration, 2 per pair weight, -2 ell^-3 per length scale."""
+    t = kernel.theta[1:]
+    if kernel.family in ("pprd", "pse"):
+        return -2.0 / t**3
+    return np.r_[np.ones(kernel.m), np.full(t.size - kernel.m, 2.0)]
+
+
 def dense_icm(kernel, X, Z, B, sigma):
     """F, dF/dtheta, dF/dB and dF/dsigma through the dense ICM system.
 
-    Assembles K = B kron K_x + R kron I_n (N = n d, output-major), factors
-    it, forms K^-1 = cho_solve(L, I) and contracts the n x n blocks A_ij of
-    A = alpha alpha^T - K^-1: dF/dtheta_k = sum_ij B_ij sum(A_ij * dK_x/dtheta_k),
+    K_x comes from the scalar oracle by a double loop, and dK_x/dtheta from
+    dK/domega = 2K/omega and dK/dtheta_f = c_f' K F_f with per-point feature
+    values. Assembles K = B kron K_x + R kron I_n (N = n d, output-major),
+    factors it, forms K^-1 = cho_solve(L, I) and contracts the n x n blocks
+    A_ij of A = alpha alpha^T - K^-1: dF/dtheta_k = sum_ij B_ij sum(A_ij * dK_x/dtheta_k),
     dF/dB_ij = sum(A_ij * K_x), dF/dsigma_s = 2 sigma_s tr(A_ss).
     """
     n, d = Z.shape
     N = n * d
-    K_x, dK = kernel.gram_and_partials(X)
+    K_x = gram(X, X, scalar_kernel(kernel))
+    F = np.array([[feature_values(kernel, u, v) for v in X] for u in X]).transpose(2, 0, 1)
+    slopes = coefficient_slopes(kernel)[:, None, None]
+    dK = np.concatenate([[(2.0 / kernel.theta[0]) * K_x], slopes * K_x * F])
     K = np.kron(B, K_x) + np.kron(np.diag(sigma**2), np.eye(n))
     L = np.linalg.cholesky(K)
     z = np.ravel(Z, order="F")

@@ -500,7 +500,7 @@ def test_model_with_a_kernel_on_another_torus_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     argv = ["track", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
     assert cli.main(argv + ["--method", "HvM", "--model", str(path)]) == 3
-    assert "T^2 got inputs with 3 and 3 circles" in capsys.readouterr().err
+    assert "T^2 got inputs with 3 circles" in capsys.readouterr().err
 
 
 def test_case1_outputs_and_periodicity_report(tmp_path):

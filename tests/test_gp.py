@@ -220,7 +220,7 @@ def test_fit_validates_coreg_and_noise():
 def test_fit_rejects_a_kernel_on_another_torus(m):
     rng = np.random.default_rng(6)
     X = _inputs(rng, 10, 3)
-    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 and 3 circles"):
+    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 circles"):
         gp.fit(X, rng.standard_normal(10), kernel_from_family("hvm", m), 0.01)
 
 

@@ -71,17 +71,21 @@ def _icm_problem(rng, family, n, d, m=3):
 
 
 # Relative to the largest entry of each block (or 1). The test systems have
-# cond(K) from 7e1 to 2e3, and the two evaluations agree to 1e-13 or better;
+# cond(K) from 3 to 6e3, and the two evaluations agree to 2e-12 or better;
 # a wrong term in any closed form moves a block by far more than 1e-9.
 ICM_RTOL = 1e-9
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
-def test_icm_objective_and_gradient_match_the_dense_oracle(family, d):
+@pytest.mark.parametrize(
+    "family, m",
+    [("hvm", 3), ("hvm", 1), ("hvm", 4), ("pvm", 3), ("pprd", 3), ("pse", 3)],
+    ids=["hvm", "hvm_T1", "hvm_T4", "pvm", "pprd", "pse"],
+)
+def test_icm_objective_and_gradient_match_the_dense_oracle(family, m, d):
     """The eigen factorization against the dense N x N inverse, block by block."""
     rng = np.random.default_rng(["hvm", "pvm", "pprd", "pse"].index(family) * 10 + d)
-    X, Z, kernel, B, sigma = _icm_problem(rng, family, 30, d)
+    X, Z, kernel, B, sigma = _icm_problem(rng, family, 30, d, m)
     F_ref, g_theta, g_B, g_sigma = dense_icm(kernel, X, Z, B, sigma)
     F = hyperopt.objective((X, Z), kernel, sigma, coreg=B)
     _, grads = hyperopt.gradient((X, Z), kernel, sigma, coreg=B)
@@ -167,7 +171,7 @@ def test_optimize_from_a_zero_free_coordinate_names_it():
 def test_optimize_rejects_a_kernel_on_another_torus(m):
     rng = np.random.default_rng(6)
     X = _inputs(rng, 10, 3)
-    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 and 3 circles"):
+    with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 circles"):
         hyperopt.optimize((X, rng.standard_normal(10)), kernel_from_family("hvm", m), budget=5, restarts=1)
 
 

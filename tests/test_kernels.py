@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from kernel_oracles import (
     BaselineKernelParams,
     VmHyperparams,
+    component_distances,
+    feature_values,
     gram,
     interaction_matrix,
     k_hvm,
@@ -13,10 +15,10 @@ from kernel_oracles import (
     k_pse,
     k_pvm,
     k_vm,
+    scalar_kernel,
 )
 from torusgp.kernels import (
     ExpLinearKernel,
-    component_distances,
     kernel_from_family,
     pair_order,
 )
@@ -240,6 +242,10 @@ def test_periodic_kernel_wraps():
 _AXIS_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
+def _lift_width(family, m):
+    return {"hvm": 2 * m + 4 * (m * (m - 1) // 2), "pvm": 2 * m, "pprd": 2 * m, "pse": m}[family]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(["hvm", "pvm", "pprd", "pse"]),
@@ -248,19 +254,68 @@ _AXIS_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     n=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gram_is_the_theta_order_sum_of_the_feature_stack(family, m, t, n, seed):
-    """gram, gram_from(features) and prior_variance sum one exponent in one order."""
+def test_gram_is_one_product_of_lifts(family, m, t, n, seed):
+    """Every Gram goes through the lift; the self-Gram is symmetric with prior_variance on its diagonal."""
     rng = np.random.default_rng(seed)
     template = kernel_from_family(family, m)
     kernel = template.with_theta(template.theta * rng.uniform(0.2, 5.0, template.theta.size))
     A, B = _random_inputs(rng, t, m), _random_inputs(rng, n, m)
-    F = kernel.features(A, B)
-    assert F.shape == (template.theta.size - 1, t, n)
-    assert F.flags.c_contiguous
-    assert np.array_equal(kernel.gram(A, B), kernel.gram_from(F))
+    LA, LB = kernel.lift(A), kernel.lift(B)
+    assert LA.shape == (t, _lift_width(family, m)) and LB.shape == (n, _lift_width(family, m))
+    assert np.array_equal(kernel.gram(A, B), kernel.gram_lifted(LA, LB))
+    K = kernel.gram(A)
+    assert np.array_equal(K, kernel.gram(A, A)) and np.array_equal(K, kernel.gram_lifted(LA))
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == kernel.prior_variance())
     # at a point built from axis vectors every embedded inner product is exactly 1
     x = _AXIS_POINTS[rng.integers(0, 4, m)][None]
     assert kernel.prior_variance() == kernel.gram(x, x)[0, 0]
+    # the gradient contraction sum_ij W_ij F_f(a_i, a_j) against per-point feature values
+    W = rng.standard_normal((t, t))
+    F = np.array([[feature_values(kernel, u, v) for v in A] for u in A])
+    want = np.einsum("ij,ijf->f", W, F)
+    scale = np.einsum("ij,ijf->f", np.abs(W), np.maximum(np.abs(F), 1.0))  # pprd's D - 1 cancels
+    assert np.all(np.abs(kernel.feature_sums(LA, W) - want) <= 1e-13 * scale)
+
+
+# Over 3000 random draws of the ranges below (seam points and duplicates
+# included) the worst relative gap between the lifted Gram and the scalar
+# oracles was 2.2e-14 (pse on T^4, whose exponent reaches about 500 in
+# magnitude, so one ulp of it is 1e-13 of K). 1e-12 leaves a margin of 45;
+# a wrong weight or block moves entries by far more.
+LIFT_RTOL = 1e-12
+
+# chart angles at and next to the seam, where pse is discontinuous
+_SEAM_ANGLES = np.array([0.0, 1e-12, np.pi, 2.0 * np.pi - 1e-12, np.nextafter(2.0 * np.pi, 0.0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["hvm", "pvm", "pprd", "pse"]),
+    m=st.integers(1, 4),
+    t=st.integers(1, 6),
+    n=st.integers(1, 6),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lifted_gram_matches_the_scalar_oracles(family, m, t, n, duplicates, seed):
+    """gram and the self-Gram against the per-pair textbook kernels, seam points included."""
+    rng = np.random.default_rng(seed)
+    template = kernel_from_family(family, m)
+    kernel = template.with_theta(template.theta * rng.uniform(0.2, 5.0, template.theta.size))
+
+    def points(count):
+        ang = rng.uniform(0.0, 2.0 * np.pi, (count, m))
+        seam = rng.random((count, m)) < 0.3
+        ang[seam] = rng.choice(_SEAM_ANGLES, int(seam.sum()))
+        return _point(ang)
+
+    A, B = points(t), points(n)
+    if duplicates:
+        B = np.concatenate([B, A[rng.integers(0, t, 2)]])
+    oracle = scalar_kernel(kernel)
+    for got, want in [(kernel.gram(A, B), gram(A, B, oracle)), (kernel.gram(A), gram(A, A, oracle))]:
+        assert np.all(np.abs(got - want) <= LIFT_RTOL * np.abs(want))
 
 
 # Rounding in the Gram entries and in eigvalsh can push the smallest

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from kernel_oracles import component_distances
 
-from torusgp.kernels import component_distances
 from torusgp.manifold import (
     aoa_embedding_batch,
     as_input_array,

@@ -82,10 +82,10 @@ def test_build_training_set_reproducible():
 
 
 def test_simulate_dynamics_covariance():
-    Q = np.array([[0.16, 0.0], [0.0, 0.16]])
+    cfg = ScenarioConfig(process_cov=((0.16, 0.0), (0.0, 0.16)))
     rng = rng_for(9, 0)
     x = np.zeros((20000, 2))
-    moved = simulate_dynamics(x, Q, rng)
+    moved = simulate_dynamics(x, cfg, rng)
     d = moved - x
     assert np.cov(d.T)[0, 0] == pytest.approx(0.16, rel=0.05)
     assert np.cov(d.T)[1, 1] == pytest.approx(0.16, rel=0.05)

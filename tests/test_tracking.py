@@ -6,7 +6,7 @@ from kernel_oracles import dense_observation_logpdf, mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel
 from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
-from torusgp.simulator import ScenarioConfig, build_training_set, rng_for, trajectory
+from torusgp.simulator import ScenarioConfig, build_training_set, measure_range, rng_for, trajectory
 
 TOY = ScenarioConfig(grid=(6, 4), steps=40, seed=3)
 
@@ -176,6 +176,28 @@ def test_step_divergence_resets_to_uniform():
         out = tracking.step(particles, np.ones(3), _FixedModel(ll), TOY, rng_for(1, 0))
         assert out.diverged
         assert np.allclose(out.weights, 0.05)
+
+
+def test_step_takes_its_constants_from_the_config_once(toy_trainset):
+    """step matches, bit for bit, an update that rebuilds every constant from
+    the config's tuples on every step; the config computes each once, read-only."""
+    cfg = TOY.with_(seed=4)
+    for arr, value in [(cfg.references_array, cfg.references), (cfg.process_cov_array, cfg.process_cov)]:
+        assert not arr.flags.writeable and np.array_equal(arr, np.asarray(value, dtype=float))
+    assert cfg.process_noise_root is cfg.process_noise_root
+    model = tracking.fit_parametric(toy_trainset, TOY.references_array)
+    truth = trajectory(cfg).positions[:8]
+    rng_a, rng_b = rng_for(4, 0), rng_for(4, 0)
+    a = b = tracking.ParticleSet(truth[0] + rng_for(4, 2).standard_normal((30, 2)), np.full(30, 1 / 30))
+    for z in measure_range(truth[1:], cfg, rng_for(4, 1)):
+        a = tracking.step(a, z, model, cfg, rng_a)
+        w, V = np.linalg.eigh(np.asarray(cfg.process_cov, dtype=float))
+        prop = b.positions + rng_b.standard_normal(b.positions.shape) @ ((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T).T
+        logw = np.log(b.weights) + model.logpdf(prop, z, np.asarray(cfg.references, dtype=float))
+        w = np.exp(logw - np.max(logw))
+        idx = tracking.systematic_resample(w / float(np.sum(w)), rng_b)
+        b = tracking.ParticleSet(prop[idx], np.full(30, 1 / 30))
+        assert np.array_equal(a.positions, b.positions)
 
 
 def test_step_resamples_every_step(toy_gp_model):
