@@ -105,11 +105,6 @@ _MANIFEST_FORMAT = "torusgp-manifest"
 
 TWO_PI = 2.0 * np.pi
 
-# case1 predicts its curves this many points at a time: it needs only the
-# marginal variances, so no (points x points) covariance of the whole curve
-# is formed. Blocks of 128 gave the same bits as one whole-curve predict.
-_CURVE_BLOCK = 128
-
 
 class ConfigError(Exception):
     """Invalid configuration or flag value (exit code 2)."""
@@ -356,16 +351,16 @@ def cmd_case1(args, config, seed, out):
     check = np.linspace(0.0, TWO_PI, sec["periodicity_angles"], endpoint=False)
     curves, gap, per = {}, {}, {}
     for label, model in models.items():
-        posts = [gp_mod.predict(model, emb[i : i + _CURVE_BLOCK]) for i in range(0, len(emb), _CURVE_BLOCK)]
-        curves[label] = (np.concatenate([p.mean for p in posts]), np.concatenate([np.diag(p.cov) for p in posts]))
+        mean, cov = gp_mod.marginals(model, emb)
+        curves[label] = (mean[:, 0], cov[:, 0, 0])
         # Seam behavior: the same circle point reached from both chart sides.
-        edge = gp_mod.predict(model, embed_angles(np.array([[0.0], [TWO_PI]])))
-        gap[label] = float(abs(edge.mean[0] - edge.mean[1]))
-        a = gp_mod.predict(model, embed_angles(check[:, None]))
-        b = gp_mod.predict(model, embed_angles(check[:, None] + TWO_PI))
+        edge, _ = gp_mod.marginals(model, embed_angles(np.array([[0.0], [TWO_PI]])))
+        gap[label] = float(abs(edge[0, 0] - edge[1, 0]))
+        a_mean, a_cov = gp_mod.marginals(model, embed_angles(check[:, None]))
+        b_mean, b_cov = gp_mod.marginals(model, embed_angles(check[:, None] + TWO_PI))
         per[label] = {
-            "mean_max_abs": float(np.max(np.abs(a.mean - b.mean))),
-            "var_max_abs": float(np.max(np.abs(np.diag(a.cov) - np.diag(b.cov)))),
+            "mean_max_abs": float(np.max(np.abs(a_mean - b_mean))),
+            "var_max_abs": float(np.max(np.abs(a_cov - b_cov))),
         }
 
     truth = density.mean_value(grid)

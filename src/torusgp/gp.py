@@ -1,31 +1,31 @@
 """Exact Gaussian process regression, single and multi-output.
 
-Observations get a zero prior mean and are used raw. The single-output system
-matrix is K = Kxx + sigma_r^2 I, factored by Cholesky. Multi-output regression
-couples d outputs through a PSD mixing matrix B (intrinsic coregionalization):
+Observations get a zero prior mean and are used raw. d outputs couple
+through a PSD mixing matrix B (intrinsic coregionalization):
 
     K = B kron Kxx + R kron I_n,    R = diag(sigma_r1^2, ..., sigma_rd^2),
 
 with observations vectorized output-major, z = vec(Z) for the n x d matrix Z,
 so block (i, j) of K holds B_ij * Kxx; predictions over t test points keep
-the same layout with length t*d. K has the exact Kronecker-eigen factor
+the same layout with length t*d. A single output is the case d = 1,
+B = [[1]], R = sigma_r^2. K has the exact Kronecker-eigen factor
 IcmFactor (Bonilla et al. 2008; Rakitsch et al. 2013): with
 Kxx = U diag(lam) U^T, R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the
 n x d matrix D = lam S^T + 1, K^-1 = (P kron U) diag(vec D)^-1 (P kron U)^T,
-and K is positive definite exactly when every entry of D is. fit, predict,
-the filter's per-point moments and torusgp.hyperopt all use this factor.
+and K is positive definite exactly when every entry of D is. fit, predict
+and marginals use this factor for every d, one included; torusgp.hyperopt
+uses it for 2-D observations.
 
-Both factorizations follow one escalating-jitter policy: zero first, then
+Factorizations follow one escalating-jitter policy: zero first, then
 1e-9 * mean(diag K) growing tenfold up to 1e-3 * mean(diag K). For ICM,
 K + eps I = B kron Kxx + (R + eps I) kron I, so a step redoes only the d x d
-eigh.
+eigh; cholesky_with_jitter applies the same policy to a dense matrix.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import kernels
 from .manifold import as_input_array
@@ -39,7 +39,7 @@ __all__ = [
     "icm_factor",
     "fit",
     "predict",
-    "observation_moments",
+    "marginals",
     "save_model",
     "load_model",
 ]
@@ -65,7 +65,7 @@ class IcmFactor:
     """Kronecker-eigen factor of an ICM system (names as in the module docstring).
 
     G = B P and Dinv = 1 / D are the per-model constants of predict and
-    observation_moments.
+    marginals.
     """
 
     U: np.ndarray
@@ -95,6 +95,8 @@ class Dataset:
         Y = np.asarray(obs, dtype=float)
         if Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0]:
             raise ValueError(f"observations of shape {Y.shape} do not match {X.shape[0]} inputs")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("observations must be finite")
         return cls(X, Y)
 
     @property
@@ -122,24 +124,21 @@ class Dataset:
 class TrainedGp(Dataset):
     """A fitted GP: data, kernel, noise, and the cached factorization.
 
-    noise_var is a scalar variance (single output) or a (d,) vector of
-    per-output variances; coreg is the (d, d) mixing matrix or None. chol
-    factors K + jitter_used * I: lower Cholesky factor for one output,
-    IcmFactor for several. alpha caches (K + jitter_used * I)^-1 zvec. With
-    several outputs, Alpha is alpha as the n x d matrix and prior_cov is
-    k(x, x) B, the latent covariance at any single point; both are None for
-    one output. lifted is kernel.lift(inputs).
+    d is 1 for 1-D observations, fitted as B = [[1]]. noise_var is the (d,)
+    vector of per-output variances and coreg the (d, d) mixing matrix B.
+    factor is the IcmFactor of K + jitter_used * I, and A the n x d matrix
+    with vec(A) = (K + jitter_used * I)^-1 zvec. prior_cov is k(x, x) B, the
+    latent covariance at any single point; lifted is kernel.lift(inputs).
     """
 
     kernel: object
-    noise_var: object
-    coreg: np.ndarray | None
-    chol: np.ndarray | IcmFactor
-    alpha: np.ndarray
+    noise_var: np.ndarray
+    coreg: np.ndarray
+    factor: IcmFactor
+    A: np.ndarray
     jitter_used: float
     lifted: np.ndarray
-    Alpha: np.ndarray | None
-    prior_cov: np.ndarray | None
+    prior_cov: np.ndarray
 
 
 def _jitters(scale: float) -> list:
@@ -153,8 +152,11 @@ def cholesky_with_jitter(K: np.ndarray, label: str = "kernel"):
 
     Tries jitter 0 first, then 1e-9 * mean(diag K) escalating tenfold until
     1e-3 * mean(diag K). Returns (L, jitter_used); raises FactorizationError
-    naming the kernel and the smallest pivot once the ceiling is passed.
+    naming the kernel on a non-finite K, or with the smallest pivot once the
+    ceiling is passed.
     """
+    if not np.all(np.isfinite(K)):
+        raise FactorizationError(f"{label}: system matrix has non-finite entries")
     scale = float(np.mean(np.diag(K)))
     jitters = _jitters(scale)
     for jitter in jitters:
@@ -220,104 +222,85 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     inputs : (n, m, 2) array of per-circle unit vectors (manifold.as_input_array)
     obs : (n,) array for a single output, (n, d) for d outputs
     kernel : a kernel object from torusgp.kernels
-    noise_var : scalar observation-noise variance, or (d,) vector (one per
-        output) in the multi-output case; all entries must be positive
-    coreg : (d, d) PSD mixing matrix, required iff obs is 2-d
+    noise_var : observation-noise variance, scalar or (d,) vector (one per
+        output); all entries must be positive
+    coreg : (d, d) PSD mixing matrix, required iff obs is 2-d; a single
+        output has B = [[1]]
 
     Returns
     -------
-    TrainedGp with the cached factorization and alpha = K^-1 z. Several
-    outputs take Alpha from the IcmFactor and refine it by one
-    residual-correction step against K Alpha = K_x Alpha B + Alpha R.
+    TrainedGp with the cached IcmFactor and the n x d matrix A with
+    vec(A) = K^-1 zvec, taken from the factor and refined by one
+    residual-correction step against K A = K_x A B + A R.
     """
     data = Dataset.from_data(inputs, obs)
-    X, Y = data.inputs, data.obs
+    X, d = data.inputs, data.d
+    if (coreg is None) == data.multi_output:
+        raise ValueError("coreg must be given for multi-output observations, and only then")
+    coreg = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
+    if coreg.shape != (d, d):
+        raise ValueError(f"coreg must be ({d}, {d}), got {coreg.shape}")
+    if not np.allclose(coreg, coreg.T, atol=1e-10):
+        raise ValueError("coreg must be symmetric")
+    noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
+    if noise_var.shape != (d,) or not np.all(noise_var > 0.0):
+        raise ValueError(f"noise variances must be {d} positive numbers")
+    Y = data.obs.reshape(data.n, d)
     lifted = kernel.lift(X)
     K_x = kernel.gram_lifted(lifted)
-    if Y.ndim == 1:
-        if coreg is not None:
-            raise ValueError("coreg given but observations are single-output")
-        noise_var = float(noise_var)
-        if not noise_var > 0.0:
-            raise ValueError("noise variance must be positive")
-        K_x.flat[:: data.n + 1] += noise_var  # the system matrix, in place
-        factor, jitter = cholesky_with_jitter(K_x, label=kernel.family)
-        alpha = cho_solve((factor, True), Y)
-        Alpha = prior_cov = None
-    else:
-        d = Y.shape[1]
-        if coreg is None:
-            raise ValueError("multi-output observations need a coreg matrix")
-        coreg = np.asarray(coreg, dtype=float)
-        if coreg.shape != (d, d):
-            raise ValueError(f"coreg must be ({d}, {d}), got {coreg.shape}")
-        if not np.allclose(coreg, coreg.T, atol=1e-10):
-            raise ValueError("coreg must be symmetric")
-        noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
-        if not np.all(noise_var > 0.0):
-            raise ValueError("noise variances must be positive")
-        scale = float(np.mean(np.outer(np.diag(K_x), np.diag(coreg)) + noise_var))
-        factor, jitter = icm_factor(K_x, coreg, np.sqrt(noise_var), kernel.family, _jitters(scale))
-        A = factor.solve(Y)
-        A += factor.solve(Y - K_x @ A @ coreg - A * (noise_var + jitter))
-        alpha = np.ravel(A, order="F")
-        Alpha = alpha.reshape(d, -1).T
-        prior_cov = kernel.prior_variance() * coreg
+    scale = float(np.mean(np.outer(np.diag(K_x), np.diag(coreg)) + noise_var))
+    factor, jitter = icm_factor(K_x, coreg, np.sqrt(noise_var), kernel.family, _jitters(scale))
+    A = factor.solve(Y)
+    A += factor.solve(Y - K_x @ A @ coreg - A * (noise_var + jitter))
     return TrainedGp(
         kernel=kernel,
         inputs=X,
-        obs=Y,
+        obs=data.obs,
         noise_var=noise_var,
         coreg=coreg,
-        chol=factor,
-        alpha=alpha,
+        factor=factor,
+        # column-major: matmul rounding depends on the layout, and stored outputs use this one
+        A=np.asfortranarray(A),
         jitter_used=jitter,
         lifted=lifted,
-        Alpha=Alpha,
-        prior_cov=prior_cov,
+        prior_cov=kernel.prior_variance() * coreg,
     )
 
 
 def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
     """Joint posterior of the latent function at the test points.
 
-    Single output: mean (t,), cov (t, t). Multi-output: mean (t*d,) and cov
-    (t*d, t*d) in output-major order; for a single test point that is the
-    length-d mean and (d, d) covariance. With the cross-Gram Ktn,
-    Kt = Ktn U and G = B P, the mean is vec(Ktn Alpha B) and block (i, j)
-    of the covariance is B_ij Ktt - sum_s G_is G_js Kt diag(1/D[:, s]) Kt^T.
+    Mean (t*d,) and cov (t*d, t*d) in output-major order: (t,) and (t, t)
+    for one output, the length-d mean and (d, d) covariance for a single
+    test point. With the cross-Gram Ktn, Kt = Ktn U and G = B P, the mean is
+    vec(Ktn A B) and block (i, j) of the covariance is
+    B_ij Ktt - sum_s G_is G_js Kt diag(1/D[:, s]) Kt^T.
     """
     LT = gp.kernel.lift(as_input_array(tests, m=gp.m))
     Ktn, Ktt = gp.kernel.gram_lifted(LT, gp.lifted), gp.kernel.gram_lifted(LT)
-    if not gp.multi_output:
-        mean = Ktn @ gp.alpha
-        cov = Ktt - Ktn @ cho_solve((gp.chol, True), Ktn.T)
-    else:
-        Kt, G, M = Ktn @ gp.chol.U, gp.chol.G, Ktn @ gp.Alpha @ gp.coreg
-        W = (Kt / gp.chol.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
-        cov = gp.coreg[:, None, :, None] * Ktt[None, :, None, :]
-        cov -= np.einsum("is,js,sab->iajb", G, G, W)
-        mean, cov = np.ravel(M, order="F"), cov.reshape(M.size, M.size)
+    Kt, G, M = Ktn @ gp.factor.U, gp.factor.G, Ktn @ gp.A @ gp.coreg
+    W = (Kt / gp.factor.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
+    cov = gp.coreg[:, None, :, None] * Ktt[None, :, None, :]
+    cov -= np.einsum("is,js,sab->iajb", G, G, W)
+    mean, cov = np.ravel(M, order="F"), cov.reshape(M.size, M.size)
     return PosteriorGaussian(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def observation_moments(gp: TrainedGp, tests):
-    """Per-point moments of the noisy observation vector, multi-output only.
+def marginals(gp: TrainedGp, tests):
+    """Per-point moments of the latent function: means (t, d), covariances (t, d, d).
 
-    Returns means (t, d) and covariances (t, d, d): the diagonal blocks of
-    the joint posterior from predict, plus R. With the names of predict,
-    point p has covariance k(x, x) B - G diag(c_p) G^T + R with
-    c_p = (Kt_p o Kt_p) D^-1. Only the cross-Gram and what follows from it
-    are computed here; the lifted inputs, G, 1/D, Alpha and k(x, x) B were
+    These are the diagonal blocks of the joint posterior from predict. With
+    the names of predict, point p has covariance k(x, x) B - G diag(c_p) G^T
+    with c_p = (Kt_p o Kt_p) D^-1. Only the cross-Gram and what follows from
+    it are computed here; the lifted inputs, G, 1/D, A and k(x, x) B were
     formed when the model was fitted.
     """
     Ktn = gp.kernel.gram_lifted(gp.kernel.lift(as_input_array(tests, m=gp.m)), gp.lifted)
-    Kt = Ktn @ gp.chol.U
-    mean = Ktn @ gp.Alpha @ gp.coreg
-    c = (Kt * Kt) @ gp.chol.Dinv
-    G = gp.chol.G  # sum_s G_is c_ps G_js in s order, as einsum would sum it
+    Kt = Ktn @ gp.factor.U
+    mean = Ktn @ gp.A @ gp.coreg
+    c = (Kt * Kt) @ gp.factor.Dinv
+    G = gp.factor.G  # sum_s G_is c_ps G_js in s order, as einsum would sum it
     cov = gp.prior_cov - sum(G[:, None, s] * c[:, None, None, s] * G[None, :, s] for s in range(gp.d))
-    cov[:, np.arange(gp.d), np.arange(gp.d)] += gp.noise_var
     return mean, cov
 
 
@@ -355,10 +338,8 @@ def save_model(gp: TrainedGp, path) -> None:
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "kernel": _kernel_to_dict(gp.kernel),
-        "noise_var": (
-            float(gp.noise_var) if not gp.multi_output else np.asarray(gp.noise_var).tolist()
-        ),
-        "coreg": None if gp.coreg is None else gp.coreg.tolist(),
+        "noise_var": gp.noise_var.tolist() if gp.multi_output else float(gp.noise_var[0]),
+        "coreg": gp.coreg.tolist() if gp.multi_output else None,
         "inputs": gp.inputs.tolist(),
         "obs": gp.obs.tolist(),
     }

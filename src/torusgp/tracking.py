@@ -117,9 +117,9 @@ class GpRangeModel:
     """Batched per-particle predictive likelihood under a trained GP.
 
     Each particle x with embedding u is scored under N(z; mean(u), S(u)),
-    the GP's predictive density of the observation vector at u, with the
-    per-point moments from torusgp.gp.observation_moments for all particles
-    of a step at once.
+    the GP's predictive density of the observation vector at u: S(u) is the
+    latent covariance from torusgp.gp.marginals plus R, with the moments of
+    all particles of a step formed at once.
     """
 
     def __init__(self, trained: gp_mod.TrainedGp):
@@ -134,7 +134,8 @@ class GpRangeModel:
         ok = np.min(dist, axis=1) >= AOA_SINGULARITY_TOL
         if not np.any(ok):
             return out
-        means, S = gp_mod.observation_moments(self.gp, units[ok])
+        means, S = gp_mod.marginals(self.gp, units[ok])
+        S[:, np.arange(self.gp.d), np.arange(self.gp.d)] += self.gp.noise_var
         r = z[None, :] - means
         # slogdet and solve factor each S by the same LU, so sign > 0 means
         # no zero pivot and solve cannot raise on S[good]
@@ -153,6 +154,8 @@ class ParametricRangeModel:
     def __init__(self, bias: np.ndarray, cov: np.ndarray):
         self.bias = np.asarray(bias, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
+        if not (np.all(np.isfinite(self.bias)) and np.all(np.isfinite(self.cov))):
+            raise ValueError("residual bias and covariance must be finite")
         self.chol, _ = gp_mod.cholesky_with_jitter(self.cov, label="parametric residual")
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 

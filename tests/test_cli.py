@@ -384,6 +384,20 @@ def test_train_refuses_a_broken_training_set(tmp_path, capsys, toy_models, cell)
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, field", [("HvM", "obs"), ("Parametric", "bias")])
+def test_track_refuses_a_model_file_with_a_nan(tmp_path, capsys, toy_models, method, field):
+    """A NaN among a model file's numbers exits 3 naming the file, not a silent diverged run."""
+    doc = json.loads((toy_models / f"model_{method.lower()}.json").read_text())
+    values = doc[field][1] if field == "obs" else doc[field]
+    values[0] = float("nan")
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    cfg = _write_config(tmp_path)
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", method]
+    assert cli.main(argv + ["--model", str(bad)]) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_track_refuses_a_trajectory_with_a_nan_cell(tmp_path, capsys, toy_models):
     text = (toy_models / "trajectory.csv").read_text().splitlines()
     text[3] = ",".join(text[3].split(",")[:2] + ["nan"])

@@ -112,24 +112,43 @@ def test_identity_mixing_reduces_to_independent_gps():
         assert np.max(np.abs(cov_ii - ref.cov)) < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
-def test_observation_moments_are_the_diagonal_blocks_of_predict_observation(family):
+def test_marginals_are_the_diagonal_blocks_of_predict(family, d):
     """The per-point moments, from the constants fixed at fit time, against the joint posterior."""
     rng = np.random.default_rng(31)
-    n, t, d = 16, 6, 3
+    n, t = 16, 6
     X, T = _inputs(rng, n, 3), _inputs(rng, t, 3)
     Z = rng.standard_normal((n, d))
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.3 * np.eye(d)
     kernel = kernel_from_family(family, 3)
-    model = gp.fit(X, Z, kernel, np.array([0.02, 0.05, 0.01]), coreg=B)
-    means, covs = gp.observation_moments(model, T)
-    post = dense_observation_posterior(model, T)
+    model = gp.fit(X, Z, kernel, np.array([0.02, 0.05, 0.01])[:d], coreg=B)
+    means, covs = gp.marginals(model, T)
+    post = gp.predict(model, T)
     # output-major layout: entry (i, p) of the joint posterior sits at i * t + p
     idx = np.arange(d)[:, None] * t + np.arange(t)[None, :]
     assert np.allclose(means, post.mean[idx].T, rtol=0, atol=1e-12)
     want = post.cov[idx[:, None, :], idx[None, :, :]].transpose(2, 0, 1)
     assert np.allclose(covs, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dup", [1, 3], ids=["distinct", "duplicated-jittered"])
+def test_one_output_is_the_one_column_icm_model(dup):
+    """1-D observations and the same data as one column with B = [[1]] take one path, bit for bit."""
+    rng = np.random.default_rng(12)
+    X = np.repeat(_inputs(rng, 12, 2), dup, axis=0)
+    z = rng.standard_normal(X.shape[0])
+    noise = 0.05 if dup == 1 else 1e-20
+    T = _inputs(rng, 5, 2)
+    solo = gp.fit(X, z, _kernel(), noise)
+    col = gp.fit(X, z[:, None], _kernel(), np.array([noise]), coreg=[[1.0]])
+    assert solo.jitter_used == col.jitter_used and (solo.jitter_used > 0.0) == (dup > 1)
+    a, b = gp.predict(solo, T), gp.predict(col, T)
+    assert a.mean.shape == (5,) and a.cov.shape == (5, 5)
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    for x, y in zip(gp.marginals(solo, T), gp.marginals(col, T)):
+        assert np.array_equal(x, y)
 
 
 def test_zvec_is_output_major():
@@ -195,6 +214,13 @@ def test_system_matrix_adds_noise_on_the_diagonal_bit_exactly(d):
     assert np.array_equal(L, np.linalg.cholesky(expected + 0.0 * np.eye(n * d)))
 
 
+def test_cholesky_with_jitter_raises_on_a_non_finite_matrix():
+    A = np.eye(3)
+    A[0, 1] = A[1, 0] = np.nan
+    with pytest.raises(gp.FactorizationError, match="^test matrix: .*non-finite"):
+        gp.cholesky_with_jitter(A, label="test matrix")
+
+
 def test_cholesky_with_jitter_raises_on_indefinite():
     A = np.diag([1.0, -5.0, 2.0])
     with pytest.raises(gp.FactorizationError) as exc:
@@ -214,6 +240,18 @@ def test_fit_validates_coreg_and_noise():
         gp.fit(X, Z[:, 0], _kernel(), 0.0)
     with pytest.raises(ValueError):
         gp.fit(X, Z, _kernel(), 0.1)  # matrix obs need a mixing matrix
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_observations(bad):
+    rng = np.random.default_rng(5)
+    X = _inputs(rng, 6, 2)
+    for obs in (rng.standard_normal(6), rng.standard_normal((6, 2))):
+        obs.flat[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gp.Dataset.from_data(X, obs)
+        with pytest.raises(ValueError, match="finite"):
+            gp.fit(X, obs, _kernel(), 0.1, coreg=None if obs.ndim == 1 else np.eye(2))
 
 
 @pytest.mark.parametrize("m", [2, 4], ids=["fewer-circles", "more-circles"])
@@ -278,22 +316,25 @@ def test_single_output_kernel_families_all_fit():
         assert np.all(np.diag(post.cov) > -1e-12)
 
 
-def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior():
-    """Duplicated inputs with 1e-20 noise make some D <= 0 until the first jitter step."""
+@pytest.mark.parametrize("d", [1, 3])
+def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior(d):
+    """Duplicated inputs with 1e-20 noise make some D <= 0 until the first jitter step.
+
+    d = 1 is the single-output fit: 1-D observations, B = [[1]].
+    """
     rng = np.random.default_rng(88)
-    d = 3
     X = np.repeat(_inputs(rng, 10, 2), 3, axis=0)
     n = X.shape[0]
     kernel = _kernel()
     A = rng.standard_normal((d, d))
-    B = A @ A.T + 0.5 * np.eye(d)
+    B = A @ A.T + 0.5 * np.eye(d) if d > 1 else np.eye(1)
     noise = np.full(d, 1e-20)
     Kx = kernel.gram(X, X)
     z = np.linalg.cholesky(np.kron(B, Kx[::3, ::3]) + 1e-9 * np.eye(10 * d)) @ rng.standard_normal(10 * d)
     Z = np.repeat(z.reshape(d, 10).T, 3, axis=0) + 1e-6 * rng.standard_normal((n, d))
     with pytest.raises(gp.FactorizationError):
         gp.icm_factor(Kx, B, np.sqrt(noise))  # no jitter: some entry of D <= 0
-    model = gp.fit(X, Z, kernel, noise, coreg=B)
+    model = gp.fit(X, Z, kernel, noise, coreg=B) if d > 1 else gp.fit(X, Z[:, 0], kernel, noise)
     scale = float(np.mean(np.diag(gp.system_matrix(kernel, X, noise, B))))
     assert model.jitter_used == pytest.approx(gp.JITTER_START_FACTOR * scale, rel=1e-12)
 
@@ -306,12 +347,14 @@ def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior(
     cov = np.kron(B, kernel.gram(T, T)) - Kc @ lu_solve(lu, Kc.T)
     post = gp.predict(model, T)
     tol = 4.0 * np.linalg.cond(K) * np.finfo(float).eps
-    assert np.max(np.abs(model.alpha - alpha)) <= tol * max(1.0, np.max(np.abs(alpha)))
+    model_alpha = np.ravel(model.A, order="F")
+    assert np.max(np.abs(model_alpha - alpha)) <= tol * max(1.0, np.max(np.abs(alpha)))
     assert np.max(np.abs(post.mean - mean)) <= tol * max(1.0, np.max(np.abs(mean)))
     assert np.max(np.abs(post.cov - cov)) <= tol * max(1.0, np.max(np.abs(cov)))
 
-    with pytest.raises(gp.FactorizationError, match="^hvm: "):
-        gp.fit(X[::3], Z[::3, :2], kernel, np.full(2, 1e-20), coreg=np.diag([1.0, -0.5]))
+    if d > 1:
+        with pytest.raises(gp.FactorizationError, match="^hvm: "):
+            gp.fit(X[::3], Z[::3, :2], kernel, np.full(2, 1e-20), coreg=np.diag([1.0, -0.5]))
 
 
 def test_multi_output_alpha_is_as_accurate_as_a_dense_cholesky_solve():
@@ -332,6 +375,6 @@ def test_multi_output_alpha_is_as_accurate_as_a_dense_cholesky_solve():
         ref += np.linalg.solve(K, (z - K.astype(np.longdouble) @ ref).astype(float))
     model = gp.fit(X, z.reshape(d, n).T, kernel, noise, coreg=B)
     assert model.jitter_used == 0.0
-    err = np.linalg.norm(model.alpha - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(np.ravel(model.A, order="F") - ref) / np.linalg.norm(ref)
     dense = cho_solve((np.linalg.cholesky(K), True), z)
     assert err <= np.linalg.norm(dense - ref) / np.linalg.norm(ref)

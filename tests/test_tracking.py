@@ -4,7 +4,7 @@ from scipy import stats
 
 from kernel_oracles import dense_observation_logpdf, mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
-from torusgp.kernels import ExpLinearKernel
+from torusgp.kernels import ExpLinearKernel, kernel_from_family
 from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
 from torusgp.simulator import ScenarioConfig, build_training_set, measure_range, rng_for, trajectory
 
@@ -116,6 +116,26 @@ def test_particle_log_density_against_a_50_digit_reference():
             assert abs(got - ref[i]) <= tol * max(1.0, abs(ref[i])), (family, i, got, ref[i])
 
 
+@pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
+def test_gp_model_adds_the_noise_to_the_latent_marginals(family):
+    """logpdf scores each particle under the diagonal block of predict plus R."""
+    refs = TOY.references_array
+    rng = np.random.default_rng(31)
+    n, p, d = 16, 6, 3
+    pos = rng.uniform(2, 28, (n + p, 2))
+    E = aoa_embedding_batch(pos, refs)
+    Z = rng.standard_normal((n, d))
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.3 * np.eye(d)
+    noise = np.array([0.02, 0.05, 0.01])
+    model = tracking.GpRangeModel(gp.fit(E[:n], Z, kernel_from_family(family, 3), noise, coreg=B))
+    z = rng.standard_normal(d)
+    got = model.logpdf(pos[n:], z, refs)
+    for i in range(p):
+        want = dense_observation_logpdf(model.gp, E[n + i : n + i + 1], z)
+        assert abs(got[i] - want) <= 1e-10 * max(1.0, abs(want)), (i, got[i], want)
+
+
 def test_gp_model_rejects_particles_on_references(toy_gp_model):
     refs = TOY.references_array
     near = refs[2] + [0.0, 0.5 * AOA_SINGULARITY_TOL]
@@ -157,6 +177,14 @@ def test_parametric_file_roundtrip(tmp_path, toy_trainset):
     assert isinstance(back, tracking.ParametricRangeModel)
     assert np.array_equal(model.bias, back.bias)
     assert np.array_equal(model.cov, back.cov)
+
+
+@pytest.mark.parametrize("field", ["bias", "cov"])
+def test_parametric_model_refuses_non_finite_values(field):
+    parts = {"bias": np.zeros(3), "cov": np.eye(3)}
+    parts[field][1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        tracking.ParametricRangeModel(**parts)
 
 
 class _FixedModel:
