@@ -341,7 +341,7 @@ def cmd_case1(args, config, seed, out):
         models[label] = gp_mod.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
         reports[label] = {
             "hyperparams": _hyperparam_dict(res.kernel),
-            "noise_var": float(res.noise_var),
+            "noise_var": float(res.noise_var[0]),
             "optimization": res.summary(),
         }
         clocks[f"fit_{label}"] = time.perf_counter() - t1
@@ -464,7 +464,7 @@ def cmd_train(args, config, seed, out):
                 "method": mth,
                 "hyperparams": _hyperparam_dict(tm.opt.kernel),
                 "coreg": tm.opt.coreg.tolist(),
-                "noise_var": np.asarray(tm.opt.noise_var).tolist(),
+                "noise_var": tm.opt.noise_var.tolist(),
                 "jitter_used": tm.gp.jitter_used,
                 "optimization": tm.opt.summary(),
             }

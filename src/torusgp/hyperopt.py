@@ -6,11 +6,12 @@ data under the GP prior plus noise,
     F(theta) = -z^T K^-1 z - log|K| - N log(2 pi),
 
 with N the length of the (output-major) observation vector and K the system
-matrix B kron K_x + R kron I_n from torusgp.gp (a single output has B = 1).
-With alpha = K^-1 z and A = alpha alpha^T - K^-1 in n x n blocks A_ij, the
-gradient in a coordinate is sum(A * dK/dtheta_i). Every kernel is
-K_x = omega^2 exp(sum_f c_f F_f) (torusgp.kernels), so with
-Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
+matrix B kron K_x + R kron I_n from torusgp.gp. B is always a (d, d) array
+and the noise a (d,) vector: 1-D observations are d = 1, with B = [[1]]
+pinned, not fitted. With alpha = K^-1 z and A = alpha alpha^T - K^-1 in
+n x n blocks A_ij, the gradient in a coordinate is sum(A * dK/dtheta_i).
+Every kernel is K_x = omega^2 exp(sum_f c_f F_f) (torusgp.kernels), so
+with Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
 
     d omega:   (2/omega) * sum(Abar * K_x)
     d theta_f: c_f' * sum(Abar * K_x * F_f)
@@ -21,10 +22,10 @@ Each dataset is lifted once (kernel.lift), and kernel.feature_sums takes
 the theta_f sums from that lift. How K is factored depends on the outputs.
 
 1-D observations: K = K_x + sigma^2 I is n x n, and its Cholesky factor gives
-F and, for the gradient, K^-1. The optimizer evaluates F and its gradient at
-every line-search probe, and at n = 40 an evaluation through the ICM factor
-(which torusgp.gp.fit uses for any number of outputs) cost 1.7 to 1.9 times
-as much, so this path stays on Cholesky.
+F and, for the gradient, A = alpha alpha^T - K^-1. The optimizer evaluates
+F and its gradient at every line-search probe, and at n = 40 an evaluation
+through the ICM factor (which torusgp.gp.fit uses for any number of outputs)
+cost 1.7 to 1.9 times as much, so this path stays on Cholesky.
 
 2-D observations, one column included: K is factored by
 torusgp.gp.icm_factor (U, lam, S, P and D as defined there), and with
@@ -42,6 +43,7 @@ Optimization runs in unconstrained coordinates phi:
 
     omega, lam, corr, lengthscales, sigma  ->  log(.)
     B = G G^T with G lower triangular      ->  log on diag(G), raw off-diagonal
+                                              (2-D observations only)
 
 (a free coordinate at exactly 0 has no log: pin it with fixed=), and ascends
 with BFGS directions under monotone backtracking acceptance (only improving
@@ -80,17 +82,19 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 class OptResult:
     """Outcome of one optimize() call (best restart).
 
-    trace holds the accepted objective values of the winning restart, in
-    order; converged follows the rule in the module docstring. evaluations
-    counts that restart's evaluations of F and its gradient, failed ones
-    included: the start, one per accepted step and one per line-search step
-    halving (backtracks). restart_objectives has -inf for each restart that
-    failed at its start, and restart_failures the error message of each.
+    coreg is the (d, d) mixing matrix, [[1.0]] and not fitted for 1-D
+    observations; noise_sigma and noise_var are (d,). trace holds the
+    accepted objective values of the winning restart, in order; converged
+    follows the rule in the module docstring. evaluations counts that
+    restart's evaluations of F and its gradient, failed ones included: the
+    start, one per accepted step and one per line-search step halving
+    (backtracks). restart_objectives has -inf for each restart that failed
+    at its start, and restart_failures the error message of each.
     """
 
     kernel: object
     noise_sigma: np.ndarray
-    coreg: np.ndarray | None
+    coreg: np.ndarray
     objective: float
     iterations: int
     converged: bool
@@ -105,12 +109,11 @@ class OptResult:
     restart_failures: list = field(default_factory=list)
 
     @property
-    def noise_var(self):
-        v = self.noise_sigma**2
-        return float(v[0]) if self.coreg is None else v
+    def noise_var(self) -> np.ndarray:
+        return self.noise_sigma**2
 
     def theta_vector(self):
-        """Full constrained coordinate vector [kernel theta, vec(B), sigma]."""
+        """[kernel theta, vec(B) column-major, sigma]; vec(B) is [1.0] for 1-D observations."""
         return _constrained(self.kernel.theta, self.coreg, self.noise_sigma)
 
     def summary(self) -> dict:
@@ -152,13 +155,14 @@ class _Problem:
         self.multi = dataset.multi_output
         self.n = dataset.n
         self.N = dataset.zvec.size
-        # lower triangle of the mixing-matrix factor, row by row (none for one output)
+        # free entries of the mixing-matrix factor: its lower triangle, row by
+        # row, for 2-D observations; none for 1-D ones, where B = [[1]] is pinned
         self.tril = np.tril_indices(self.d if self.multi else 0)
         self.diag = self.tril[0] == self.tril[1]
 
     # -- packing ------------------------------------------------------------
 
-    def pack(self, kernel, G: np.ndarray | None, sigma: np.ndarray) -> np.ndarray:
+    def pack(self, kernel, G: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         theta = kernel.theta
         zero = [self.names[i] for i in self.free_idx if theta[i] == 0.0]
         if zero:
@@ -166,12 +170,12 @@ class _Problem:
                 f"free coordinate {zero[0]} is 0, which the log parametrization "
                 f"cannot represent; pin it with fixed={{{zero[0]!r}: 0.0}}"
             )
-        g = G[self.tril] if self.multi else np.empty(0)
+        g = G[self.tril]
         g[self.diag] = np.log(g[self.diag])
         return np.concatenate([np.log(theta[self.free_idx]), g, np.log(np.atleast_1d(sigma))])
 
     def unpack(self, phi: np.ndarray):
-        """(kernel, G, B = G G^T, sigma) at phi; G and B are None for one output."""
+        """(kernel, G, B = G G^T, sigma) at phi; G is the identity off the free entries."""
         phi = np.asarray(phi, dtype=float)
         nk, ng = len(self.free_idx), self.diag.size
         theta = np.array([self.fixed.get(nm, 0.0) for nm in self.names])
@@ -193,21 +197,18 @@ class _Problem:
                 raise err
             theta[self.free_idx] = free
             kernel = self.template.with_theta(theta)
-        G = B = None
-        if self.multi:
-            G = np.zeros((self.d, self.d))
-            G[self.tril] = g
-            B = G @ G.T
-        return kernel, G, B, sigma
+        G = np.eye(self.d)
+        G[self.tril] = g
+        return kernel, G, G @ G.T, sigma
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, kernel, B, sigma, coords):
         """(F, dF/dtheta, dF/dB, dF/dsigma) at constrained hyperparameters.
 
-        B and dF/dB are None for one output; B's entries count as
-        independent. A system matrix that overflows or is not positive
-        definite raises FactorizationError carrying coords as .theta.
+        B and dF/dB are (d, d), B's entries counting as independent. A
+        system matrix that overflows or is not positive definite raises
+        FactorizationError carrying coords as .theta.
         """
         # overflow is tolerated here: the finiteness checks make it a rejected
         # step, and the optimizer never reads a rejected probe's gradient
@@ -229,7 +230,7 @@ class _Problem:
         return F, g_theta, g_B, g_sigma
 
     def _cholesky(self, K_x, sigma):
-        """(F, Abar, None, dF/dsigma) for one output: K = K_x + sigma^2 I."""
+        """(F, Abar, dF/dB, dF/dsigma) for 1-D observations: K = K_x + sigma^2 I."""
         K = K_x.copy()
         K.flat[:: self.n + 1] += sigma**2
         if not np.all(np.isfinite(K)):
@@ -238,10 +239,12 @@ class _Problem:
             )
         L = np.linalg.cholesky(K)
         z = self.data.zvec
-        alpha = cho_solve((L, True), z)
+        # K was checked finite above, so its factor is too
+        alpha = cho_solve((L, True), z, check_finite=False)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
-        A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n))
-        return F, A, None, 2.0 * sigma * np.einsum("ii->", A)
+        A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n), check_finite=False)
+        # dF/dB = sum(A * K_x), as one dot product
+        return F, A, np.array([[np.vdot(A, K_x)]]), 2.0 * sigma * np.einsum("ii->", A)
 
     def _icm(self, K_x, B, sigma):
         """(F, Abar, dF/dB, dF/dsigma) for d outputs from the ICM factor."""
@@ -259,18 +262,15 @@ class _Problem:
     def value_and_grad(self, phi: np.ndarray):
         kernel, G, B, sigma = self.unpack(phi)
         F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
-        parts = [g_theta[self.free_idx] * kernel.theta[self.free_idx]]
-        if self.multi:
-            g_G = ((g_B + g_B.T) @ G)[self.tril]
-            g_G[self.diag] *= np.diag(G)
-            parts.append(g_G)
-        parts.append(g_sigma * sigma)
-        return F, np.concatenate(parts)
+        g_G = ((g_B + g_B.T) @ G)[self.tril]
+        g_G[self.diag] *= np.diag(G)
+        g_kernel = g_theta[self.free_idx] * kernel.theta[self.free_idx]
+        return F, np.concatenate([g_kernel, g_G, g_sigma * sigma])
 
 
 def _constrained(theta, B, sigma) -> np.ndarray:
-    """[kernel theta, vec(B) column-major when B is given, sigma]."""
-    return np.concatenate([theta, [] if B is None else np.ravel(B, order="F"), sigma])
+    """[kernel theta, vec(B) column-major, sigma]."""
+    return np.concatenate([theta, np.ravel(B, order="F"), sigma])
 
 
 def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
@@ -278,7 +278,7 @@ def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
     if (coreg is not None) != dataset.multi_output:
         raise ValueError("coreg must be given for multi-output data, and only then")
     sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
-    B = None if coreg is None else np.asarray(coreg, dtype=float)
+    B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
     coords = _constrained(kernel.theta, B, sigma)
     return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords)
 
@@ -299,12 +299,10 @@ def gradient(dataset, kernel, noise_sigma, coreg=None):
     only, each entry independent), then the per-output noise deviations.
     """
     _, g_theta, g_B, g_sigma = _at_hyperparameters(dataset, kernel, noise_sigma, coreg)
-    names = list(kernel.theta_names)
-    if coreg is None:
-        g_B = None
-    else:
-        d = g_B.shape[0]
-        names += [f"b_{i + 1}{j + 1}" for j in range(d) for i in range(d)]
+    if coreg is None:  # 1-D observations: B = [[1]] is pinned, not a coordinate
+        g_B = np.empty((0, 0))
+    d = g_B.shape[0]
+    names = list(kernel.theta_names) + [f"b_{i + 1}{j + 1}" for j in range(d) for i in range(d)]
     names += [f"sigma_r_{s + 1}" for s in range(g_sigma.size)]
     return tuple(names), _constrained(g_theta, g_B, g_sigma)
 
@@ -324,12 +322,13 @@ def _psd_project(B: np.ndarray, floor: float = 1e-10) -> np.ndarray:
 
 
 def default_initialization(dataset, family_or_kernel):
-    """Data-driven starting point: (kernel, noise_sigma, coreg_or_None).
+    """Data-driven starting point: (kernel, noise_sigma (d,), coreg (d, d)).
 
     omega starts at the sample deviation of the observations, concentrations
     at 1, pair weights at 0.1, chart lengthscales at 2, noise at a tenth of
-    the per-output deviation, and the mixing matrix at the PSD-projected
-    sample output covariance.
+    the per-output deviation (0.1 where that is 0), and the mixing matrix at
+    the PSD-projected sample output covariance for 2-D observations; 1-D
+    ones have the pinned B = [[1]].
     """
     dataset = _as_dataset(dataset)
     if isinstance(family_or_kernel, str):
@@ -340,13 +339,11 @@ def default_initialization(dataset, family_or_kernel):
     if not scale > 0.0:
         scale = 1.0
     kernel = kernel.with_theta(np.concatenate([[scale], kernel.theta[1:]]))
-    if dataset.multi_output:
-        sig = 0.1 * np.std(dataset.obs, axis=0)
-        sig[sig <= 0.0] = 0.1
-        B0 = _psd_project(np.atleast_2d(np.cov(dataset.obs.T)), floor=1e-6)
-        return kernel, sig, B0
-    sig0 = 0.1 * scale
-    return kernel, np.array([sig0]), None
+    sig = np.atleast_1d(0.1 * np.std(dataset.obs, axis=0))
+    sig[sig <= 0.0] = 0.1
+    if not dataset.multi_output:
+        return kernel, sig, np.ones((1, 1))
+    return kernel, sig, _psd_project(np.atleast_2d(np.cov(dataset.obs.T)), floor=1e-6)
 
 
 def optimize(
@@ -388,7 +385,7 @@ def optimize(
     if not isinstance(kernel_or_family, str):
         kern0 = kernel_or_family
     prob = _Problem(dataset, kern0, fixed=fixed)
-    G0 = np.linalg.cholesky(_psd_project(B0)) if dataset.multi_output else None
+    G0 = np.linalg.cholesky(_psd_project(B0))
     phi0 = prob.pack(kern0, G0, sig0)
 
     rng = np.random.default_rng(seed)

@@ -149,13 +149,18 @@ class GpRangeModel:
 
 
 class ParametricRangeModel:
-    """Known geometry plus a constant Gaussian residual model."""
+    """Known geometry plus a constant Gaussian residual: bias (r,), symmetric cov (r, r)."""
 
     def __init__(self, bias: np.ndarray, cov: np.ndarray):
         self.bias = np.asarray(bias, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
+        r = self.bias.size
+        if self.bias.ndim != 1 or self.cov.shape != (r, r):
+            raise ValueError(f"need bias (r,) and cov (r, r), got {self.bias.shape} and {self.cov.shape}")
         if not (np.all(np.isfinite(self.bias)) and np.all(np.isfinite(self.cov))):
             raise ValueError("residual bias and covariance must be finite")
+        if not np.allclose(self.cov, self.cov.T, atol=1e-10):
+            raise ValueError("residual covariance must be symmetric")
         self.chol, _ = gp_mod.cholesky_with_jitter(self.cov, label="parametric residual")
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
@@ -191,17 +196,12 @@ def save_parametric(model: ParametricRangeModel, path) -> None:
 
 
 def load_range_model(path):
-    """Load either measurement-model file by its format marker."""
+    """Load a parametric model file by its format marker, any other as a GP model file."""
     with open(path) as fh:
         doc = json.load(fh)
-    fmt = doc.get("format")
-    if fmt == _PARAMETRIC_FORMAT:
-        return ParametricRangeModel(
-            bias=np.asarray(doc["bias"], dtype=float), cov=np.asarray(doc["cov"], dtype=float)
-        )
-    if fmt == "torusgp-model":
-        return GpRangeModel(gp_mod.load_model(path))
-    raise ValueError(f"{path}: unrecognized model format {fmt!r}")
+    if doc.get("format") == _PARAMETRIC_FORMAT:
+        return ParametricRangeModel(bias=doc["bias"], cov=doc["cov"])
+    return GpRangeModel(gp_mod.load_model(path))
 
 
 @dataclass

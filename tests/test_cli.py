@@ -398,6 +398,22 @@ def test_track_refuses_a_model_file_with_a_nan(tmp_path, capsys, toy_models, met
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["cov-too-small", "asymmetric"])
+def test_track_refuses_a_malformed_parametric_model(tmp_path, capsys, toy_models, case):
+    """A parametric cov that does not match the biases, or is not symmetric, exits 3 naming the file."""
+    doc = json.loads((toy_models / "model_parametric.json").read_text())
+    if case == "cov-too-small":
+        doc["cov"] = [row[:-1] for row in doc["cov"][:-1]]
+    else:
+        doc["cov"][0][1] += 5.0
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    cfg = _write_config(tmp_path)
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", "Parametric"]
+    assert cli.main(argv + ["--model", str(bad)]) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_track_refuses_a_trajectory_with_a_nan_cell(tmp_path, capsys, toy_models):
     text = (toy_models / "trajectory.csv").read_text().splitlines()
     text[3] = ",".join(text[3].split(",")[:2] + ["nan"])
@@ -459,8 +475,9 @@ def test_missing_model_exits_3(tmp_path):
         ("train", "--trainset", "bad.csv", "a,b\n1,2\n"),
         ("track", "--model", "model.json", "not json\n"),
         ("track", "--model", "model.json", '{"format": "torusgp-model"}\n'),
+        ("track", "--model", "model.json", '{"format": "bogus"}\n'),
     ],
-    ids=["csv-header", "not-json", "no-kernel"],
+    ids=["csv-header", "not-json", "no-kernel", "unknown-format"],
 )
 def test_malformed_upstream_artifact_exits_3_naming_it(tmp_path, capsys, command, flag, name, text):
     cfg = _write_config(tmp_path)

@@ -365,7 +365,7 @@ def test_default_initialization_uses_data_scale():
     kernel, sigma, coreg = hyperopt.default_initialization(
         hyperopt.Dataset.from_data(X, z), "hvm"
     )
-    assert coreg is None
+    assert np.array_equal(coreg, [[1.0]])
     assert kernel.theta[0] == pytest.approx(np.std(z), rel=1e-12)
     assert sigma[0] == pytest.approx(0.1 * np.std(z), rel=1e-12)
 
@@ -419,7 +419,7 @@ def test_extreme_probe_coordinates_raise_the_typed_error():
     for ds in (single, two):
         kern0, sig0, B0 = hyperopt.default_initialization(ds, "hvm")
         prob = hyperopt._Problem(ds, kern0)
-        phi = prob.pack(kern0, None if B0 is None else np.linalg.cholesky(B0), sig0)
+        phi = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
         # omega = exp(400) passes unpack and overflows the Gram matrix instead
         probes = [(i, bad) for i in (0, 1, phi.size - 1) for bad in (800.0, -800.0)]
         for i, bad in probes + [(0, 400.0)]:
@@ -427,3 +427,39 @@ def test_extreme_probe_coordinates_raise_the_typed_error():
             phi_bad[i] = bad
             with pytest.raises(gp.FactorizationError):
                 prob.value_and_grad(phi_bad)
+
+
+def test_cholesky_and_one_column_icm_evaluations_agree():
+    """The two factorizations of one output: 1-D data z (Cholesky, B pinned)
+    and the one column z[:, None] with B = [[1]] (ICM factor) give the same
+    F, dF/dtheta, dF/dB and dF/dsigma, to 1e-9 relative at n = 30."""
+    solo = _toy_dataset(seed=5, n=30)
+    col = hyperopt.Dataset.from_data(solo.inputs, solo.obs[:, None])
+    kernel = ExpLinearKernel("hvm", 3, (1.1, 0.9, 0.7, 0.6, 0.15, 0.1, 0.2))
+    B, sigma = np.ones((1, 1)), np.array([0.3])
+    coords = np.concatenate([kernel.theta, [1.0], sigma])
+    a = hyperopt._Problem(solo, kernel).evaluate(kernel, B, sigma, coords)
+    b = hyperopt._Problem(col, kernel).evaluate(kernel, B, sigma, coords)
+    assert np.linalg.cond(kernel.gram(solo.inputs, solo.inputs) + sigma[0] ** 2 * np.eye(30)) < 1e4
+    assert a[0] == pytest.approx(b[0], rel=1e-9)
+    for x, y in zip(a[1:], b[1:]):
+        assert x.shape == y.shape
+        np.testing.assert_allclose(x, y, rtol=1e-9, atol=0.0)
+
+
+def test_one_output_result_carries_the_pinned_mixing_matrix():
+    """A 1-D optimize result has B = [[1]] and a (1,) noise vector; fitting
+    with either noise form predicts bit for bit alike, and the public
+    gradient still lists no b_11 for 1-D data."""
+    ds = _toy_dataset(seed=9, n=20)
+    res = hyperopt.optimize(ds, "pvm", budget=20, restarts=1, seed=0)
+    assert np.array_equal(res.coreg, [[1.0]])
+    assert res.noise_var.shape == (1,)
+    assert res.theta_vector()[res.kernel.theta.size] == 1.0
+    T = _inputs(np.random.default_rng(10), 6, 3)
+    a = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, res.noise_var), T)
+    b = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, float(res.noise_var[0])), T)
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    names, values = hyperopt.gradient(ds, res.kernel, res.noise_sigma)
+    assert "b_11" not in names
+    assert names == (*res.kernel.theta_names, "sigma_r_1") and values.size == len(names)

@@ -187,6 +187,20 @@ def test_parametric_model_refuses_non_finite_values(field):
         tracking.ParametricRangeModel(**parts)
 
 
+@pytest.mark.parametrize(
+    "bias, cov, text",
+    [
+        (np.zeros(3), np.eye(2), r"got \(3,\) and \(2, 2\)"),
+        (np.zeros((1, 3)), np.eye(3), r"got \(1, 3\) and \(3, 3\)"),
+        (np.zeros(3), np.eye(3) + 5.0 * np.eye(3, k=1), "symmetric"),
+    ],
+    ids=["cov-too-small", "bias-not-1d", "asymmetric"],
+)
+def test_parametric_model_validates_shapes_and_symmetry(bias, cov, text):
+    with pytest.raises(ValueError, match=text):
+        tracking.ParametricRangeModel(bias, cov)
+
+
 class _FixedModel:
     """Scores the i-th particle ll[i], wherever it is."""
 
