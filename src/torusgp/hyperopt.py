@@ -23,9 +23,10 @@ the theta_f sums from that lift. How K is factored depends on the outputs.
 
 1-D observations: K = K_x + sigma^2 I is n x n, and its Cholesky factor gives
 F and, for the gradient, A = alpha alpha^T - K^-1. The optimizer evaluates
-F and its gradient at every line-search probe, and at n = 40 an evaluation
-through the ICM factor (which torusgp.gp.fit uses for any number of outputs)
-cost 1.7 to 1.9 times as much, so this path stays on Cholesky.
+F and its gradient at every line-search probe, and at n = 40 (case study 1,
+hvm and pse, one BLAS thread) a probe through the ICM factor (which
+torusgp.gp.fit uses for any number of outputs) cost 2.2 to 2.6 times as
+much as one through Cholesky, so this path stays on Cholesky.
 
 2-D observations, one column included: K is factored by
 torusgp.gp.icm_factor (U, lam, S, P and D as defined there), and with
@@ -55,9 +56,10 @@ when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
 """
 
 from dataclasses import dataclass, field
+from math import inf, isfinite, sqrt
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs as _potrs
 
 from . import kernels
 from .gp import Dataset, FactorizationError, icm_factor
@@ -137,8 +139,11 @@ class _Problem:
     """Objective/gradient in unconstrained coordinates for one dataset.
 
     fixed maps kernel-coordinate names to pinned values; pinned coordinates
-    are evaluated at their values and dropped from phi. The kernel's lift of
-    the training inputs is formed once here.
+    are evaluated at their values and dropped from phi. Everything a probe
+    shares with the next is formed once here: the kernel's lift of the
+    training inputs, theta with the pinned values in place, the positions of
+    phi's log coordinates and, for 1-D observations, the identity that K^-1
+    is solved from.
     """
 
     def __init__(self, dataset: Dataset, kernel_template, fixed: dict | None = None):
@@ -149,16 +154,28 @@ class _Problem:
         unknown = set(self.fixed) - set(self.names)
         if unknown:
             raise ValueError(f"fixed refers to unknown coordinates {sorted(unknown)}")
-        self.free_idx = [i for i, nm in enumerate(self.names) if nm not in self.fixed]
+        self.free_idx = np.array([i for i, nm in enumerate(self.names) if nm not in self.fixed], dtype=int)
+        self.theta0 = np.array([self.fixed.get(nm, 0.0) for nm in self.names], dtype=float)
         self.lifted = kernel_template.lift(dataset.inputs)
         self.d = dataset.d
         self.multi = dataset.multi_output
         self.n = dataset.n
-        self.N = dataset.zvec.size
-        # free entries of the mixing-matrix factor: its lower triangle, row by
-        # row, for 2-D observations; none for 1-D ones, where B = [[1]] is pinned
-        self.tril = np.tril_indices(self.d if self.multi else 0)
-        self.diag = self.tril[0] == self.tril[1]
+        self.z = dataset.zvec
+        self.N = self.z.size
+        # free entries of the mixing-matrix factor G, as flat positions in G:
+        # its lower triangle, row by row, for 2-D observations; none for 1-D
+        # ones, where B = [[1]] is pinned
+        rows, cols = np.tril_indices(self.d if self.multi else 0)
+        self.tril, self.diag = rows * self.d + cols, rows == cols
+        self.G0 = np.eye(self.d)
+        # phi is [log free theta, G's free entries, log sigma]; the entries of G
+        # off its diagonal are raw, every other coordinate is a log
+        nk, ng = self.free_idx.size, self.diag.size
+        self.split = (nk, nk + ng)
+        self.logs = np.concatenate(
+            [np.arange(nk), nk + np.flatnonzero(self.diag), np.arange(nk + ng, nk + ng + self.d)]
+        )
+        self.eye = None if self.multi else np.eye(self.n)  # solved against, never overwritten
 
     # -- packing ------------------------------------------------------------
 
@@ -170,36 +187,37 @@ class _Problem:
                 f"free coordinate {zero[0]} is 0, which the log parametrization "
                 f"cannot represent; pin it with fixed={{{zero[0]!r}: 0.0}}"
             )
-        g = G[self.tril]
+        g = np.ravel(G)[self.tril]
         g[self.diag] = np.log(g[self.diag])
         return np.concatenate([np.log(theta[self.free_idx]), g, np.log(np.atleast_1d(sigma))])
 
     def unpack(self, phi: np.ndarray):
-        """(kernel, G, B = G G^T, sigma) at phi; G is the identity off the free entries."""
+        """(kernel, G, B = G G^T, sigma, exp of phi's log coordinates) at phi.
+
+        G is the identity off the free entries.
+        """
         phi = np.asarray(phi, dtype=float)
-        nk, ng = len(self.free_idx), self.diag.size
-        theta = np.array([self.fixed.get(nm, 0.0) for nm in self.names])
         # A line-search probe can push exp(), and ell^-2 with it, past the float
         # range either way; report that as a factorization failure so the caller
         # backs off instead of crashing inside a parameter constructor.
         with np.errstate(over="ignore", divide="ignore"):
-            free = np.exp(phi[:nk])
-            g = phi[nk : nk + ng].copy()
-            g[self.diag] = np.exp(g[self.diag])
-            sigma = np.exp(phi[nk + ng :])
-            grown = np.concatenate([free, g[self.diag], sigma])
-            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(grown) & (grown > 0.0))):
+            grown = np.exp(phi[self.logs])
+            if not (all(map(isfinite, phi.tolist())) and all(0.0 < v < inf for v in grown.tolist())):
                 err = FactorizationError(
                     f"{self.template.family}: hyperparameter coordinates "
                     "left the representable positive range"
                 )
                 err.theta = phi.copy()
                 raise err
-            theta[self.free_idx] = free
+            v = phi.copy()
+            v[self.logs] = grown
+            a, b = self.split
+            theta = self.theta0.copy()
+            theta[self.free_idx] = v[:a]
             kernel = self.template.with_theta(theta)
-        G = np.eye(self.d)
-        G[self.tril] = g
-        return kernel, G, G @ G.T, sigma
+        G = self.G0.copy()
+        G.put(self.tril, v[a:b])
+        return kernel, G, G @ G.T, v[b:], grown
 
     # -- evaluation ---------------------------------------------------------
 
@@ -225,24 +243,28 @@ class _Problem:
                 err.theta = np.array(coords, dtype=float)
                 raise err
             W = Abar * K_x
-            g_kernel = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
-            g_theta = np.concatenate([[(2.0 / kernel.theta[0]) * W.sum()], g_kernel])
+            g_theta = np.empty(kernel.theta.size)
+            g_theta[0] = (2.0 / kernel.theta[0]) * W.sum()
+            g_theta[1:] = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
         return F, g_theta, g_B, g_sigma
 
     def _cholesky(self, K_x, sigma):
         """(F, Abar, dF/dB, dF/dsigma) for 1-D observations: K = K_x + sigma^2 I."""
         K = K_x.copy()
-        K.flat[:: self.n + 1] += sigma**2
-        if not np.all(np.isfinite(K)):
+        K.reshape(-1)[:: self.n + 1] += sigma**2
+        if not np.isfinite(K).all():
             raise FactorizationError(
                 f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
             )
         L = np.linalg.cholesky(K)
-        z = self.data.zvec
-        # K was checked finite above, so its factor is too
-        alpha = cho_solve((L, True), z, check_finite=False)
-        F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - self.N * _LOG2PI)
-        A = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(self.n), check_finite=False)
+        # the lower factor in LAPACK's column-major order, copied once for both
+        # solves; K was checked finite above, so its factor is too
+        Lf = np.asfortranarray(L)
+        z = self.z
+        alpha = _cho_solve(Lf, z)
+        F = -float(z @ alpha) - 2.0 * float(np.log(L.diagonal()).sum()) - self.N * _LOG2PI
+        A = alpha[:, None] * alpha  # np.outer(alpha, alpha)
+        A -= _cho_solve(Lf, self.eye)
         # dF/dB = sum(A * K_x), as one dot product
         return F, A, np.array([[np.vdot(A, K_x)]]), 2.0 * sigma * np.einsum("ii->", A)
 
@@ -260,12 +282,23 @@ class _Problem:
         return F, Abar, g_B, g_sigma
 
     def value_and_grad(self, phi: np.ndarray):
-        kernel, G, B, sigma = self.unpack(phi)
+        kernel, G, B, sigma, grown = self.unpack(phi)
         F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
-        g_G = ((g_B + g_B.T) @ G)[self.tril]
-        g_G[self.diag] *= np.diag(G)
-        g_kernel = g_theta[self.free_idx] * kernel.theta[self.free_idx]
-        return F, np.concatenate([g_kernel, g_G, g_sigma * sigma])
+        grad = np.concatenate([g_theta[self.free_idx], ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
+        grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
+        return F, grad
+
+
+def _cho_solve(Lf, b):
+    """K^-1 b from K's lower Cholesky factor Lf in column-major order.
+
+    The LAPACK potrs call that scipy.linalg.cho_solve makes, without its
+    argument checks; b is copied, never overwritten.
+    """
+    x, info = _potrs(Lf, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _constrained(theta, B, sigma) -> np.ndarray:
@@ -407,7 +440,7 @@ def optimize(
             best["restart"] = r
     if best is None:
         raise last_error
-    kernel, _, B, sigma = prob.unpack(best["phi"])
+    kernel, _, B, sigma, _ = prob.unpack(best["phi"])
     gnorm = best["grad_norm"]
     reason = best["stop_reason"]
     converged = reason == "gradient_norm" or (
@@ -433,11 +466,16 @@ def optimize(
     )
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a vector, the same sqrt of the same dot product, without its dispatch."""
+    return sqrt(x.dot(x))
+
+
 def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_tol: float):
     """BFGS ascent with backtracking; accepts only strictly improving steps."""
     phi = np.asarray(phi0, dtype=float).copy()
     F, g = prob.value_and_grad(phi)
-    if not np.isfinite(F):
+    if not isfinite(F):
         err = FactorizationError("objective not finite at the starting point")
         err.theta = phi.copy()
         raise err
@@ -448,7 +486,8 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     iterations = backtracks = 0
     first_update = True
     for it in range(budget):
-        if np.linalg.norm(g) < grad_tol * (1.0 + abs(F)):
+        gnorm = _norm(g)
+        if gnorm < grad_tol * (1.0 + abs(F)):
             stop_reason = "gradient_norm"
             break
         direction = H @ g
@@ -458,14 +497,14 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         accepted = False
         for attempt in range(2):
             slope = float(direction @ g)
-            t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, np.linalg.norm(g)))
+            t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, gnorm))
             for _ in range(40):
                 phi_new = phi + t * direction
                 try:
                     F_new, g_new = prob.value_and_grad(phi_new)
                 except FactorizationError:
-                    F_new = -np.inf
-                if np.isfinite(F_new) and F_new > F + 1e-4 * t * slope:
+                    F_new = -inf
+                if isfinite(F_new) and F_new > F + 1e-4 * t * slope:
                     accepted = True
                     break
                 t *= 0.5
@@ -481,15 +520,14 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         s = phi_new - phi
         y = -(g_new - g)  # gradient change of -F (minimization form)
         sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-10 * _norm(s) * _norm(y):
             if first_update:
                 H = (sy / float(y @ y)) * np.eye(p)
                 first_update = False
             rho = 1.0 / sy
             Hy = H @ y
-            H = H - rho * (np.outer(s, Hy) + np.outer(Hy, s)) + rho * (
-                rho * float(y @ Hy) + 1.0
-            ) * np.outer(s, s)
+            sHy = s[:, None] * Hy  # np.outer(s, Hy); its transpose is np.outer(Hy, s)
+            H = H - rho * (sHy + sHy.T) + rho * (rho * float(y @ Hy) + 1.0) * (s[:, None] * s)
         delta = F_new - F
         phi, F, g = phi_new, F_new, g_new
         trace.append(F)
@@ -500,7 +538,7 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     return {
         "phi": phi,
         "objective": F,
-        "grad_norm": float(np.linalg.norm(g)),
+        "grad_norm": _norm(g),
         "trace": trace,
         "iterations": iterations,
         "stop_reason": stop_reason,

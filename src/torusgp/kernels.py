@@ -37,6 +37,7 @@ files and the case-2 parameter sets all carry that form.
 """
 
 from functools import lru_cache, reduce
+from math import inf
 from operator import add
 
 import numpy as np
@@ -67,11 +68,13 @@ _FAMILIES = {"hvm": ("lam", 1.0), "pvm": ("lam", 1.0), "pprd": ("ell", 1.0), "ps
 
 @lru_cache
 def _layout(family: str, m: int):
-    """Per (family, m): the pairs, block widths and starts in the lift, the "lam" slopes dc_f/dtheta_f."""
+    """Per (family, m): the pairs, block widths and starts in the lift, each
+    lift column's block, the "lam" slopes dc_f/dtheta_f."""
     pairs = tuple(pair_order(m)) if family == "hvm" else ()
     widths, slopes = np.array([2] * m + [4] * len(pairs)), np.array([1.0] * m + [2.0] * len(pairs))
-    widths.flags.writeable = slopes.flags.writeable = False
-    return pairs, widths, np.cumsum(widths) - widths, slopes
+    block = np.repeat(np.arange(widths.size), widths)
+    widths.flags.writeable = slopes.flags.writeable = block.flags.writeable = False
+    return pairs, widths, np.cumsum(widths) - widths, block, slopes
 
 
 class ExpLinearKernel:
@@ -88,7 +91,7 @@ class ExpLinearKernel:
         self.family = family
         self.m = int(m)
         self._scale = _FAMILIES[family][0]
-        self._pairs, self._widths, self._starts, slopes = _layout(family, self.m)
+        self._pairs, self._widths, self._starts, block, slopes = _layout(family, self.m)
         theta = np.array(theta, dtype=float).ravel()
         if theta.size != 1 + self.m + len(self._pairs):
             raise ValueError(
@@ -96,17 +99,20 @@ class ExpLinearKernel:
                 f"coordinates, got {theta.size}"
             )
         k = 1 + self.m if self._scale == "ell" else 1  # omega and length scales are positive
-        if not (np.isfinite(theta).all() and (theta[:k] > 0.0).all() and (theta[k:] >= 0.0).all()):
+        # a chained comparison on the Python floats: a NaN fails both, and theta
+        # is a handful of numbers, which numpy reductions would cost more to check
+        coords = theta.tolist()
+        if not (all(0.0 < v < inf for v in coords[:k]) and all(0.0 <= v < inf for v in coords[k:])):
             raise ValueError(
                 f"{family}: coordinates must be finite and nonnegative, omega"
-                f"{' and ell' if self._scale == 'ell' else ''} positive; got {theta.tolist()}"
+                f"{' and ell' if self._scale == 'ell' else ''} positive; got {coords}"
             )
         theta.flags.writeable = False
         self.theta = theta
         t, lam = theta[1:], self._scale == "lam"
         self._c, self._dc = (slopes * t, slopes) if lam else (1.0 / t**2, -2.0 / t**3)
         if family != "pse":  # c_f over its block of the lift, rooted
-            self._root_w = np.sqrt(np.repeat(self._c, self._widths))
+            self._root_w = np.sqrt(self._c)[block]
 
     @property
     def theta_names(self) -> tuple:

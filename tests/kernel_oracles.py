@@ -15,7 +15,11 @@ references: ``dense_icm`` assembles the N x N ICM system from the scalar
 kernels (``scalar_kernel``) and per-point feature values
 (``feature_values``), never from torusgp's own Gram, and inverts it in
 double precision, and ``mp_hvm_icm`` repeats the algebra in 50-digit
-arithmetic for small hvm problems. The predictive log-density that scores
+arithmetic for small hvm problems. ``reference_probe`` is a bit-identity
+guard, not an accuracy reference: it is the optimizer's probe, F and its
+gradient in the unconstrained coordinates, written plainly, so a leaner
+torusgp.hyperopt._Problem.value_and_grad must match it bit for bit. The
+predictive log-density that scores
 filter particles (torusgp.tracking.GpRangeModel.logpdf) has two as well:
 ``dense_observation_logpdf`` is the plain dense Gaussian formula over
 ``dense_observation_posterior``, the joint posterior of torusgp.gp.predict
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from torusgp import gp
-from torusgp.kernels import pair_order
+from torusgp.kernels import ExpLinearKernel, pair_order
 from torusgp.manifold import as_input_array
 
 
@@ -231,6 +235,66 @@ def dense_icm(kernel, X, Z, B, sigma):
     g_theta = dK.reshape(dK.shape[0], -1) @ (B.ravel() @ A2)
     g_sigma = 2.0 * sigma * np.einsum("ipip->i", A4)
     return F, g_theta, g_B, g_sigma
+
+
+def reference_probe(dataset, template, phi, fixed=None):
+    """F and dF/dphi at the optimizer's unconstrained coordinates phi, written plainly.
+
+    phi is [log free theta, G's lower triangle row by row (log on its
+    diagonal), log sigma], G empty for 1-D data. Each coordinate group is
+    exponentiated on its own and the kernel is built afresh from the full
+    theta. 1-D data is solved with scipy's cho_solve, K^-1 included;
+    two-output data goes through gp.icm_factor. The Gram and the feature
+    sums come from the kernel itself (checked elsewhere against the scalar
+    oracles), so this pins the probe's own arithmetic, not the kernel's.
+    """
+    fixed = dict(fixed or {})
+    phi = np.asarray(phi, dtype=float)
+    names = template.theta_names
+    free = [i for i, nm in enumerate(names) if nm not in fixed]
+    n, d, N = dataset.n, dataset.d, dataset.zvec.size
+    tril = np.tril_indices(d if dataset.multi_output else 0)
+    diag = tril[0] == tril[1]
+    nk, ng = len(free), diag.size
+    theta = np.array([fixed.get(nm, 0.0) for nm in names])
+    theta[free] = np.exp(phi[:nk])
+    g = phi[nk : nk + ng].copy()
+    g[diag] = np.exp(g[diag])
+    sigma = np.exp(phi[nk + ng :])
+    kernel = ExpLinearKernel(template.family, template.m, theta)
+    G = np.eye(d)
+    G[tril] = g
+    B = G @ G.T
+    lifted = kernel.lift(dataset.inputs)
+    K_x = kernel.gram_lifted(lifted)
+    log2pi = float(np.log(2.0 * np.pi))
+    if dataset.multi_output:
+        f, _ = gp.icm_factor(K_x, B, sigma, kernel.family)
+        Zt = f.U.T @ dataset.obs @ f.P
+        M = Zt / f.D
+        logdet = 2.0 * n * np.sum(np.log(sigma)) + np.sum(np.log(f.D))
+        F = float(-np.sum(Zt * M) - logdet - N * log2pi)
+        Alpha = f.U @ M @ f.P.T
+        Abar = Alpha @ B @ Alpha.T - (f.U * (f.Dinv @ f.S)) @ f.U.T
+        g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ f.Dinv)) @ f.P.T
+        g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ f.Dinv.sum(axis=0))
+    else:
+        K = K_x.copy()
+        K.flat[:: n + 1] += sigma**2
+        L = np.linalg.cholesky(K)
+        z = dataset.zvec
+        alpha = cho_solve((L, True), z)
+        F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - N * log2pi)
+        Abar = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+        g_B = np.array([[np.vdot(Abar, K_x)]])
+        g_sigma = 2.0 * sigma * np.einsum("ii->", Abar)
+    W = Abar * K_x
+    g_theta = np.concatenate(
+        [[(2.0 / theta[0]) * W.sum()], kernel.coefficients()[1] * kernel.feature_sums(lifted, W)]
+    )
+    g_G = ((g_B + g_B.T) @ G)[tril]
+    g_G[diag] *= np.diag(G)
+    return F, np.concatenate([g_theta[free] * theta[free], g_G, g_sigma * sigma])
 
 
 def dense_observation_posterior(model, tests) -> gp.PosteriorGaussian:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import dense_icm, mp_hvm_icm
+from kernel_oracles import dense_icm, mp_hvm_icm, reference_probe
 from torusgp import gp, hyperopt
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
 
@@ -412,21 +412,63 @@ def test_failed_restarts_are_reported():
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
     """Probe points that overflow or underflow exp() must fail as
-    FactorizationError (a rejected step), never as a constructor crash or
-    NaN, for one output and for two."""
+    FactorizationError (a rejected step) carrying the probe as .theta, never
+    as a constructor crash or NaN, for one output and for two. G's
+    off-diagonal entry is a raw coordinate, not a log: at +-800 it is a
+    finite B, so the probe evaluates to a finite F."""
     single = _toy_dataset(seed=21)
     two = hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 3)], 1))
     for ds in (single, two):
         kern0, sig0, B0 = hyperopt.default_initialization(ds, "hvm")
         prob = hyperopt._Problem(ds, kern0)
         phi = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
+        # G's lower triangle follows the free theta, row by row: log G_11, G_21, log G_22
+        nk = len(prob.free_idx)
+        logs = [0, 1, phi.size - 1] + ([nk, nk + 2] if ds.multi_output else [])
         # omega = exp(400) passes unpack and overflows the Gram matrix instead
-        probes = [(i, bad) for i in (0, 1, phi.size - 1) for bad in (800.0, -800.0)]
+        probes = [(i, bad) for i in logs for bad in (800.0, -800.0)]
         for i, bad in probes + [(0, 400.0)]:
             phi_bad = phi.copy()
             phi_bad[i] = bad
-            with pytest.raises(gp.FactorizationError):
+            with pytest.raises(gp.FactorizationError) as err:
                 prob.value_and_grad(phi_bad)
+            assert np.array_equal(err.value.theta, phi_bad)
+        for raw in (800.0, -800.0) if ds.multi_output else ():
+            phi_raw = phi.copy()
+            phi_raw[nk + 1] = raw
+            F, _ = prob.value_and_grad(phi_raw)
+            assert np.isfinite(F)
+
+
+def _probe_dataset(m, d, n=40, seed=3):
+    """n points on T^m with d smooth noisy outputs: the size of case study 1's fits."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0, 2 * np.pi, (n, m))
+    z = np.sin(a).sum(axis=1) + 0.5 * np.cos(2 * a[:, 0]) + 0.1 * rng.standard_normal(n)
+    obs = z if d == 1 else np.stack([z, np.roll(z, 3) + 0.2 * rng.standard_normal(n)], 1)
+    return hyperopt.Dataset.from_data(np.stack([np.cos(a), np.sin(a)], axis=-1), obs)
+
+
+@pytest.mark.parametrize(
+    "family, m, d, fixed",
+    [(fam, m, 1, None) for fam in ("hvm", "pvm", "pprd", "pse") for m in (1, 2)]
+    + [("hvm", 2, 1, {"corr_12": 0.0}), ("pse", 2, 1, {"ell_1": 1.5}), ("hvm", 2, 2, None)],
+)
+def test_probe_matches_the_plain_reference_bit_for_bit(family, m, d, fixed):
+    """The optimizer's probe, F and its gradient in phi, is bit-identical to
+    reference_probe (per-group exp, a freshly built kernel, scipy's
+    cho_solve) at n = 40: every family, a pinned coordinate, and two outputs
+    through the ICM path. Identical probes keep every seeded fit identical."""
+    ds = _probe_dataset(m, d)
+    kern0, sig0, B0 = hyperopt.default_initialization(ds, family)
+    prob = hyperopt._Problem(ds, kern0, fixed=fixed)
+    phi0 = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
+    rng = np.random.default_rng(17)
+    for phi in [phi0] + [phi0 + rng.normal(0.0, 0.5, phi0.shape) for _ in range(12)]:
+        F, grad = prob.value_and_grad(phi)
+        F_ref, grad_ref = reference_probe(ds, kern0, phi, fixed)
+        assert np.float64(F).tobytes() == np.float64(F_ref).tobytes()
+        assert grad.shape == grad_ref.shape and grad.tobytes() == grad_ref.tobytes()
 
 
 def test_cholesky_and_one_column_icm_evaluations_agree():

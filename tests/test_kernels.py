@@ -71,6 +71,40 @@ def test_hvm_corr_length_checked():
         ExpLinearKernel("hvm", 3, (1.0, 1.0, 1.0, 1.0, 0.1))
 
 
+def _out_of_range_thetas():
+    """Per family on T^2: theta with one coordinate made non-finite or out of its range."""
+    cases = []
+    for family in ("hvm", "pvm", "pprd", "pse"):
+        base = kernel_from_family(family, 2).theta.tolist()
+        bad = [("omega-nan", 0, np.nan), ("circle-nan", 1, np.nan), ("omega-inf", 0, np.inf)]
+        bad += [("circle-inf", 2, np.inf), ("circle-neg-inf", 1, -np.inf)]
+        bad += [("omega-0", 0, 0.0), ("omega-neg", 0, -1.0)]
+        if family in ("hvm", "pvm"):
+            bad += [("lam-neg", 1, -0.1)]
+        else:
+            bad += [("ell-0", 1, 0.0), ("ell-neg", 2, -2.0)]
+        if family == "hvm":
+            bad += [("corr-neg", 3, -0.1), ("corr-nan", 3, np.nan), ("corr-inf", 3, np.inf)]
+        for name, i, value in bad:
+            theta = list(base)
+            theta[i] = value
+            cases.append(pytest.param(family, theta, id=f"{family}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("family, theta", _out_of_range_thetas())
+def test_kernel_rejects_out_of_range_coordinates(family, theta):
+    with pytest.raises(ValueError, match=f"{family}: coordinates must be finite and nonnegative"):
+        ExpLinearKernel(family, 2, theta)
+
+
+def test_kernel_accepts_zero_concentrations_and_pair_weights():
+    """The range boundary: lam = 0 and corr = 0 are valid, omega and ell must be positive."""
+    assert ExpLinearKernel("hvm", 2, (1.0, 0.0, 0.0, 0.0)).prior_variance() == 1.0
+    assert ExpLinearKernel("pvm", 2, (1e-300, 0.0, 1e300)).theta[0] == 1e-300
+    assert ExpLinearKernel("pse", 2, (1.0, 1e-100, 2.0)).theta[1] == 1e-100
+
+
 def test_interaction_matrix_is_hollow_symmetric():
     kernel = ExpLinearKernel("hvm", 3, (1.3, 0.7, 0.3, 1.1, 0.1, 0.2, 0.3))
     L = interaction_matrix(kernel)

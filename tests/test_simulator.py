@@ -282,3 +282,28 @@ def test_scenario_config_validation():
         ScenarioConfig(noise_xi=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(process_cov=((1.0, 2.0), (0.0, 1.0)))
+
+
+def test_write_csv_writes_every_cell_type_exactly(tmp_path):
+    """str and int cells, bool included, are written by str and every other
+    cell by repr(float(cell)), in all-float and mixed columns alike."""
+    rows = [
+        ("a", 3, True, np.int64(7), np.float64(0.1), -0.0),
+        ("b", np.float64(2.5), False, 1e-300, float("nan"), float("inf")),
+        (4, np.float32(0.1), np.bool_(True), -np.inf, np.float64(-1e300), 1),
+    ]
+    path = tmp_path / "cells.csv"
+    simulator.write_csv(path, ["c1", "c2", "c3", "c4", "c5", "c6"], iter(rows))
+    assert path.read_bytes() == (
+        b"c1,c2,c3,c4,c5,c6\n"
+        b"a,3,True,7.0,0.1,-0.0\n"
+        b"b,2.5,False,1e-300,nan,inf\n"
+        b"4,0.10000000149011612,1.0,-inf,-1e+300,1\n"
+    )
+    simulator.write_csv(path, ["x"], [])
+    assert path.read_bytes() == b"x\n"
+
+
+def test_write_csv_refuses_a_row_of_another_width(tmp_path):
+    with pytest.raises(ValueError, match="header's 2 cells"):
+        simulator.write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
