@@ -525,7 +525,8 @@ def cmd_campaign(args, config, seed, out):
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
     sec = config["campaign"]
     jobs = _parse(args.jobs, 1, "--jobs")
-    # tracking.campaign builds its trajectories only after training every method
+    # tracking.campaign refuses bad scenario geometry with a ValueError, which
+    # these pre-builds report as a ConfigError (exit 2)
     _from_scenario(build_training_set, cfg)
     for name in sec["trajectories"]:
         _from_scenario(trajectory, cfg.with_(trajectory=name))

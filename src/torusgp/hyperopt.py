@@ -46,7 +46,7 @@ Optimization runs in unconstrained coordinates phi:
     B = G G^T with G lower triangular      ->  log on diag(G), raw off-diagonal
                                               (2-D observations only)
 
-(a free coordinate at exactly 0 has no log: pin it with fixed=), and ascends
+from a family's default start, which has no coordinate at 0, and ascends
 with BFGS directions under monotone backtracking acceptance (only improving
 steps are ever accepted, so the trace of accepted objective values is
 nondecreasing by construction). Termination: gradient norm below
@@ -138,24 +138,16 @@ class OptResult:
 class _Problem:
     """Objective/gradient in unconstrained coordinates for one dataset.
 
-    fixed maps kernel-coordinate names to pinned values; pinned coordinates
-    are evaluated at their values and dropped from phi. Everything a probe
-    shares with the next is formed once here: the kernel's lift of the
-    training inputs, theta with the pinned values in place, the positions of
-    phi's log coordinates and, for 1-D observations, the identity that K^-1
-    is solved from.
+    kernel_template fixes the family and torus; every kernel coordinate is
+    fitted. Everything a probe shares with the next is formed once here: the
+    kernel's lift of the training inputs, the positions of phi's log
+    coordinates and, for 1-D observations, the identity that K^-1 is solved
+    from.
     """
 
-    def __init__(self, dataset: Dataset, kernel_template, fixed: dict | None = None):
+    def __init__(self, dataset: Dataset, kernel_template):
         self.data = dataset
         self.template = kernel_template
-        self.fixed = dict(fixed or {})
-        self.names = kernel_template.theta_names
-        unknown = set(self.fixed) - set(self.names)
-        if unknown:
-            raise ValueError(f"fixed refers to unknown coordinates {sorted(unknown)}")
-        self.free_idx = np.array([i for i, nm in enumerate(self.names) if nm not in self.fixed], dtype=int)
-        self.theta0 = np.array([self.fixed.get(nm, 0.0) for nm in self.names], dtype=float)
         self.lifted = kernel_template.lift(dataset.inputs)
         self.d = dataset.d
         self.multi = dataset.multi_output
@@ -168,9 +160,9 @@ class _Problem:
         rows, cols = np.tril_indices(self.d if self.multi else 0)
         self.tril, self.diag = rows * self.d + cols, rows == cols
         self.G0 = np.eye(self.d)
-        # phi is [log free theta, G's free entries, log sigma]; the entries of G
-        # off its diagonal are raw, every other coordinate is a log
-        nk, ng = self.free_idx.size, self.diag.size
+        # phi is [log theta, G's free entries, log sigma]; the entries of G off
+        # its diagonal are raw, every other coordinate is a log
+        nk, ng = kernel_template.theta.size, self.diag.size
         self.split = (nk, nk + ng)
         self.logs = np.concatenate(
             [np.arange(nk), nk + np.flatnonzero(self.diag), np.arange(nk + ng, nk + ng + self.d)]
@@ -180,41 +172,29 @@ class _Problem:
     # -- packing ------------------------------------------------------------
 
     def pack(self, kernel, G: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        theta = kernel.theta
-        zero = [self.names[i] for i in self.free_idx if theta[i] == 0.0]
-        if zero:
-            raise ValueError(
-                f"free coordinate {zero[0]} is 0, which the log parametrization "
-                f"cannot represent; pin it with fixed={{{zero[0]!r}: 0.0}}"
-            )
         g = np.ravel(G)[self.tril]
         g[self.diag] = np.log(g[self.diag])
-        return np.concatenate([np.log(theta[self.free_idx]), g, np.log(np.atleast_1d(sigma))])
+        return np.concatenate([np.log(kernel.theta), g, np.log(np.atleast_1d(sigma))])
 
     def unpack(self, phi: np.ndarray):
         """(kernel, G, B = G G^T, sigma, exp of phi's log coordinates) at phi.
 
-        G is the identity off the free entries.
+        G is the identity off the free entries. Callers run it, and evaluate,
+        under np.errstate(all="ignore"), as value_and_grad does.
         """
         phi = np.asarray(phi, dtype=float)
-        # A line-search probe can push exp(), and ell^-2 with it, past the float
-        # range either way; report that as a factorization failure so the caller
-        # backs off instead of crashing inside a parameter constructor.
-        with np.errstate(over="ignore", divide="ignore"):
-            grown = np.exp(phi[self.logs])
-            if not (all(map(isfinite, phi.tolist())) and all(0.0 < v < inf for v in grown.tolist())):
-                err = FactorizationError(
-                    f"{self.template.family}: hyperparameter coordinates "
-                    "left the representable positive range"
-                )
-                err.theta = phi.copy()
-                raise err
-            v = phi.copy()
-            v[self.logs] = grown
-            a, b = self.split
-            theta = self.theta0.copy()
-            theta[self.free_idx] = v[:a]
-            kernel = self.template.with_theta(theta)
+        grown = np.exp(phi[self.logs])
+        if not (all(map(isfinite, phi.tolist())) and all(0.0 < v < inf for v in grown.tolist())):
+            err = FactorizationError(
+                f"{self.template.family}: hyperparameter coordinates "
+                "left the representable positive range"
+            )
+            err.theta = phi.copy()
+            raise err
+        v = phi.copy()
+        v[self.logs] = grown
+        a, b = self.split
+        kernel = self.template.with_theta(v[:a])
         G = self.G0.copy()
         G.put(self.tril, v[a:b])
         return kernel, G, G @ G.T, v[b:], grown
@@ -228,24 +208,21 @@ class _Problem:
         system matrix that overflows or is not positive definite raises
         FactorizationError carrying coords as .theta.
         """
-        # overflow is tolerated here: the finiteness checks make it a rejected
-        # step, and the optimizer never reads a rejected probe's gradient
-        with np.errstate(all="ignore"):
-            try:
-                K_x = kernel.gram_lifted(self.lifted)
-                if self.multi:
-                    F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
-                else:
-                    F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
-            except np.linalg.LinAlgError as err:
-                if not isinstance(err, FactorizationError):
-                    err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
-                err.theta = np.array(coords, dtype=float)
-                raise err
-            W = Abar * K_x
-            g_theta = np.empty(kernel.theta.size)
-            g_theta[0] = (2.0 / kernel.theta[0]) * W.sum()
-            g_theta[1:] = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
+        try:
+            K_x = kernel.gram_lifted(self.lifted)
+            if self.multi:
+                F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
+            else:
+                F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
+        except np.linalg.LinAlgError as err:
+            if not isinstance(err, FactorizationError):
+                err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
+            err.theta = np.array(coords, dtype=float)
+            raise err
+        W = Abar * K_x
+        g_theta = np.empty(kernel.theta.size)
+        g_theta[0] = (2.0 / kernel.theta[0]) * W.sum()
+        g_theta[1:] = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
         return F, g_theta, g_B, g_sigma
 
     def _cholesky(self, K_x, sigma):
@@ -282,9 +259,16 @@ class _Problem:
         return F, Abar, g_B, g_sigma
 
     def value_and_grad(self, phi: np.ndarray):
-        kernel, G, B, sigma, grown = self.unpack(phi)
-        F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
-        grad = np.concatenate([g_theta[self.free_idx], ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
+        """(F, dF/dphi) at phi; FactorizationError if phi cannot be evaluated."""
+        # A line-search probe can push exp(), and ell^-2 with it, past the float
+        # range either way. unpack reports that as a factorization failure, so
+        # the caller backs off instead of crashing inside a parameter
+        # constructor, and the finiteness checks in evaluate make an overflow a
+        # rejected step, whose gradient the optimizer never reads.
+        with np.errstate(all="ignore"):
+            kernel, G, B, sigma, grown = self.unpack(phi)
+            F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
+        grad = np.concatenate([g_theta, ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
         grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
         return F, grad
 
@@ -313,7 +297,8 @@ def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
     sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
     B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
     coords = _constrained(kernel.theta, B, sigma)
-    return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords)
+    with np.errstate(all="ignore"):
+        return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords)
 
 
 def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
@@ -354,20 +339,19 @@ def _psd_project(B: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     return (V * w) @ V.T
 
 
-def default_initialization(dataset, family_or_kernel):
-    """Data-driven starting point: (kernel, noise_sigma (d,), coreg (d, d)).
+def default_initialization(dataset, family):
+    """Data-driven starting point of a family: (kernel, noise_sigma (d,), coreg (d, d)).
 
-    omega starts at the sample deviation of the observations, concentrations
-    at 1, pair weights at 0.1, chart lengthscales at 2, noise at a tenth of
-    the per-output deviation (0.1 where that is 0), and the mixing matrix at
-    the PSD-projected sample output covariance for 2-D observations; 1-D
-    ones have the pinned B = [[1]].
+    family is one of "hvm", "pvm", "pprd", "pse". omega starts at the sample
+    deviation of the observations (1 where that is 0), concentrations at 1,
+    pair weights at 0.1, length scales at 1 (pprd) or 2 (pse), noise at a
+    tenth of the per-output deviation (0.1 where that is 0), and the mixing
+    matrix at the PSD-projected sample output covariance for 2-D
+    observations; 1-D ones have the pinned B = [[1]]. No coordinate starts
+    at 0, so every one has a log.
     """
     dataset = _as_dataset(dataset)
-    if isinstance(family_or_kernel, str):
-        kernel = kernels.kernel_from_family(family_or_kernel, dataset.m)
-    else:
-        kernel = family_or_kernel
+    kernel = kernels.kernel_from_family(family, dataset.m)
     scale = float(np.std(dataset.obs))
     if not scale > 0.0:
         scale = 1.0
@@ -381,9 +365,8 @@ def default_initialization(dataset, family_or_kernel):
 
 def optimize(
     dataset,
-    kernel_or_family,
+    family,
     *,
-    fixed=None,
     restarts=4,
     budget=150,
     seed=0,
@@ -392,18 +375,16 @@ def optimize(
 ) -> OptResult:
     """Fit hyperparameters by monotone ascent on F from multiple starts.
 
-    Restart 0 starts from default_initialization: its noise, its mixing
-    matrix, and its kernel unless a kernel instance is given, which is used
-    as it is. Further restarts perturb the unconstrained coordinates with
-    seeded Gaussian noise.
+    Restart 0 starts from default_initialization of the family. Further
+    restarts perturb its unconstrained coordinates with seeded Gaussian
+    noise. Every kernel coordinate is fitted; the product von Mises kernel,
+    HvM with zero pair weights, is its own family, "pvm".
 
     Parameters
     ----------
     dataset : Dataset or (inputs, obs) pair
-    kernel_or_family : kernel instance used as the starting point, or one of
-        "hvm", "pvm", "pprd", "pse"
-    fixed : mapping of kernel coordinate names to pinned values, e.g.
-        {"corr_12": 0.0}; pinned coordinates are not optimized
+    family : one of "hvm", "pvm", "pprd", "pse"; anything else raises
+        ValueError
     restarts, budget, seed : multi-start count, iteration cap, RNG seed
     rel_tol, grad_tol : termination thresholds (see the module docstring)
 
@@ -414,10 +395,8 @@ def optimize(
     its starting point.
     """
     dataset = _as_dataset(dataset)
-    kern0, sig0, B0 = default_initialization(dataset, kernel_or_family)
-    if not isinstance(kernel_or_family, str):
-        kern0 = kernel_or_family
-    prob = _Problem(dataset, kern0, fixed=fixed)
+    kern0, sig0, B0 = default_initialization(dataset, family)
+    prob = _Problem(dataset, kern0)
     G0 = np.linalg.cholesky(_psd_project(B0))
     phi0 = prob.pack(kern0, G0, sig0)
 
@@ -440,7 +419,8 @@ def optimize(
             best["restart"] = r
     if best is None:
         raise last_error
-    kernel, _, B, sigma, _ = prob.unpack(best["phi"])
+    with np.errstate(all="ignore"):
+        kernel, _, B, sigma, _ = prob.unpack(best["phi"])
     gnorm = best["grad_norm"]
     reason = best["stop_reason"]
     converged = reason == "gradient_norm" or (

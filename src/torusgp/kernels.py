@@ -198,9 +198,12 @@ class ExpLinearKernel:
 
 
 def kernel_from_family(family: str, m: int) -> ExpLinearKernel:
-    """Unit-parameter kernel of the given family on T^m (template for inits)."""
+    """Unit-parameter kernel of the given family on T^m (template for inits).
+
+    family is a name, in any case; anything else raises ValueError.
+    """
+    if not (isinstance(family, str) and family.lower() in _FAMILIES):
+        raise ValueError(f"unknown kernel family {family!r}; choose from {list(_FAMILIES)}")
     family = family.lower()
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
     q = m * (m - 1) // 2 if family == "hvm" else 0
     return ExpLinearKernel(family, m, [1.0] + [_FAMILIES[family][1]] * m + [0.1] * q)

@@ -357,7 +357,7 @@ def _run_row(task):
     ni, ti, run, method = task
     state = _WORKER
     cfg = state["cfgs"][(ni, ti)]
-    traj = state["trajs"][(ni, ti)]
+    traj = state["trajs"][ti]
     model = state["models"][(ni, method)]
     seed = _int_seed(state["seed"], 2, ni, ti, run)
     result = run_tracking(cfg, method, model, seed, traj=traj)
@@ -394,15 +394,17 @@ def campaign(
     for mth in methods:
         if mth not in METHODS:
             raise ValueError(f"unknown method {mth!r}; choose from {METHODS}")
-    models = {}
+    # A trajectory depends on its name and the scenario geometry, not on the
+    # noise level or seed: each is built once, before any training, so one
+    # that leaves the arena fails before the fits are paid for.
+    trajs = [trajectory(cfg.with_(trajectory=tname)) for tname in trajectories]
     trained = {}
     cfgs = {}
-    trajs = {}
     for ni, xi in enumerate(noise_levels):
         cfg_n = cfg.with_(noise_xi=float(xi), seed=seed)
         ts = build_training_set(cfg_n, rng_for(seed, 0, ni))
         for mi, method in enumerate(methods):
-            tm = train_method(
+            trained[(ni, method)] = train_method(
                 ts,
                 method,
                 cfg_n.references_array,
@@ -410,12 +412,8 @@ def campaign(
                 restarts=opt_restarts,
                 seed=_int_seed(seed, 1, ni, mi),
             )
-            trained[(ni, method)] = tm
-            models[(ni, method)] = tm.model
         for ti, tname in enumerate(trajectories):
-            cfg_t = cfg_n.with_(trajectory=tname)
-            cfgs[(ni, ti)] = cfg_t
-            trajs[(ni, ti)] = trajectory(cfg_t)
+            cfgs[(ni, ti)] = cfg_n.with_(trajectory=tname)
     tasks = [
         (ni, ti, run, method)
         for ni in range(len(noise_levels))
@@ -423,11 +421,14 @@ def campaign(
         for run in range(runs)
         for method in methods
     ]
+    models = {key: tm.model for key, tm in trained.items()}
     state = {"cfgs": cfgs, "trajs": trajs, "models": models, "seed": seed}
     if jobs <= 1:
         _init_worker(state)
-        rows = [_run_row(t) for t in tasks]
-        _WORKER.clear()
+        try:
+            rows = [_run_row(t) for t in tasks]
+        finally:
+            _WORKER.clear()
     else:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(state,)

@@ -237,10 +237,10 @@ def dense_icm(kernel, X, Z, B, sigma):
     return F, g_theta, g_B, g_sigma
 
 
-def reference_probe(dataset, template, phi, fixed=None):
+def reference_probe(dataset, template, phi):
     """F and dF/dphi at the optimizer's unconstrained coordinates phi, written plainly.
 
-    phi is [log free theta, G's lower triangle row by row (log on its
+    phi is [log theta, G's lower triangle row by row (log on its
     diagonal), log sigma], G empty for 1-D data. Each coordinate group is
     exponentiated on its own and the kernel is built afresh from the full
     theta. 1-D data is solved with scipy's cho_solve, K^-1 included;
@@ -248,16 +248,12 @@ def reference_probe(dataset, template, phi, fixed=None):
     sums come from the kernel itself (checked elsewhere against the scalar
     oracles), so this pins the probe's own arithmetic, not the kernel's.
     """
-    fixed = dict(fixed or {})
     phi = np.asarray(phi, dtype=float)
-    names = template.theta_names
-    free = [i for i, nm in enumerate(names) if nm not in fixed]
     n, d, N = dataset.n, dataset.d, dataset.zvec.size
     tril = np.tril_indices(d if dataset.multi_output else 0)
     diag = tril[0] == tril[1]
-    nk, ng = len(free), diag.size
-    theta = np.array([fixed.get(nm, 0.0) for nm in names])
-    theta[free] = np.exp(phi[:nk])
+    nk, ng = template.theta.size, diag.size
+    theta = np.exp(phi[:nk])
     g = phi[nk : nk + ng].copy()
     g[diag] = np.exp(g[diag])
     sigma = np.exp(phi[nk + ng :])
@@ -294,7 +290,7 @@ def reference_probe(dataset, template, phi, fixed=None):
     )
     g_G = ((g_B + g_B.T) @ G)[tril]
     g_G[diag] *= np.diag(G)
-    return F, np.concatenate([g_theta[free] * theta[free], g_G, g_sigma * sigma])
+    return F, np.concatenate([g_theta * theta, g_G, g_sigma * sigma])
 
 
 def dense_observation_posterior(model, tests) -> gp.PosteriorGaussian:

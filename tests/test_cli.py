@@ -476,8 +476,9 @@ def test_missing_model_exits_3(tmp_path):
         ("track", "--model", "model.json", "not json\n"),
         ("track", "--model", "model.json", '{"format": "torusgp-model"}\n'),
         ("track", "--model", "model.json", '{"format": "bogus"}\n'),
+        ("track", "--model", "model.json", '{"format": "torusgp-model", "kernel": {"family": 7, "m": 2}}\n'),
     ],
-    ids=["csv-header", "not-json", "no-kernel", "unknown-format"],
+    ids=["csv-header", "not-json", "no-kernel", "unknown-format", "family-not-a-name"],
 )
 def test_malformed_upstream_artifact_exits_3_naming_it(tmp_path, capsys, command, flag, name, text):
     cfg = _write_config(tmp_path)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,21 +160,22 @@ def test_indefinite_coreg_with_a_positive_definite_system_gives_the_dense_value(
     assert got == pytest.approx(_dense_objective(K, np.ravel(Z, order="F")), rel=1e-12)
 
 
-def test_optimize_from_a_zero_free_coordinate_names_it():
-    ds = _toy_dataset(seed=3)
-    start = ExpLinearKernel("hvm", 3, (1.0, 1.0, 0.8, 0.5, 0.2, 0.0, 0.15))
-    with pytest.raises(ValueError, match=r"corr_23.*fixed="):
-        hyperopt.optimize(ds, start, budget=5, restarts=1)
-    res = hyperopt.optimize(ds, start, fixed={"corr_23": 0.0}, budget=5, restarts=1)
-    assert dict(zip(res.kernel.theta_names, res.kernel.theta))["corr_23"] == 0.0
-
-
 @pytest.mark.parametrize("m", [2, 4], ids=["fewer-circles", "more-circles"])
 def test_optimize_rejects_a_kernel_on_another_torus(m):
     rng = np.random.default_rng(6)
     X = _inputs(rng, 10, 3)
     with pytest.raises(ValueError, match=f"T\\^{m} got inputs with 3 circles"):
-        hyperopt.optimize((X, rng.standard_normal(10)), kernel_from_family("hvm", m), budget=5, restarts=1)
+        hyperopt.objective((X, rng.standard_normal(10)), kernel_from_family("hvm", m), 0.1)
+
+
+@pytest.mark.parametrize(
+    "family", [kernel_from_family("hvm", 3), "hvmm", None], ids=["kernel", "unknown-name", "none"]
+)
+def test_optimize_takes_a_family_name_only(family):
+    """A kernel instance, an unknown name or a non-string is a typed error naming the families."""
+    ds = _toy_dataset(seed=3)
+    with pytest.raises(ValueError, match=r"unknown kernel family .*\['hvm', 'pvm', 'pprd', 'pse'\]"):
+        hyperopt.optimize(ds, family, budget=5, restarts=1)
 
 
 def test_gradient_kernel_and_noise_coords_match_fd():
@@ -297,23 +300,24 @@ def test_optimize_converged_flag_implies_small_gradient():
     assert res.stop_reason in {"gradient_norm", "objective_change", "step_failure", "budget"}
 
 
-def test_fixed_parameters_stay_pinned():
-    ds = _toy_dataset(seed=7)
-    fixed = {"corr_12": 0.0, "corr_23": 0.0, "corr_13": 0.0}
-    res = hyperopt.optimize(ds, "hvm", fixed=fixed, budget=40, restarts=1, seed=1)
-    params = dict(zip(res.kernel.theta_names, res.kernel.theta))
-    assert params["corr_12"] == 0.0
-    assert params["corr_23"] == 0.0
-    assert params["corr_13"] == 0.0
-
-
-def test_hvm_with_frozen_interactions_matches_product_vm_fit():
-    """Pinning every pair weight to zero must land on the product-kernel fit."""
-    ds = _toy_dataset(seed=8, n=25)
-    fixed = {"corr_12": 0.0, "corr_23": 0.0, "corr_13": 0.0}
-    a = hyperopt.optimize(ds, "hvm", fixed=fixed, budget=60, restarts=2, seed=3)
-    b = hyperopt.optimize(ds, "pvm", budget=60, restarts=2, seed=3)
-    assert a.objective == pytest.approx(b.objective, abs=1e-6)
+@pytest.mark.parametrize("d", [1, 3])
+def test_hvm_with_zero_pair_weights_is_the_product_vm_objective(d):
+    """HvM with every pair weight at 0 is PvM: the same F, and the same
+    omega, lam, B and noise entries of its gradient, for one output and three."""
+    rng = np.random.default_rng(8)
+    X = _inputs(rng, 25, 3)
+    Z = rng.standard_normal(25) if d == 1 else rng.standard_normal((25, d))
+    A = rng.standard_normal((d, d))
+    coreg = None if d == 1 else A @ A.T + 0.3 * np.eye(d)
+    sigma = rng.uniform(0.2, 0.5, d)
+    pvm = ExpLinearKernel("pvm", 3, (1.3, 0.9, 0.6, 1.2))
+    hvm = ExpLinearKernel("hvm", 3, (*pvm.theta, 0.0, 0.0, 0.0))
+    F_h, F_p = (hyperopt.objective((X, Z), k, sigma, coreg) for k in (hvm, pvm))
+    assert F_h == pytest.approx(F_p, rel=1e-12)
+    (names_h, g_h), (names_p, g_p) = (hyperopt.gradient((X, Z), k, sigma, coreg) for k in (hvm, pvm))
+    by_name = dict(zip(names_h, g_h))
+    assert not any(nm.startswith("corr") for nm in names_p)
+    np.testing.assert_allclose([by_name[nm] for nm in names_p], g_p, rtol=1e-12, atol=0.0)
 
 
 def test_multi_output_optimize_returns_valid_mixing_matrix():
@@ -388,16 +392,18 @@ def test_summary_carries_the_trace():
 
 def test_failed_restarts_are_reported():
     """A perturbed restart that fails at its start keeps -inf in
-    restart_objectives, and its error message reaches summary()."""
+    restart_objectives, and its error message reaches summary(). The
+    overflowing probes stay silent: no RuntimeWarning escapes the run."""
     ds = _toy_dataset(seed=21)
-    kern0, _, _ = hyperopt.default_initialization(ds, "hvm")
-    # omega^2 times the Gram diagonal at half the float range: a start
-    # perturbed upward in omega overflows the system matrix
-    x0 = ds.inputs[:1]
-    unit = kern0.with_theta(np.concatenate([[1.0], kern0.theta[1:]]))
-    omega = np.sqrt(0.5 * np.finfo(float).max / unit.gram(x0, x0)[0, 0])
-    start = kern0.with_theta(np.concatenate([[omega], kern0.theta[1:]]))
-    res = hyperopt.optimize(ds, start, restarts=3, budget=10, seed=4)
+    # observations scaled so that the default omega^2 times the Gram diagonal
+    # sits at half the float range: a start perturbed upward in omega
+    # overflows the system matrix
+    unit = kernel_from_family("hvm", 3)
+    omega = np.sqrt(0.5 * np.finfo(float).max / unit.prior_variance())
+    ds = hyperopt.Dataset.from_data(ds.inputs, ds.obs * (omega / np.std(ds.obs)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = hyperopt.optimize(ds, "hvm", restarts=3, budget=10, seed=4)
     assert res.restart == 0
     assert res.restart_objectives[1] == -np.inf
     assert np.all(np.isfinite(res.restart_objectives[::2]))
@@ -422,8 +428,8 @@ def test_extreme_probe_coordinates_raise_the_typed_error():
         kern0, sig0, B0 = hyperopt.default_initialization(ds, "hvm")
         prob = hyperopt._Problem(ds, kern0)
         phi = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
-        # G's lower triangle follows the free theta, row by row: log G_11, G_21, log G_22
-        nk = len(prob.free_idx)
+        # G's lower triangle follows theta, row by row: log G_11, G_21, log G_22
+        nk = kern0.theta.size
         logs = [0, 1, phi.size - 1] + ([nk, nk + 2] if ds.multi_output else [])
         # omega = exp(400) passes unpack and overflows the Gram matrix instead
         probes = [(i, bad) for i in logs for bad in (800.0, -800.0)]
@@ -449,24 +455,25 @@ def _probe_dataset(m, d, n=40, seed=3):
     return hyperopt.Dataset.from_data(np.stack([np.cos(a), np.sin(a)], axis=-1), obs)
 
 
-@pytest.mark.parametrize(
-    "family, m, d, fixed",
-    [(fam, m, 1, None) for fam in ("hvm", "pvm", "pprd", "pse") for m in (1, 2)]
-    + [("hvm", 2, 1, {"corr_12": 0.0}), ("pse", 2, 1, {"ell_1": 1.5}), ("hvm", 2, 2, None)],
-)
-def test_probe_matches_the_plain_reference_bit_for_bit(family, m, d, fixed):
+_PROBE_CASES = [(fam, m, 1) for fam in ("hvm", "pvm", "pprd", "pse") for m in (1, 2)] + [("hvm", 2, 2)]
+
+
+# the "-None" suffix is the empty pinned-coordinate slot these cases once had;
+# it keeps their ids stable
+@pytest.mark.parametrize("family, m, d", _PROBE_CASES, ids=[f"{f}-{m}-{d}-None" for f, m, d in _PROBE_CASES])
+def test_probe_matches_the_plain_reference_bit_for_bit(family, m, d):
     """The optimizer's probe, F and its gradient in phi, is bit-identical to
     reference_probe (per-group exp, a freshly built kernel, scipy's
-    cho_solve) at n = 40: every family, a pinned coordinate, and two outputs
-    through the ICM path. Identical probes keep every seeded fit identical."""
+    cho_solve) at n = 40: every family, and two outputs through the ICM
+    path. Identical probes keep every seeded fit identical."""
     ds = _probe_dataset(m, d)
     kern0, sig0, B0 = hyperopt.default_initialization(ds, family)
-    prob = hyperopt._Problem(ds, kern0, fixed=fixed)
+    prob = hyperopt._Problem(ds, kern0)
     phi0 = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
     rng = np.random.default_rng(17)
     for phi in [phi0] + [phi0 + rng.normal(0.0, 0.5, phi0.shape) for _ in range(12)]:
         F, grad = prob.value_and_grad(phi)
-        F_ref, grad_ref = reference_probe(ds, kern0, phi, fixed)
+        F_ref, grad_ref = reference_probe(ds, kern0, phi)
         assert np.float64(F).tobytes() == np.float64(F_ref).tobytes()
         assert grad.shape == grad_ref.shape and grad.tobytes() == grad_ref.tobytes()
 

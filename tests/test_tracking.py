@@ -307,6 +307,27 @@ def test_campaign_rows_and_determinism():
         assert methods_seen == {"HvM", "Parametric"}
 
 
+def test_campaign_refuses_a_trajectory_before_any_training(monkeypatch):
+    """A trajectory that leaves the arena fails before a single method is trained."""
+    calls = []
+    monkeypatch.setattr(tracking, "train_method", lambda *args, **kwargs: calls.append(args))
+    cfg = ScenarioConfig(arena=(20.0, 20.0), references=((5.0, 5.0), (15.0, 5.0), (10.0, 15.0)))
+    with pytest.raises(ValueError, match="T1 leaves the arena"):
+        tracking.campaign(cfg, methods=("Parametric",), noise_levels=(0.01, 0.02), runs=1)
+    assert calls == []
+
+
+def test_serial_campaign_releases_its_models_when_a_run_fails(monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise RuntimeError("filter failed")
+
+    monkeypatch.setattr(tracking, "run_tracking", broken_run)
+    cfg = ScenarioConfig(grid=(5, 4), steps=10, seed=0)
+    with pytest.raises(RuntimeError, match="filter failed"):
+        tracking.campaign(cfg, methods=("Parametric",), runs=1)
+    assert tracking._WORKER == {}
+
+
 def test_campaign_parallel_matches_serial():
     cfg = ScenarioConfig(grid=(5, 4), steps=25, seed=0)
     kwargs = dict(
