@@ -6,8 +6,9 @@ from scipy import stats
 from scipy.linalg import cho_solve, lu_factor, lu_solve
 
 from kernel_oracles import dense_observation_logpdf, dense_observation_posterior
-from torusgp import gp
+from torusgp import gp, tracking
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
+from torusgp.manifold import aoa_embedding_batch
 
 
 def _inputs(rng, n, m):
@@ -227,7 +228,7 @@ def test_cholesky_with_jitter_raises_on_indefinite():
         gp.cholesky_with_jitter(A, label="test matrix")
     msg = str(exc.value)
     assert "test matrix" in msg
-    assert "-5" in msg  # smallest eigenvalue is part of the message
+    assert "smallest eigenvalue -5.000000e+00" in msg
 
 
 def test_fit_validates_coreg_and_noise():
@@ -353,6 +354,25 @@ def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior(
     assert np.max(np.abs(post.cov - cov)) <= tol * max(1.0, np.max(np.abs(cov)))
 
     if d > 1:
+        # The likelihood path scores with R + jitter_used, the R of the factor: at two
+        # training inputs, where the jitter dominates the predictive covariance, and at
+        # two fresh points. A particle at the origin with reference s at 5 u_s has
+        # embedding u (to rounding).
+        ll_model = tracking.GpRangeModel(model)
+        origin = np.zeros((1, 2))
+        for u in np.concatenate([X[:6:3], T[:2]]):
+            e = aoa_embedding_batch(origin, 5.0 * u)
+            Ke = np.kron(B, kernel.gram(e, X))
+            mean_e = Ke @ alpha
+            cov_e = np.kron(B, kernel.gram(e, e)) - Ke @ lu_solve(lu, Ke.T)
+            cov_e += np.diag(noise + model.jitter_used)
+            r = 1e-4 * rng.standard_normal(d)
+            sign, logdet = np.linalg.slogdet(cov_e)
+            assert sign > 0
+            want = -0.5 * (r @ np.linalg.solve(cov_e, r) + logdet + d * np.log(2 * np.pi))
+            z_e = mean_e + r
+            got = ll_model.logpdf(origin, z_e, 5.0 * u)[0]
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (got, want)
         with pytest.raises(gp.FactorizationError, match="^hvm: "):
             gp.fit(X[::3], Z[::3, :2], kernel, np.full(2, 1e-20), coreg=np.diag([1.0, -0.5]))
 

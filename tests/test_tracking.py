@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kernel_oracles import dense_observation_logpdf, mp_icm_logpdf
+from kernel_oracles import dense_observation_logpdf, dense_observation_posterior, mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
 from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
@@ -134,6 +134,29 @@ def test_gp_model_adds_the_noise_to_the_latent_marginals(family):
     for i in range(p):
         want = dense_observation_logpdf(model.gp, E[n + i : n + i + 1], z)
         assert abs(got[i] - want) <= 1e-10 * max(1.0, abs(want)), (i, got[i], want)
+
+
+def test_gp_model_scores_an_indefinite_predictive_covariance_minus_inf():
+    """A particle with some 1 + S v <= 0 (covariance not positive definite) scores -inf, never NaN.
+
+    B = diag(1, -0.5) passes the fit, since every entry of D is positive, but
+    the second output's predictive variance is negative near the training
+    point; far from it the covariance is positive definite again.
+    """
+    refs = np.array([[5.0, 5.0], [25.0, 5.0]])
+    kernel = ExpLinearKernel("hvm", 2, (np.sqrt(1.9) * np.exp(-5.0), 5.0, 5.0, 0.0))  # k(x, x) = 1.9
+    X = aoa_embedding_batch(np.array([[15.0, 12.0]]), refs)
+    model = gp.fit(X, np.zeros((1, 2)), kernel, np.array([0.1, 1.0]), coreg=np.diag([1.0, -0.5]))
+    pos = np.array([[15.0, 12.0], [15.0, -10.0], [40.0, 5.0]])
+    E = aoa_embedding_batch(pos, refs)
+    q = 1.0 + model.factor.S * gp.eigen_moments(model, E)[1]
+    assert np.min(q[0]) <= 0.0 and np.all(q[1:] > 0.0)
+    assert np.linalg.eigvalsh(dense_observation_posterior(model, E[:1]).cov)[0] < 0.0
+    z = np.array([0.3, -0.2])
+    ll = tracking.GpRangeModel(model).logpdf(pos, z, refs)
+    assert ll[0] == -np.inf and not np.any(np.isnan(ll))
+    for i in (1, 2):
+        assert ll[i] == pytest.approx(dense_observation_logpdf(model, E[i : i + 1], z), rel=1e-10)
 
 
 def test_gp_model_rejects_particles_on_references(toy_gp_model):
