@@ -287,15 +287,9 @@ def _hyperparam_dict(kernel) -> dict:
 
 def _fit_summary(tm: tracking.TrainedMethod) -> dict:
     """Optimizer outcome, work counts and factorization jitter of one GP fit."""
-    return {
-        "objective": tm.opt.objective,
-        "converged": tm.opt.converged,
-        "stop_reason": tm.opt.stop_reason,
-        "evaluations": tm.opt.evaluations,
-        "backtracks": tm.opt.backtracks,
-        "failed_restarts": len(tm.opt.restart_failures),
-        "jitter_used": tm.gp.jitter_used,
-    }
+    opt = tm.opt.summary()
+    keys = ("objective", "converged", "stop_reason", "evaluations", "backtracks", "failed_restarts")
+    return {**{key: opt[key] for key in keys}, "jitter_used": tm.gp.jitter_used}
 
 
 def _from_scenario(make, cfg):

@@ -12,9 +12,10 @@ B = [[1]], R = sigma_r^2. K has the exact Kronecker-eigen factor
 IcmFactor (Bonilla et al. 2008; Rakitsch et al. 2013): with
 Kxx = U diag(lam) U^T, R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the
 n x d matrix D = lam S^T + 1, K^-1 = (P kron U) diag(vec D)^-1 (P kron U)^T,
-and K is positive definite exactly when every entry of D is. fit, predict
-and marginals use this factor for every d, one included; torusgp.hyperopt
-uses it for 2-D observations.
+and K is positive definite exactly when every entry of D is; the factor
+stores only what its readers use, so Q is there only as part of P. fit,
+predict and marginals use this factor for every d, one included;
+torusgp.hyperopt uses it for 2-D observations.
 
 At test point p, with Kt = Ktn U, G = B P and c_p = (Kt_p o Kt_p) D^-1, the
 variances v_p = k(x, x) - S o c_p give the latent covariance
@@ -72,13 +73,13 @@ class PosteriorGaussian:
 class IcmFactor:
     """Kronecker-eigen factor of an ICM system (names as in the module docstring).
 
-    G = B P and Dinv = 1 / D are the per-model constants of predict and
-    marginals.
+    It stores only what its readers use: Q reaches them through P = R^-1/2 Q
+    alone, so it is not kept. G = B P and Dinv = 1 / D are the per-model
+    constants of predict and marginals.
     """
 
     U: np.ndarray
     lam: np.ndarray
-    Q: np.ndarray
     S: np.ndarray
     P: np.ndarray
     D: np.ndarray
@@ -201,7 +202,7 @@ def icm_factor(K_x, B, sigma, label: str = "kernel", jitters=(0.0,)):
             D = np.outer(lam, S) + 1.0
             if np.all(D > 0.0):
                 P = Q * r[:, None]
-                return IcmFactor(U, lam, Q, S, P, D, B @ P, 1.0 / D), jitter
+                return IcmFactor(U, lam, S, P, D, B @ P, 1.0 / D), jitter
     except np.linalg.LinAlgError as err:
         raise FactorizationError(f"{label}: eigendecomposition failed ({err})") from None
     raise FactorizationError(
@@ -357,11 +358,4 @@ def load_model(path) -> TrainedGp:
     if doc.get("format") != _MODEL_FORMAT:
         raise ValueError(f"{path}: not a {_MODEL_FORMAT} file")
     kernel = _kernel_from_dict(doc["kernel"])
-    coreg = None if doc["coreg"] is None else np.asarray(doc["coreg"], dtype=float)
-    return fit(
-        np.asarray(doc["inputs"], dtype=float),
-        np.asarray(doc["obs"], dtype=float),
-        kernel,
-        doc["noise_var"],
-        coreg=coreg,
-    )
+    return fit(doc["inputs"], doc["obs"], kernel, doc["noise_var"], coreg=doc["coreg"])

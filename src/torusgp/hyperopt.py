@@ -55,7 +55,7 @@ iteration budget. A run counts as converged when the gradient rule fired, or
 when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
 import numpy as np
@@ -103,12 +103,11 @@ class OptResult:
     stop_reason: str
     grad_norm: float
     trace: list
-    seed: int
     restart: int
     evaluations: int
     backtracks: int
-    restart_objectives: list = field(default_factory=list)
-    restart_failures: list = field(default_factory=list)
+    restart_objectives: list
+    restart_failures: list
 
     @property
     def noise_var(self) -> np.ndarray:
@@ -420,29 +419,14 @@ def optimize(
     if best is None:
         raise last_error
     with np.errstate(all="ignore"):
-        kernel, _, B, sigma, _ = prob.unpack(best["phi"])
-    gnorm = best["grad_norm"]
-    reason = best["stop_reason"]
-    converged = reason == "gradient_norm" or (
-        reason in ("objective_change", "step_failure")
-        and gnorm < GRAD_CONVERGED_FACTOR * (1.0 + abs(best["objective"]))
-    )
+        kernel, _, B, sigma, _ = prob.unpack(best.pop("phi"))
     return OptResult(
         kernel=kernel,
         noise_sigma=sigma,
         coreg=B,
-        objective=best["objective"],
-        iterations=best["iterations"],
-        converged=converged,
-        stop_reason=reason,
-        grad_norm=gnorm,
-        trace=best["trace"],
-        seed=seed,
-        restart=best["restart"],
-        evaluations=best["evaluations"],
-        backtracks=best["backtracks"],
         restart_objectives=restart_objectives,
         restart_failures=restart_failures,
+        **best,
     )
 
 
@@ -452,7 +436,10 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_tol: float):
-    """BFGS ascent with backtracking; accepts only strictly improving steps."""
+    """BFGS ascent with backtracking; accepts only strictly improving steps.
+
+    Returns the restart's record, keyed by OptResult's field names, and phi.
+    """
     phi = np.asarray(phi0, dtype=float).copy()
     F, g = prob.value_and_grad(phi)
     if not isfinite(F):
@@ -515,13 +502,19 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
         if abs(delta) < rel_tol * max(1.0, abs(F)):
             stop_reason = "objective_change"
             break
+    gnorm = _norm(g)
+    converged = stop_reason == "gradient_norm" or (
+        stop_reason in ("objective_change", "step_failure")
+        and gnorm < GRAD_CONVERGED_FACTOR * (1.0 + abs(F))
+    )
     return {
         "phi": phi,
         "objective": F,
-        "grad_norm": _norm(g),
-        "trace": trace,
         "iterations": iterations,
+        "converged": converged,
         "stop_reason": stop_reason,
+        "grad_norm": gnorm,
+        "trace": trace,
         "evaluations": 1 + iterations + backtracks,
         "backtracks": backtracks,
     }

@@ -376,7 +376,6 @@ CASE2_PARAM_SETS = (
 class SweepResult:
     """Kernel values against the fixed point over the (alpha, beta) grid."""
 
-    kernel: ExpLinearKernel
     alphas: np.ndarray
     betas: np.ndarray
     values: np.ndarray
@@ -401,7 +400,6 @@ def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepR
     u0 = embed_angles(np.zeros((1, 2)))
     vals = kernel.gram(pts, u0)[:, 0].reshape(resolution, resolution)
     return SweepResult(
-        kernel=kernel,
         alphas=grid,
         betas=grid.copy(),
         values=vals,

@@ -206,7 +206,6 @@ def load_range_model(path):
 class TrainedMethod:
     """A ready-to-track measurement model plus its training byproducts."""
 
-    method: str
     model: object
     gp: gp_mod.TrainedGp | None = None
     opt: hyperopt.OptResult | None = None
@@ -228,7 +227,7 @@ def train_method(
     defaults apply when they are left out.
     """
     if method == "Parametric":
-        return TrainedMethod(method, fit_parametric(ts, references))
+        return TrainedMethod(fit_parametric(ts, references))
     if method not in GP_FAMILIES:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     ds = hyperopt.Dataset.from_data(ts.inputs, ts.obs)
@@ -236,7 +235,7 @@ def train_method(
         ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed, **tolerances
     )
     trained = gp_mod.fit(ts.inputs, ts.obs, res.kernel, res.noise_var, coreg=res.coreg)
-    return TrainedMethod(method, GpRangeModel(trained), gp=trained, opt=res)
+    return TrainedMethod(GpRangeModel(trained), gp=trained, opt=res)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +279,6 @@ class TrackingResult:
 
     method: str
     trajectory: str
-    seed: int
     truth: np.ndarray
     estimates: np.ndarray
     ape: np.ndarray
@@ -324,7 +322,6 @@ def run_tracking(
     return TrackingResult(
         method=method,
         trajectory=traj.name,
-        seed=seed,
         truth=truth,
         estimates=estimates,
         ape=ape,

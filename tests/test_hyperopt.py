@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracles import dense_icm, mp_hvm_icm, reference_probe
-from torusgp import gp, hyperopt
+from torusgp import gp, hyperopt, simulator
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
+from torusgp.manifold import embed_angles
 
 
 def _inputs(rng, n, m):
@@ -414,6 +415,50 @@ def test_failed_restarts_are_reported():
     assert doc["failed_restarts"] == 1
     assert doc["restart_failures"] == res.restart_failures
     assert doc["restart_objectives"] == res.restart_objectives
+
+
+def _assert_record_is_the_winning_restart(ds, res):
+    """restart_objectives is indexed by restart, the trace holds the start and
+    each accepted step, and grad_norm is the gradient norm at the returned
+    hyperparameters. Packing them again (log of exp, Cholesky of G G^T)
+    can move phi by a few ulps, so the fresh norm is compared at rel 1e-9."""
+    assert res.restart_objectives[res.restart] == res.objective
+    assert len(res.trace) == res.iterations + 1
+    assert res.trace[-1] == res.objective
+    prob = hyperopt._Problem(ds, res.kernel)
+    _, grad = prob.value_and_grad(prob.pack(res.kernel, np.linalg.cholesky(res.coreg), res.noise_sigma))
+    assert np.linalg.norm(grad) == pytest.approx(res.grad_norm, rel=1e-9)
+
+
+def test_case_1_fit_record_is_the_winning_restart():
+    rng = simulator.rng_for(77, 0)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 40)
+    z = simulator.case_study_1_observe(thetas, rng)
+    ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
+    res = hyperopt.optimize(ds, "hvm", restarts=3, budget=60, seed=77)
+    assert res.restart_failures == [] and res.iterations > 0
+    _assert_record_is_the_winning_restart(ds, res)
+
+
+def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
+    """A stand-in for _ascend fails restart 0 at its start, so the winner is
+    a later restart and restart_objectives keeps -inf at index 0."""
+    single = _toy_dataset(seed=14, n=20)
+    ds = hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 5)], 1))
+    ascend, starts = hyperopt._ascend, []
+
+    def fail_first(prob, phi0, *args):
+        starts.append(phi0)
+        if len(starts) == 1:
+            raise gp.FactorizationError("objective not finite at the starting point")
+        return ascend(prob, phi0, *args)
+
+    monkeypatch.setattr(hyperopt, "_ascend", fail_first)
+    res = hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
+    assert len(starts) == 3 and res.restart in (1, 2)
+    assert res.restart_objectives[0] == -np.inf
+    assert res.restart_failures == ["restart 0: objective not finite at the starting point"]
+    _assert_record_is_the_winning_restart(ds, res)
 
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
