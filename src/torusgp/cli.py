@@ -76,7 +76,7 @@ import numpy as np
 from . import __version__
 from . import gp as gp_mod
 from . import hyperopt, tracking
-from .manifold import embed_angles
+from .manifold import GeometryError, embed_angles
 from .simulator import (
     CASE2_PARAM_SETS,
     CircularDensity,
@@ -292,14 +292,6 @@ def _fit_summary(tm: tracking.TrainedMethod) -> dict:
     return {**{key: opt[key] for key in keys}, "jitter_used": tm.gp.jitter_used}
 
 
-def _from_scenario(make, cfg):
-    """make(cfg), reporting scenario geometry that make refuses as a ConfigError."""
-    try:
-        return make(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"config section 'scenario': {exc}") from exc
-
-
 def _load_artifact(path: Path, hint: str, load, *args):
     """load(path, *args), reporting a missing or malformed file as MissingArtifactError."""
     if not path.exists():
@@ -311,17 +303,18 @@ def _load_artifact(path: Path, hint: str, load, *args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each takes (args, config, seed, out) and returns the sections
-# of the resolved configuration it used, the artifact names, its clocks
-# (the runner adds "total") and the manifest summary.
+# Subcommands. Each takes (args, config, cfg, out), cfg being the run's
+# ScenarioConfig with the resolved seed, and returns the sections of the
+# resolved configuration it used, the artifact names, its clocks (the runner
+# adds "total") and the manifest summary.
 # ---------------------------------------------------------------------------
 
 
-def cmd_case1(args, config, seed, out):
+def cmd_case1(args, config, cfg, out):
     sec = config["case1"]
     opts = config["optimizer"]
     density = CircularDensity(**sec["density"])
-    rng = rng_for(seed, 0)
+    rng = rng_for(cfg.seed, 0)
     thetas = rng.uniform(0.0, TWO_PI, sec["n_train"])
     z = case_study_1_observe(thetas, rng, density)
     ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
@@ -331,7 +324,7 @@ def cmd_case1(args, config, seed, out):
     reports = {}
     for label, family in (("vm", "hvm"), ("se", "pse")):
         t1 = time.perf_counter()
-        res = hyperopt.optimize(ds, family, seed=seed, **opts)
+        res = hyperopt.optimize(ds, family, seed=cfg.seed, **opts)
         models[label] = gp_mod.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
         reports[label] = {
             "hyperparams": _hyperparam_dict(res.kernel),
@@ -383,7 +376,7 @@ def cmd_case1(args, config, seed, out):
     )
 
 
-def cmd_case2(args, config, seed, out):
+def cmd_case2(args, config, cfg, out):
     artifacts = []
     report = {}
     for idx, kernel in enumerate(CASE2_PARAM_SETS, start=1):
@@ -419,10 +412,9 @@ def cmd_case2(args, config, seed, out):
     return {"case2": config["case2"]}, artifacts, {}, None
 
 
-def cmd_simulate(args, config, seed, out):
-    cfg = ScenarioConfig(seed=seed, **config["scenario"])
-    ts = _from_scenario(build_training_set, cfg)
-    traj = _from_scenario(trajectory, cfg)
+def cmd_simulate(args, config, cfg, out):
+    ts = build_training_set(cfg)
+    traj = trajectory(cfg)
     ts_path = out / "training_set.csv"
     traj_path = out / "trajectory.csv"
     save_training_set(ts, ts_path)
@@ -435,8 +427,7 @@ def cmd_simulate(args, config, seed, out):
     )
 
 
-def cmd_train(args, config, seed, out):
-    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+def cmd_train(args, config, cfg, out):
     opts = config["optimizer"]
     ts_path = Path(args.trainset or config["train"]["trainset"] or out / "training_set.csv")
     ts = _load_artifact(ts_path, "a training set (simulate stage output)", load_training_set)
@@ -450,7 +441,7 @@ def cmd_train(args, config, seed, out):
     summary = {}
     for mth in methods:
         t1 = time.perf_counter()
-        tm = tracking.train_method(ts, mth, cfg.references_array, seed=seed, **opts)
+        tm = tracking.train_method(ts, mth, cfg.references_array, seed=cfg.seed, **opts)
         model_path = out / f"model_{mth.lower()}.json"
         if tm.gp is not None:
             gp_mod.save_model(tm.gp, model_path)
@@ -475,8 +466,7 @@ def cmd_train(args, config, seed, out):
     return resolved, artifacts, clocks, summary
 
 
-def cmd_track(args, config, seed, out):
-    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+def cmd_track(args, config, cfg, out):
     sec = config["track"]
     method = normalize_method(args.method)
     if method == "all":
@@ -499,11 +489,11 @@ def cmd_track(args, config, seed, out):
     traj_arg = args.trajectory or sec["trajectory"]
     traj_path = out / "trajectory.csv" if traj_arg is None else Path(traj_arg)
     if traj_arg is None and not traj_path.exists():
-        traj = _from_scenario(trajectory, cfg)
+        traj = trajectory(cfg)
     else:
         traj = _load_artifact(traj_path, "a trajectory file", load_trajectory, cfg.trajectory)
 
-    result = tracking.run_tracking(cfg, method, model, seed, traj=traj)
+    result = tracking.run_tracking(cfg, method, model, cfg.seed, traj=traj)
     track_path = out / f"track_{method.lower()}.csv"
     rows = zip(range(traj.steps), *result.truth.T, *result.estimates.T, result.ape)
     write_csv(track_path, ["step", "truth_x_m", "truth_y_m", "est_x_m", "est_y_m", "ape_m"], rows)
@@ -515,16 +505,10 @@ def cmd_track(args, config, seed, out):
     )
 
 
-def cmd_campaign(args, config, seed, out):
-    cfg = ScenarioConfig(seed=seed, **config["scenario"])
+def cmd_campaign(args, config, cfg, out):
     sec = config["campaign"]
     jobs = _parse(args.jobs, 1, "--jobs")
-    # tracking.campaign refuses bad scenario geometry with a ValueError, which
-    # these pre-builds report as a ConfigError (exit 2)
-    _from_scenario(build_training_set, cfg)
-    for name in sec["trajectories"]:
-        _from_scenario(trajectory, cfg.with_(trajectory=name))
-    rows, trained = tracking.campaign(cfg, seed=seed, jobs=jobs, **sec)
+    rows, trained = tracking.campaign(cfg, seed=cfg.seed, jobs=jobs, **sec)
     csv_path = out / "campaign.csv"
     tracking.write_campaign_csv(rows, csv_path)
     fits = [
@@ -546,13 +530,15 @@ def cmd_campaign(args, config, seed, out):
 
 
 def _run(args) -> int:
-    """Create --out, load the config, resolve the seed, run the command, write its manifest."""
+    """Create --out, load the config, resolve the seed and scenario, run the
+    command, write its manifest."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = load_config(args.config)
     seed = config["seed"] if args.seed is None else _parse(args.seed, DEFAULT_SEED, "seed")
+    cfg = ScenarioConfig(seed=seed, **config["scenario"])
     t0 = time.perf_counter()
-    resolved, artifacts, clocks, summary = args.func(args, config, seed, out)
+    resolved, artifacts, clocks, summary = args.func(args, config, cfg, out)
     clocks["total"] = time.perf_counter() - t0
     doc = {
         "format": _MANIFEST_FORMAT,
@@ -629,6 +615,9 @@ def main(argv=None) -> int:
         return _run(args)
     except ConfigError as exc:
         print(f"torusgp: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except GeometryError as exc:
+        print(f"torusgp: config error: config section 'scenario': {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingArtifactError as exc:
         print(f"torusgp: missing artifact: {exc}", file=sys.stderr)

@@ -184,12 +184,10 @@ class _Problem:
         phi = np.asarray(phi, dtype=float)
         grown = np.exp(phi[self.logs])
         if not (all(map(isfinite, phi.tolist())) and all(0.0 < v < inf for v in grown.tolist())):
-            err = FactorizationError(
+            raise FactorizationError(
                 f"{self.template.family}: hyperparameter coordinates "
                 "left the representable positive range"
             )
-            err.theta = phi.copy()
-            raise err
         v = phi.copy()
         v[self.logs] = grown
         a, b = self.split
@@ -200,24 +198,18 @@ class _Problem:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, kernel, B, sigma, coords):
+    def evaluate(self, kernel, B, sigma):
         """(F, dF/dtheta, dF/dB, dF/dsigma) at constrained hyperparameters.
 
         B and dF/dB are (d, d), B's entries counting as independent. A
         system matrix that overflows or is not positive definite raises
-        FactorizationError carrying coords as .theta.
+        FactorizationError.
         """
-        try:
-            K_x = kernel.gram_lifted(self.lifted)
-            if self.multi:
-                F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
-            else:
-                F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
-        except np.linalg.LinAlgError as err:
-            if not isinstance(err, FactorizationError):
-                err = FactorizationError(f"{kernel.family}: system matrix not positive definite")
-            err.theta = np.array(coords, dtype=float)
-            raise err
+        K_x = kernel.gram_lifted(self.lifted)
+        if self.multi:
+            F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
+        else:
+            F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
         W = Abar * K_x
         g_theta = np.empty(kernel.theta.size)
         g_theta[0] = (2.0 / kernel.theta[0]) * W.sum()
@@ -232,7 +224,12 @@ class _Problem:
             raise FactorizationError(
                 f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
             )
-        L = np.linalg.cholesky(K)
+        try:
+            L = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError:
+            raise FactorizationError(
+                f"{self.template.family}: system matrix not positive definite"
+            ) from None
         # the lower factor in LAPACK's column-major order, copied once for both
         # solves; K was checked finite above, so its factor is too
         Lf = np.asfortranarray(L)
@@ -260,13 +257,13 @@ class _Problem:
     def value_and_grad(self, phi: np.ndarray):
         """(F, dF/dphi) at phi; FactorizationError if phi cannot be evaluated."""
         # A line-search probe can push exp(), and ell^-2 with it, past the float
-        # range either way. unpack reports that as a factorization failure, so
-        # the caller backs off instead of crashing inside a parameter
-        # constructor, and the finiteness checks in evaluate make an overflow a
-        # rejected step, whose gradient the optimizer never reads.
+        # range either way. unpack reports that as a FactorizationError, so the
+        # caller backs off instead of crashing inside a parameter constructor,
+        # and evaluate raises the same error on an overflowed or indefinite
+        # system: a rejected step, whose gradient the optimizer never reads.
         with np.errstate(all="ignore"):
             kernel, G, B, sigma, grown = self.unpack(phi)
-            F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma, phi)
+            F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma)
         grad = np.concatenate([g_theta, ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
         grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
         return F, grad
@@ -295,16 +292,15 @@ def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
         raise ValueError("coreg must be given for multi-output data, and only then")
     sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
     B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
-    coords = _constrained(kernel.theta, B, sigma)
     with np.errstate(all="ignore"):
-        return _Problem(dataset, kernel).evaluate(kernel, B, sigma, coords)
+        return _Problem(dataset, kernel).evaluate(kernel, B, sigma)
 
 
 def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
     """F(theta) for explicit hyperparameters (see the module docstring).
 
     noise_sigma is the noise standard deviation (scalar, or one per output).
-    Raises FactorizationError (carrying .theta) if K is not positive definite.
+    Raises FactorizationError if K is not positive definite.
     """
     return _at_hyperparameters(dataset, kernel, noise_sigma, coreg)[0]
 
@@ -443,66 +439,67 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     phi = np.asarray(phi0, dtype=float).copy()
     F, g = prob.value_and_grad(phi)
     if not isfinite(F):
-        err = FactorizationError("objective not finite at the starting point")
-        err.theta = phi.copy()
-        raise err
+        raise FactorizationError("objective not finite at the starting point")
     p = phi.size
     H = np.eye(p)
     trace = [F]
     stop_reason = "budget"
     iterations = backtracks = 0
     first_update = True
-    for it in range(budget):
-        gnorm = _norm(g)
-        if gnorm < grad_tol * (1.0 + abs(F)):
-            stop_reason = "gradient_norm"
-            break
-        direction = H @ g
-        if float(direction @ g) <= 0.0:
-            H = np.eye(p)
-            direction = g
-        accepted = False
-        for attempt in range(2):
-            slope = float(direction @ g)
-            t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, gnorm))
-            for _ in range(40):
-                phi_new = phi + t * direction
-                try:
-                    F_new, g_new = prob.value_and_grad(phi_new)
-                except FactorizationError:
-                    F_new = -inf
-                if isfinite(F_new) and F_new > F + 1e-4 * t * slope:
-                    accepted = True
-                    break
-                t *= 0.5
-                backtracks += 1
-            if accepted or attempt == 1:
+    # gradients near the float range overflow _norm and the BFGS products;
+    # such a step skips the update, and no warning reaches the caller
+    with np.errstate(all="ignore"):
+        for it in range(budget):
+            gnorm = _norm(g)
+            if gnorm < grad_tol * (1.0 + abs(F)):
+                stop_reason = "gradient_norm"
                 break
-            # quasi-Newton direction failed outright: fall back to steepest
-            H = np.eye(p)
-            direction = g
-        if not accepted:
-            stop_reason = "step_failure"
-            break
-        s = phi_new - phi
-        y = -(g_new - g)  # gradient change of -F (minimization form)
-        sy = float(s @ y)
-        if sy > 1e-10 * _norm(s) * _norm(y):
-            if first_update:
-                H = (sy / float(y @ y)) * np.eye(p)
-                first_update = False
-            rho = 1.0 / sy
-            Hy = H @ y
-            sHy = s[:, None] * Hy  # np.outer(s, Hy); its transpose is np.outer(Hy, s)
-            H = H - rho * (sHy + sHy.T) + rho * (rho * float(y @ Hy) + 1.0) * (s[:, None] * s)
-        delta = F_new - F
-        phi, F, g = phi_new, F_new, g_new
-        trace.append(F)
-        iterations = it + 1
-        if abs(delta) < rel_tol * max(1.0, abs(F)):
-            stop_reason = "objective_change"
-            break
-    gnorm = _norm(g)
+            direction = H @ g
+            if float(direction @ g) <= 0.0:
+                H = np.eye(p)
+                direction = g
+            accepted = False
+            for attempt in range(2):
+                slope = float(direction @ g)
+                t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, gnorm))
+                for _ in range(40):
+                    phi_new = phi + t * direction
+                    try:
+                        F_new, g_new = prob.value_and_grad(phi_new)
+                    except FactorizationError:
+                        F_new = -inf
+                    if isfinite(F_new) and F_new > F + 1e-4 * t * slope:
+                        accepted = True
+                        break
+                    t *= 0.5
+                    backtracks += 1
+                if accepted or attempt == 1:
+                    break
+                # quasi-Newton direction failed outright: fall back to steepest
+                H = np.eye(p)
+                direction = g
+            if not accepted:
+                stop_reason = "step_failure"
+                break
+            s = phi_new - phi
+            y = -(g_new - g)  # gradient change of -F (minimization form)
+            sy = float(s @ y)
+            if sy > 1e-10 * _norm(s) * _norm(y):
+                if first_update:
+                    H = (sy / float(y @ y)) * np.eye(p)
+                    first_update = False
+                rho = 1.0 / sy
+                Hy = H @ y
+                sHy = s[:, None] * Hy  # np.outer(s, Hy); its transpose is np.outer(Hy, s)
+                H = H - rho * (sHy + sHy.T) + rho * (rho * float(y @ Hy) + 1.0) * (s[:, None] * s)
+            delta = F_new - F
+            phi, F, g = phi_new, F_new, g_new
+            trace.append(F)
+            iterations = it + 1
+            if abs(delta) < rel_tol * max(1.0, abs(F)):
+                stop_reason = "objective_change"
+                break
+        gnorm = _norm(g)
     converged = stop_reason == "gradient_norm" or (
         stop_reason in ("objective_change", "step_failure")
         and gnorm < GRAD_CONVERGED_FACTOR * (1.0 + abs(F))

@@ -8,6 +8,8 @@ downstream. embed_angles builds inputs from angles, aoa_embedding_batch from
 planar positions (angle-of-arrival directions toward reference nodes),
 chart_angles reads the angles back in [0, 2*pi) for the chart-based baseline
 kernel, and as_input_array checks an input array's shape and unit norms.
+GeometryError is the ValueError raised for scenario geometry that has no
+embedding, a position on a reference.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "chart_angles",
     "UNIT_NORM_TOL",
     "AOA_SINGULARITY_TOL",
+    "GeometryError",
 ]
 
 # Embedded components must sit on the unit circle to this absolute tolerance.
@@ -28,6 +31,10 @@ UNIT_NORM_TOL = 1e-12
 # Positions closer than this (in metres) to a reference node have no defined
 # direction and are rejected.
 AOA_SINGULARITY_TOL = 1e-9
+
+
+class GeometryError(ValueError):
+    """Scenario geometry the embedding or the simulator refuses."""
 
 
 def embed_angles(angles) -> np.ndarray:
@@ -50,13 +57,13 @@ def aoa_embedding_batch(positions, references) -> np.ndarray:
 
     Raises
     ------
-    ValueError
+    GeometryError
         If a position is within AOA_SINGULARITY_TOL of any reference.
     """
     units, dist = aoa_directions(positions, references)
     if np.any(dist < AOA_SINGULARITY_TOL):
         i, s = np.argwhere(dist < AOA_SINGULARITY_TOL)[0]
-        raise ValueError(
+        raise GeometryError(
             f"position {np.asarray(positions, dtype=float)[i]} coincides with reference {s} "
             f"within {AOA_SINGULARITY_TOL} m; direction undefined"
         )

@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .kernels import ExpLinearKernel
-from .manifold import aoa_embedding_batch, as_input_array, embed_angles
+from .manifold import GeometryError, aoa_embedding_batch, as_input_array, embed_angles
 
 __all__ = [
     "ScenarioConfig",
@@ -276,8 +276,8 @@ def trajectory(cfg: ScenarioConfig) -> Trajectory:
     """Sample cfg.trajectory at cfg.steps uniform arc-length increments.
 
     The curve is traversed exactly once; the implied per-step path length is
-    (total curve length / steps). Positions are validated to lie inside the
-    arena and away from every reference.
+    (total curve length / steps). A position outside the arena or on a
+    reference raises GeometryError.
     """
     name = cfg.trajectory
     t_dense = np.linspace(0.0, 1.0, _DENSE_SAMPLES + 1)
@@ -291,10 +291,10 @@ def trajectory(cfg: ScenarioConfig) -> Trajectory:
     pos = np.column_stack([xs, ys])
     W, H = cfg.arena
     if np.any(pos < -1e-9) or np.any(pos[:, 0] > W + 1e-9) or np.any(pos[:, 1] > H + 1e-9):
-        raise ValueError(f"trajectory {name} leaves the arena")
+        raise GeometryError(f"trajectory {name} leaves the arena")
     dist = range_function(pos, cfg.references_array)
     if np.min(dist) < 1e-6:
-        raise ValueError(f"trajectory {name} passes through a reference")
+        raise GeometryError(f"trajectory {name} passes through a reference")
     return Trajectory(name=name, positions=pos)
 
 

@@ -3,6 +3,7 @@ import pytest
 from kernel_oracles import component_distances
 
 from torusgp.manifold import (
+    GeometryError,
     aoa_embedding_batch,
     as_input_array,
     chart_angles,
@@ -76,8 +77,9 @@ def test_aoa_embedding_batch_matches_single():
 def test_aoa_embedding_batch_rejects_reference_collision():
     refs = np.array([[5.0, 5.0], [25.0, 5.0]])
     pos = np.array([[5.0, 5.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(GeometryError, match="coincides with reference 0") as err:
         aoa_embedding_batch(pos, refs)
+    assert isinstance(err.value, ValueError)
 
 
 def test_as_input_array_accepts_points_and_arrays():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgp import simulator
+from torusgp.manifold import GeometryError
 from torusgp.simulator import (
     CASE2_PARAM_SETS,
     CircularDensity,
@@ -104,6 +105,22 @@ def test_trajectories_stay_in_arena_with_uniform_steps(name):
     refs = cfg.references_array
     dmin = min(np.min(np.linalg.norm(pos - r, axis=1)) for r in refs)
     assert dmin > 1e-3
+
+
+@pytest.mark.parametrize(
+    "name, arena, references, message",
+    [
+        ("T1", (20.0, 20.0), ((5.0, 5.0), (15.0, 5.0), (10.0, 15.0)), "leaves the arena"),
+        ("T3", (30.0, 24.0), ((5.0, 5.0), (25.0, 5.0), (15.0, 20.0)), "leaves the arena"),
+        ("T1", (30.0, 30.0), ((5.0, 5.0), (25.0, 5.0), (24.0, 15.0)), "passes through a reference"),
+    ],
+    ids=["T1-leaves-arena", "T3-leaves-arena", "T1-meets-a-reference"],
+)
+def test_trajectory_refuses_scenario_geometry(name, arena, references, message):
+    cfg = ScenarioConfig(arena=arena, references=references, trajectory=name)
+    with pytest.raises(GeometryError, match=f"trajectory {name} {message}") as err:
+        trajectory(cfg)
+    assert isinstance(err.value, ValueError)
 
 
 def test_circle_trajectory_geometry():

@@ -5,7 +5,7 @@ from scipy import stats
 from kernel_oracles import dense_observation_logpdf, dense_observation_posterior, mp_icm_logpdf
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
-from torusgp.manifold import AOA_SINGULARITY_TOL, aoa_embedding_batch
+from torusgp.manifold import AOA_SINGULARITY_TOL, GeometryError, aoa_embedding_batch
 from torusgp.simulator import ScenarioConfig, build_training_set, measure_range, rng_for, trajectory
 
 TOY = ScenarioConfig(grid=(6, 4), steps=40, seed=3)
@@ -335,7 +335,7 @@ def test_campaign_refuses_a_trajectory_before_any_training(monkeypatch):
     calls = []
     monkeypatch.setattr(tracking, "train_method", lambda *args, **kwargs: calls.append(args))
     cfg = ScenarioConfig(arena=(20.0, 20.0), references=((5.0, 5.0), (15.0, 5.0), (10.0, 15.0)))
-    with pytest.raises(ValueError, match="T1 leaves the arena"):
+    with pytest.raises(GeometryError, match="T1 leaves the arena"):
         tracking.campaign(cfg, methods=("Parametric",), noise_levels=(0.01, 0.02), runs=1)
     assert calls == []
 
