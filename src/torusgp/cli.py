@@ -530,15 +530,23 @@ def cmd_campaign(args, config, cfg, out):
 
 
 def _run(args) -> int:
-    """Create --out, load the config, resolve the seed and scenario, run the
-    command, write its manifest."""
+    """Load the config, resolve the seed and scenario, create --out, run the
+    command, write its manifest. A command refused with exit 2 or 3 before it
+    wrote anything removes the directories this run created."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = load_config(args.config)
     seed = config["seed"] if args.seed is None else _parse(args.seed, DEFAULT_SEED, "seed")
     cfg = ScenarioConfig(seed=seed, **config["scenario"])
+    made = [p for p in (out, *out.parents) if not p.exists()]  # innermost first
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    resolved, artifacts, clocks, summary = args.func(args, config, cfg, out)
+    try:
+        resolved, artifacts, clocks, summary = args.func(args, config, cfg, out)
+    except (ConfigError, GeometryError, MissingArtifactError):
+        if made and not any(out.iterdir()):
+            for p in made:
+                p.rmdir()
+        raise
     clocks["total"] = time.perf_counter() - t0
     doc = {
         "format": _MANIFEST_FORMAT,

@@ -53,8 +53,20 @@ nondecreasing by construction). Termination: gradient norm below
 grad_tol * (1 + |F|), relative objective change below rel_tol, or the
 iteration budget. A run counts as converged when the gradient rule fired, or
 when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
+
+The restarts of a fit share nothing but the dataset. For 2-D observations
+they run concurrently: the calling thread runs restart 0, and up to
+min(restarts, usable CPUs) - 1 helper threads run the others. An ICM probe
+is almost all LAPACK and BLAS time (the n x n eigh in icm_factor), which
+releases the GIL. Every start is drawn before any restart runs, and the
+winner is picked in restart order, so the result is bit-identical to a
+serial run. Every helper is joined before optimize returns or raises. 1-D
+fits stay serial: their n = 40 Cholesky probes are bound by Python and the
+GIL, and threads made them slower (BENCH_24.json).
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
@@ -388,6 +400,13 @@ def optimize(
     OptResult for the best restart. Identical arguments give a bitwise
     identical result. Raises FactorizationError if every restart fails at
     its starting point.
+
+    For 2-D observations the restarts run concurrently, on the calling
+    thread plus up to min(restarts, usable CPUs) - 1 helper threads; the
+    result is the serial one, bit for bit. Any other exception in a restart
+    is raised here, that of the lowest restart first, and no helper thread
+    outlives the call. 1-D fits run their restarts one after another on the
+    calling thread: their small Cholesky probes hold the GIL.
     """
     dataset = _as_dataset(dataset)
     kern0, sig0, B0 = default_initialization(dataset, family)
@@ -396,18 +415,19 @@ def optimize(
     phi0 = prob.pack(kern0, G0, sig0)
 
     rng = np.random.default_rng(seed)
+    starts = [phi0] + [phi0 + rng.normal(0.0, 0.5, size=phi0.shape) for _ in range(1, max(1, restarts))]
+    workers = min(len(starts), _usable_cpus()) if prob.multi else 1
     best = None
     restart_objectives, restart_failures = [], []
     last_error = None
-    for r in range(max(1, restarts)):
-        phi_start = phi0 if r == 0 else phi0 + rng.normal(0.0, 0.5, size=phi0.shape)
-        try:
-            run = _ascend(prob, phi_start, budget, rel_tol, grad_tol)
-        except FactorizationError as err:
-            last_error = err
+    for r, run in enumerate(_ascend_all(prob, starts, workers, budget, rel_tol, grad_tol)):
+        if isinstance(run, FactorizationError):
+            last_error = run
             restart_objectives.append(float("-inf"))
-            restart_failures.append(f"restart {r}: {err}")
+            restart_failures.append(f"restart {r}: {run}")
             continue
+        if isinstance(run, Exception):
+            raise run
         restart_objectives.append(run["objective"])
         if best is None or run["objective"] > best["objective"]:
             best = run
@@ -424,6 +444,54 @@ def optimize(
         restart_failures=restart_failures,
         **best,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _ascend_all(prob: _Problem, starts: list, workers: int, *args) -> list:
+    """_ascend from every start, on the calling thread and workers - 1 helpers.
+
+    Returns each start's record, or the exception it raised, by index. The
+    caller runs start 0 and helper k start k; then each thread takes the
+    lowest start no thread has taken yet. After an exception other than
+    FactorizationError no thread takes a new start, so every start below it
+    still has its outcome, as in a serial loop that stops there. Every
+    helper is joined before this returns or raises.
+    """
+    outcomes = [None] * len(starts)
+    pending = iter(range(len(starts)))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def work(r):
+        while r is not None:
+            try:
+                outcomes[r] = _ascend(prob, starts[r], *args)
+            except Exception as err:  # handed to the caller by index
+                outcomes[r] = err
+                if not isinstance(err, FactorizationError):
+                    stop.set()
+            with lock:
+                r = None if stop.is_set() else next(pending, None)
+
+    first = [next(pending) for _ in range(workers)]
+    helpers = []
+    try:
+        for r in first[1:]:
+            thread = threading.Thread(target=work, args=(r,))
+            thread.start()
+            helpers.append(thread)
+        work(first[0])
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    return outcomes
 
 
 def _norm(x: np.ndarray) -> float:

@@ -297,6 +297,47 @@ def test_campaign_refuses_scenario_geometry_before_any_fit(
     assert "scenario" in capsys.readouterr().err
 
 
+# (command, config, exit code, start of stderr), each refused before it writes anything
+REFUSED_RUNS = [
+    (
+        ["simulate"],
+        {"scenario": {"particle_count": 10}},
+        2,
+        "torusgp: config error: scenario: unknown key(s) particle_count;",
+    ),
+    (
+        ["campaign"],
+        {"scenario": ARENA_TOO_SMALL},
+        2,
+        "torusgp: config error: config section 'scenario': trajectory T1 leaves the arena\n",
+    ),
+    (
+        ["track"],
+        {"scenario": {"grid": [4, 3], "steps": 20}},
+        3,
+        "torusgp: missing artifact: expected a trained HvM model (train stage output) at ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message", REFUSED_RUNS, ids=["bad-config", "refused-geometry", "missing-model"]
+)
+def test_a_refused_run_leaves_no_output_directory(tmp_path, capsys, argv, config, code, message):
+    """A run refused with exit 2 or 3 before it writes anything leaves no
+    directory it created behind; an --out that existed before is kept."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    fresh = tmp_path / "fresh"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(fresh / "out")]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not fresh.exists()
+    fresh.mkdir()
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(fresh)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert fresh.is_dir() and not any(fresh.iterdir())
+
+
 def test_track_refuses_a_trajectory_that_leaves_the_arena(tmp_path, capsys):
     """track regenerates the trajectory when --out holds none; bad geometry exits 2."""
     out = tmp_path / "run"

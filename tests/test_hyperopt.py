@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -467,16 +469,31 @@ def test_case_1_fit_record_is_the_winning_restart():
     _assert_record_is_the_winning_restart(ds, res)
 
 
+def _two_output_toy_dataset():
+    single = _toy_dataset(seed=14, n=20)
+    return hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 5)], 1))
+
+
+def _restart_starts(ds, family, restarts, seed):
+    """The phi each restart of optimize(ds, family, restarts=, seed=) starts from."""
+    kern0, sig0, B0 = hyperopt.default_initialization(ds, family)
+    phi0 = hyperopt._Problem(ds, kern0).pack(kern0, np.linalg.cholesky(hyperopt._psd_project(B0)), sig0)
+    rng = np.random.default_rng(seed)
+    return [phi0] + [phi0 + rng.normal(0.0, 0.5, size=phi0.shape) for _ in range(1, restarts)]
+
+
 def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
     """A stand-in for _ascend fails restart 0 at its start, so the winner is
-    a later restart and restart_objectives keeps -inf at index 0."""
-    single = _toy_dataset(seed=14, n=20)
-    ds = hyperopt.Dataset.from_data(single.inputs, np.stack([single.obs, np.roll(single.obs, 5)], 1))
+    a later restart and restart_objectives keeps -inf at index 0. Restarts
+    of a two-output fit run concurrently, so restart 0 is recognized by its
+    start, not by the order of the calls."""
+    ds = _two_output_toy_dataset()
+    start0 = _restart_starts(ds, "hvm", 1, 0)[0]
     ascend, starts = hyperopt._ascend, []
 
     def fail_first(prob, phi0, *args):
         starts.append(phi0)
-        if len(starts) == 1:
+        if np.array_equal(phi0, start0):
             raise gp.FactorizationError("objective not finite at the starting point")
         return ascend(prob, phi0, *args)
 
@@ -486,6 +503,101 @@ def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
     assert res.restart_objectives[0] == -np.inf
     assert res.restart_failures == ["restart 0: objective not finite at the starting point"]
     _assert_record_is_the_winning_restart(ds, res)
+
+
+def _ascend_recording_threads(monkeypatch, ds, family, restarts, seed, fail_at=None):
+    """Replace _ascend by a stand-in that records, per restart, the thread
+    that runs it and the live thread count, and raises RuntimeError in
+    restart fail_at. Returns the per-restart records."""
+    starts = _restart_starts(ds, family, restarts, seed)
+    ascend, ran = hyperopt._ascend, {}
+
+    def recording(prob, phi0, *args):
+        r = next(i for i, phi in enumerate(starts) if np.array_equal(phi, phi0))
+        ran[r] = (threading.get_ident(), threading.active_count())
+        if r == fail_at:
+            raise RuntimeError(f"restart {r} broke")
+        return ascend(prob, phi0, *args)
+
+    monkeypatch.setattr(hyperopt, "_ascend", recording)
+    return ran
+
+
+@pytest.mark.parametrize("family", ["hvm", "pse"])
+def test_two_output_restarts_run_concurrently_and_match_a_serial_run(monkeypatch, family):
+    """With two CPUs, restart 0 runs on the caller and restart 1 on a helper
+    at the same time; the result equals the one-CPU run bit for bit."""
+    ds = _two_output_toy_dataset()
+    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 1)
+    serial = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
+    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
+    ran = _ascend_recording_threads(monkeypatch, ds, family, 3, 3)
+    before = threading.active_count()
+    res = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
+    assert threading.active_count() == before
+    assert sorted(ran) == [0, 1, 2]
+    assert ran[0][0] == threading.get_ident() != ran[1][0]
+    assert ran[1][1] == before + 1
+    for field in ("objective", "trace", "restart_objectives", "restart", "evaluations", "backtracks"):
+        assert getattr(res, field) == getattr(serial, field), field
+    for field in ("coreg", "noise_sigma"):
+        assert np.array_equal(getattr(res, field), getattr(serial, field)), field
+    assert np.array_equal(res.kernel.theta, serial.kernel.theta)
+    assert res.restart_failures == serial.restart_failures == []
+
+
+def test_an_exception_in_a_helper_restart_reaches_the_caller(monkeypatch):
+    """A RuntimeError in restart 1, which runs on a helper thread, is raised
+    by optimize, and the helper is joined before optimize raises."""
+    ds = _two_output_toy_dataset()
+    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
+    ran = _ascend_recording_threads(monkeypatch, ds, "hvm", 3, 0, fail_at=1)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^restart 1 broke$"):
+        hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
+    assert threading.active_count() == before
+    assert ran[1][0] != threading.get_ident()
+
+
+def test_concurrent_restarts_take_every_start_once_under_contention(monkeypatch):
+    """Stress the start hand-out: 8 workers (more than the cores), a 1 us
+    switch interval, cheap stand-in restarts. Every start runs exactly once
+    and lands at its own index; after an exception in start 20 every lower
+    start still has its outcome and no thread is left running."""
+    calls, fail_at = [], None
+
+    def double(prob, start, *args):
+        calls.append(start)
+        if start == fail_at:
+            raise RuntimeError("broke")
+        return 2 * start
+
+    monkeypatch.setattr(hyperopt, "_ascend", double)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fail_at in [None] * 20 + [20] * 20:
+            calls.clear()
+            out = hyperopt._ascend_all(None, list(range(64)), 8)
+            assert len(calls) == len(set(calls))
+            if fail_at is None:
+                assert out == [2 * r for r in range(64)]
+            else:
+                assert out[:20] == [2 * r for r in range(20)] and isinstance(out[20], RuntimeError)
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_output_fits_start_no_thread(monkeypatch):
+    """1-D fits run their restarts one after another on the caller, however
+    many CPUs there are."""
+    ds = _toy_dataset(seed=14, n=20)
+    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 4)
+    ran = _ascend_recording_threads(monkeypatch, ds, "hvm", 3, 0)
+    before = threading.active_count()
+    hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
+    assert ran == {r: (threading.get_ident(), before) for r in range(3)}
 
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
