@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .kernels import ExpLinearKernel
-from .manifold import GeometryError, aoa_embedding_batch, as_input_array, embed_angles
+from .manifold import AOA_SINGULARITY_TOL, GeometryError, aoa_embedding_batch, as_input_array, embed_angles
 
 __all__ = [
     "ScenarioConfig",
@@ -67,7 +67,8 @@ class ScenarioConfig:
     Defaults describe a 30 x 30 m arena with three references, a random-walk
     process model with per-axis variance 0.16 m^2, a 5 % relative range
     offset, and a 24 x 10 training grid (cell-centered, half-cell margins).
-    Array forms and the process noise root are computed once, read-only.
+    The references array and process noise root are computed once, read-only.
+    Grid and trajectory refuse a point within manifold.AOA_SINGULARITY_TOL of a reference.
     """
 
     arena: tuple = (30.0, 30.0)
@@ -120,13 +121,9 @@ class ScenarioConfig:
         return _read_only(np.array(self.references, dtype=float))
 
     @cached_property
-    def process_cov_array(self) -> np.ndarray:
-        return _read_only(np.array(self.process_cov, dtype=float))
-
-    @cached_property
     def process_noise_root(self) -> np.ndarray:
         """Symmetric square root S of process_cov (S S^T = Q), singular Q included."""
-        w, V = np.linalg.eigh(self.process_cov_array)
+        w, V = np.linalg.eigh(np.asarray(self.process_cov, dtype=float))
         return _read_only((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
     def with_(self, **kw) -> "ScenarioConfig":
@@ -241,32 +238,26 @@ def _rounded_rectangle(lo: float, hi: float, r: float, t: np.ndarray) -> np.ndar
     arc = 0.5 * np.pi * r
     total = 4.0 * (side + arc)
     s = np.asarray(t, dtype=float) * total
-    # walk counterclockwise from (lo + r, lo): bottom, right, top, left,
-    # with a quarter arc after each straight
+    # walk counterclockwise from (lo + r, lo): bottom, right, top, left, with
+    # a quarter arc after each straight; one row per leg gives its start, its
+    # heading and the centre of its arc
+    near, far = lo + r, hi - r
+    legs = np.array(
+        [
+            [near, lo, 1.0, 0.0, far, near],
+            [hi, near, 0.0, 1.0, far, far],
+            [far, hi, -1.0, 0.0, near, far],
+            [lo, far, 0.0, -1.0, near, near],
+        ]
+    )
     leg, rem = np.divmod(s % total, side + arc)
-    line = rem < side
+    start, heading, centre = np.split(legs[np.minimum(leg, 3).astype(int)], 3, axis=1)
+    rem = rem[:, None]
+    # on its arc the walker is r sin(a) along the heading and r cos(a) to the right of the centre
     a = (rem - side) / r
-    rs, rc = r * np.sin(a), r * np.cos(a)
-    legs = [leg == 0, leg == 1, leg == 2]  # anything else walks the left leg
-    x = np.select(
-        legs,
-        [
-            np.where(line, lo + r + rem, hi - r + rs),
-            np.where(line, hi, hi - r + rc),
-            np.where(line, hi - r - rem, lo + r - rs),
-        ],
-        np.where(line, lo, lo + r - rc),
-    )
-    y = np.select(
-        legs,
-        [
-            np.where(line, lo, lo + r - rc),
-            np.where(line, lo + r + rem, hi - r + rs),
-            np.where(line, hi, hi - r + rc),
-        ],
-        np.where(line, hi - r - rem, lo + r - rs),
-    )
-    return np.column_stack([x, y])
+    right = heading[:, ::-1] * [1.0, -1.0]
+    on_arc = centre + r * np.sin(a) * heading + r * np.cos(a) * right
+    return np.where(rem < side, start + rem * heading, on_arc)
 
 
 _DENSE_SAMPLES = 20000
@@ -276,8 +267,8 @@ def trajectory(cfg: ScenarioConfig) -> Trajectory:
     """Sample cfg.trajectory at cfg.steps uniform arc-length increments.
 
     The curve is traversed exactly once; the implied per-step path length is
-    (total curve length / steps). A position outside the arena or on a
-    reference raises GeometryError.
+    (total curve length / steps). A position outside the arena or within
+    manifold.AOA_SINGULARITY_TOL of a reference raises GeometryError.
     """
     name = cfg.trajectory
     t_dense = np.linspace(0.0, 1.0, _DENSE_SAMPLES + 1)
@@ -293,7 +284,7 @@ def trajectory(cfg: ScenarioConfig) -> Trajectory:
     if np.any(pos < -1e-9) or np.any(pos[:, 0] > W + 1e-9) or np.any(pos[:, 1] > H + 1e-9):
         raise GeometryError(f"trajectory {name} leaves the arena")
     dist = range_function(pos, cfg.references_array)
-    if np.min(dist) < 1e-6:
+    if np.min(dist) < AOA_SINGULARITY_TOL:
         raise GeometryError(f"trajectory {name} passes through a reference")
     return Trajectory(name=name, positions=pos)
 

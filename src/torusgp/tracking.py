@@ -211,29 +211,18 @@ class TrainedMethod:
     opt: hyperopt.OptResult | None = None
 
 
-def train_method(
-    ts: TrainingSet,
-    method: str,
-    references,
-    *,
-    budget: int = 100,
-    restarts: int = 2,
-    seed: int = 0,
-    **tolerances,
-) -> TrainedMethod:
+def train_method(ts: TrainingSet, method: str, references, **opt) -> TrainedMethod:
     """Fit one method's measurement model on a training set.
 
-    tolerances (rel_tol, grad_tol) pass on to hyperopt.optimize, whose
-    defaults apply when they are left out.
+    opt (budget, restarts, seed, rel_tol, grad_tol) passes on to
+    hyperopt.optimize, whose defaults apply when they are left out.
     """
     if method == "Parametric":
         return TrainedMethod(fit_parametric(ts, references))
     if method not in GP_FAMILIES:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     ds = hyperopt.Dataset.from_data(ts.inputs, ts.obs)
-    res = hyperopt.optimize(
-        ds, GP_FAMILIES[method], budget=budget, restarts=restarts, seed=seed, **tolerances
-    )
+    res = hyperopt.optimize(ds, GP_FAMILIES[method], **opt)
     trained = gp_mod.fit(ts.inputs, ts.obs, res.kernel, res.noise_var, coreg=res.coreg)
     return TrainedMethod(GpRangeModel(trained), gp=trained, opt=res)
 
@@ -341,16 +330,17 @@ def _int_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-_WORKER = {}
+_WORKER = {}  # a campaign pool worker's copy of the campaign state
 
 
 def _init_worker(state):
     _WORKER.update(state)
 
 
-def _run_row(task):
+def _run_row(task, state=None):
+    """One campaign row; a pool worker passes no state and reads its _WORKER."""
     ni, ti, run, method = task
-    state = _WORKER
+    state = state or _WORKER
     cfg = state["cfgs"][ni]
     traj = state["trajs"][ti]
     model = state["models"][(ni, method)]
@@ -383,7 +373,8 @@ def campaign(
     Returns (rows, trained) where rows is the ordered list of summary dicts
     (one per tracking run, CAMPAIGN_HEADER fields) and trained maps
     (noise_index, method) to the TrainedMethod used. Results are identical
-    for a fixed seed regardless of jobs.
+    for a fixed seed regardless of jobs. A serial campaign (jobs <= 1) keeps
+    its state to itself, so several may run in threads at once.
     """
     methods = list(methods)
     for mth in methods:
@@ -418,11 +409,7 @@ def campaign(
     models = {key: tm.model for key, tm in trained.items()}
     state = {"cfgs": cfgs, "trajs": trajs, "models": models, "seed": seed}
     if jobs <= 1:
-        _init_worker(state)
-        try:
-            rows = [_run_row(t) for t in tasks]
-        finally:
-            _WORKER.clear()
+        rows = [_run_row(t, state) for t in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(state,)

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import warnings
@@ -544,6 +545,16 @@ def test_two_output_restarts_run_concurrently_and_match_a_serial_run(monkeypatch
         assert np.array_equal(getattr(res, field), getattr(serial, field)), field
     assert np.array_equal(res.kernel.theta, serial.kernel.theta)
     assert res.restart_failures == serial.restart_failures == []
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_api(monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows), the CPU count
+    bounds the restart threads, and 1 when the count is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert hyperopt._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert hyperopt._usable_cpus() == 1
 
 
 def test_an_exception_in_a_helper_restart_reaches_the_caller(monkeypatch):

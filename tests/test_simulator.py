@@ -150,6 +150,53 @@ def test_rounded_rectangle_points_lie_at_the_corner_radius(extra):
     assert np.max(np.abs(np.hypot(gap[:, 0], gap[:, 1]) - 2.0)) <= 1e-12
 
 
+def _four_leg_rounded_rectangle(lo, hi, r, t):
+    """T3 written out leg by leg: the oracle for simulator._rounded_rectangle."""
+    side = hi - lo - 2.0 * r
+    arc = 0.5 * np.pi * r
+    total = 4.0 * (side + arc)
+    s = np.asarray(t, dtype=float) * total
+    # walk counterclockwise from (lo + r, lo): bottom, right, top, left,
+    # with a quarter arc after each straight
+    leg, rem = np.divmod(s % total, side + arc)
+    line = rem < side
+    a = (rem - side) / r
+    rs, rc = r * np.sin(a), r * np.cos(a)
+    legs = [leg == 0, leg == 1, leg == 2]  # anything else walks the left leg
+    x = np.select(
+        legs,
+        [
+            np.where(line, lo + r + rem, hi - r + rs),
+            np.where(line, hi, hi - r + rc),
+            np.where(line, hi - r - rem, lo + r - rs),
+        ],
+        np.where(line, lo, lo + r - rc),
+    )
+    y = np.select(
+        legs,
+        [
+            np.where(line, lo, lo + r - rc),
+            np.where(line, lo + r + rem, hi - r + rs),
+            np.where(line, hi, hi - r + rc),
+        ],
+        np.where(line, hi - r - rem, lo + r - rs),
+    )
+    return np.column_stack([x, y])
+
+
+@pytest.mark.parametrize("lo, hi, r", [(5.0, 25.0, 2.0), (0.0, 10.0, 1.5), (3.3, 17.1, 0.7)])
+def test_rounded_rectangle_equals_the_four_leg_oracle(lo, hi, r):
+    """The leg table walks T3 bit for bit as the four hand-written legs do, on a
+    dense grid, at random t, and at 0, 1 and either side of every leg and arc start."""
+    leg_len = hi - lo - 2.0 * r + 0.5 * np.pi * r
+    starts = np.array([k * leg_len + d for k in range(4) for d in (0.0, leg_len - 0.5 * np.pi * r)])
+    starts = starts / (4.0 * leg_len)
+    edges = np.concatenate([[0.0, 1.0], starts, np.nextafter(starts, -1.0), np.nextafter(starts, 2.0)])
+    for t in (np.linspace(0.0, 1.0, 100001), rng_for(7, 0).uniform(0.0, 1.0, 20000), edges):
+        want = _four_leg_rounded_rectangle(lo, hi, r, t)
+        assert np.array_equal(simulator._rounded_rectangle(lo, hi, r, t), want)
+
+
 def test_each_mixture_component_integrates_to_its_weight():
     # Quadrature oracle for the I0 normalizers: every von Mises bump and the
     # axial bump is a density on the circle, so alone it integrates to its

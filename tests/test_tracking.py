@@ -1,3 +1,9 @@
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -247,8 +253,9 @@ def test_step_takes_its_constants_from_the_config_once(toy_trainset):
     """step matches, bit for bit, an update that rebuilds every constant from
     the config's tuples on every step; the config computes each once, read-only."""
     cfg = TOY.with_(seed=4)
-    for arr, value in [(cfg.references_array, cfg.references), (cfg.process_cov_array, cfg.process_cov)]:
-        assert not arr.flags.writeable and np.array_equal(arr, np.asarray(value, dtype=float))
+    assert not cfg.references_array.flags.writeable
+    assert np.array_equal(cfg.references_array, np.asarray(cfg.references, dtype=float))
+    assert not cfg.process_noise_root.flags.writeable
     assert cfg.process_noise_root is cfg.process_noise_root
     model = tracking.fit_parametric(toy_trainset, TOY.references_array)
     truth = trajectory(cfg).positions[:8]
@@ -341,14 +348,66 @@ def test_campaign_refuses_a_trajectory_before_any_training(monkeypatch):
 
 
 def test_serial_campaign_releases_its_models_when_a_run_fails(monkeypatch):
+    """Once the exception is dropped, nothing holds the trained models."""
+    models = []
+    train = tracking.train_method
+
+    def spied_train(*args, **kwargs):
+        tm = train(*args, **kwargs)
+        models.append(weakref.ref(tm.model))
+        return tm
+
     def broken_run(*args, **kwargs):
         raise RuntimeError("filter failed")
 
+    monkeypatch.setattr(tracking, "train_method", spied_train)
     monkeypatch.setattr(tracking, "run_tracking", broken_run)
     cfg = ScenarioConfig(grid=(5, 4), steps=10, seed=0)
     with pytest.raises(RuntimeError, match="filter failed"):
         tracking.campaign(cfg, methods=("Parametric",), runs=1)
     assert tracking._WORKER == {}
+    gc.collect()
+    assert len(models) == 1 and models[0]() is None
+
+
+def test_serial_campaign_leaves_the_pool_worker_state_alone(monkeypatch):
+    """tracking._WORKER is a pool worker's copy: it stays empty while a serial campaign's rows run."""
+    seen = []
+    run = tracking.run_tracking
+
+    def watched_run(*args, **kwargs):
+        seen.append(dict(tracking._WORKER))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tracking, "run_tracking", watched_run)
+    cfg = ScenarioConfig(grid=(5, 4), steps=10, seed=0)
+    rows, _ = tracking.campaign(cfg, methods=("Parametric",), runs=3)
+    assert len(rows) == len(seen) == 3 and seen == [{}, {}, {}]
+
+
+def test_serial_campaigns_in_two_threads_each_return_their_solo_rows():
+    """Two serial campaigns at once, with different noise levels and seeds,
+    each return exactly the rows it returns when run alone."""
+    cfg = ScenarioConfig(grid=(5, 4), steps=20, seed=0)
+    setups = [dict(noise_levels=(0.01,), seed=5), dict(noise_levels=(0.05,), seed=6)]
+
+    def run(setup, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        return tracking.campaign(cfg, methods=("Parametric",), runs=30, jobs=1, **setup)[0]
+
+    solo = [run(setup) for setup in setups]
+    assert solo[0] != solo[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for trial in range(4):
+            barrier = threading.Barrier(len(setups))
+            with ThreadPoolExecutor(len(setups)) as ex:
+                futures = [ex.submit(run, setup, barrier) for setup in setups]
+                assert [f.result(timeout=120) for f in futures] == solo, trial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_campaign_parallel_matches_serial():
