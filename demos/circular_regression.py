@@ -42,19 +42,19 @@ def main():
     probe = np.deg2rad(np.array([0.0, 45.0, 120.0, 240.0, 330.0]))
     truth = simulator.DEFAULT_DENSITY.mean_value(probe)
     for label in ("circular", "chart"):
-        post = gp.predict(models[label], embed_angles(probe[:, None]))
-        row = "  ".join(f"{v:7.3f}" for v in post.mean)
+        mean, _ = gp.predict(models[label], embed_angles(probe[:, None]))
+        row = "  ".join(f"{v:7.3f}" for v in mean)
         print(f"  {label:8s}  {row}")
     print(f"  {'truth':8s}  " + "  ".join(f"{v:7.3f}" for v in truth))
 
     print()
     print("seam behavior: the SAME circle point written as 0 and as 2pi")
     for label in ("circular", "chart"):
-        edge = gp.predict(models[label], embed_angles(np.array([[0.0], [2.0 * np.pi]])))
-        gap = abs(edge.mean[0] - edge.mean[1])
+        edge, _ = gp.predict(models[label], embed_angles(np.array([[0.0], [2.0 * np.pi]])))
+        gap = abs(edge[0] - edge[1])
         print(
-            f"  {label:8s}  mean(0) = {edge.mean[0]:8.4f}   "
-            f"mean(2pi) = {edge.mean[1]:8.4f}   gap = {gap:.2e}"
+            f"  {label:8s}  mean(0) = {edge[0]:8.4f}   "
+            f"mean(2pi) = {edge[1]:8.4f}   gap = {gap:.2e}"
         )
     print()
     print("the circular kernel closes the seam; the chart kernel does not.")

@@ -53,8 +53,8 @@ def main():
             f"concentrations = {tuple(lam.tolist())}, coupling = {tuple(corr.tolist())}"
         )
         print(
-            f"  peak at alpha = {sweep.alphas[peak[0]]:+.3f}, "
-            f"beta = {sweep.betas[peak[1]]:+.3f}; "
+            f"  peak at alpha = {sweep.grid[peak[0]]:+.3f}, "
+            f"beta = {sweep.grid[peak[1]]:+.3f}; "
             f"separability sigma2/sigma1 = {ratio:.2e}"
         )
         for line in render(sweep.normalized):

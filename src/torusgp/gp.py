@@ -42,13 +42,13 @@ __all__ = [
     "Dataset",
     "FactorizationError",
     "IcmFactor",
-    "PosteriorGaussian",
     "TrainedGp",
     "icm_factor",
     "fit",
     "predict",
     "eigen_moments",
     "marginals",
+    "kernel_params",
     "save_model",
     "load_model",
 ]
@@ -59,14 +59,6 @@ JITTER_MAX_FACTOR = 1e-3
 
 class FactorizationError(np.linalg.LinAlgError):
     """Raised when the system matrix is not positive definite under the jitter policy."""
-
-
-@dataclass
-class PosteriorGaussian:
-    """A finite-dimensional Gaussian: mean vector and symmetric covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 @dataclass
@@ -273,13 +265,13 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     )
 
 
-def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
-    """Joint posterior of the latent function at the test points.
+def predict(gp: TrainedGp, tests):
+    """Joint posterior (mean, cov) of the latent function at the test points.
 
-    Mean (t*d,) and cov (t*d, t*d) in output-major order: (t,) and (t, t)
-    for one output, the length-d mean and (d, d) covariance for a single
-    test point. With the cross-Gram Ktn, Kt = Ktn U and G = B P, the mean is
-    vec(Ktn A B) and block (i, j) of the covariance is
+    Mean (t*d,) and symmetric cov (t*d, t*d) in output-major order: (t,)
+    and (t, t) for one output, the length-d mean and (d, d) covariance for
+    a single test point. With the cross-Gram Ktn, Kt = Ktn U and G = B P,
+    the mean is vec(Ktn A B) and block (i, j) of the covariance is
     B_ij Ktt - sum_s G_is G_js Kt diag(1/D[:, s]) Kt^T.
     """
     LT = gp.kernel.lift(as_input_array(tests, m=gp.m))
@@ -288,8 +280,8 @@ def predict(gp: TrainedGp, tests) -> PosteriorGaussian:
     W = (Kt / gp.factor.D.T[:, None, :]) @ Kt.T  # W[s] = Kt diag(1/D[:, s]) Kt^T
     cov = gp.coreg[:, None, :, None] * Ktt[None, :, None, :]
     cov -= np.einsum("is,js,sab->iajb", G, G, W)
-    mean, cov = np.ravel(M, order="F"), cov.reshape(M.size, M.size)
-    return PosteriorGaussian(mean=mean, cov=0.5 * (cov + cov.T))
+    cov = cov.reshape(M.size, M.size)
+    return np.ravel(M, order="F"), 0.5 * (cov + cov.T)
 
 
 def eigen_moments(gp: TrainedGp, tests):
@@ -315,12 +307,12 @@ _MODEL_FORMAT = "torusgp-model"
 _MODEL_VERSION = 1
 
 
-def _kernel_to_dict(kernel) -> dict:
-    # omega as a number, every other coordinate group (lam, corr, ell) as a list
+def kernel_params(kernel) -> dict:
+    """Hyperparameters by group: omega as a number, every other group (lam, corr, ell) as a list."""
     params = {"omega": float(kernel.theta[0])}
     for name, value in zip(kernel.theta_names[1:], kernel.theta[1:].tolist()):
         params.setdefault(name.split("_")[0], []).append(value)
-    return {"family": kernel.family, "m": kernel.m, "params": params}
+    return params
 
 
 def _kernel_from_dict(doc: dict):
@@ -340,7 +332,7 @@ def save_model(gp: TrainedGp, path) -> None:
     doc = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
-        "kernel": _kernel_to_dict(gp.kernel),
+        "kernel": {"family": gp.kernel.family, "m": gp.kernel.m, "params": kernel_params(gp.kernel)},
         "noise_var": gp.noise_var.tolist() if gp.multi_output else float(gp.noise_var[0]),
         "coreg": gp.coreg.tolist() if gp.multi_output else None,
         "inputs": gp.inputs.tolist(),

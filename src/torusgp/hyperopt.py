@@ -374,8 +374,8 @@ def optimize(
     dataset,
     family,
     *,
-    restarts=4,
     budget=150,
+    restarts=4,
     seed=0,
     rel_tol=1e-6,
     grad_tol=1e-5,
@@ -392,7 +392,7 @@ def optimize(
     dataset : Dataset or (inputs, obs) pair
     family : one of "hvm", "pvm", "pprd", "pse"; anything else raises
         ValueError
-    restarts, budget, seed : multi-start count, iteration cap, RNG seed
+    budget, restarts, seed : iteration cap, multi-start count, RNG seed
     rel_tol, grad_tol : termination thresholds (see the module docstring)
 
     Returns

@@ -365,10 +365,9 @@ CASE2_PARAM_SETS = (
 
 @dataclass
 class SweepResult:
-    """Kernel values against the fixed point over the (alpha, beta) grid."""
+    """Kernel values[i, j] against the fixed point at alpha = grid[i], beta = grid[j]."""
 
-    alphas: np.ndarray
-    betas: np.ndarray
+    grid: np.ndarray
     values: np.ndarray
     normalized: np.ndarray
 
@@ -390,12 +389,7 @@ def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepR
     pts = embed_angles(np.column_stack([A.ravel(), Bm.ravel()]))
     u0 = embed_angles(np.zeros((1, 2)))
     vals = kernel.gram(pts, u0)[:, 0].reshape(resolution, resolution)
-    return SweepResult(
-        alphas=grid,
-        betas=grid.copy(),
-        values=vals,
-        normalized=vals / np.max(vals),
-    )
+    return SweepResult(grid=grid, values=vals, normalized=vals / np.max(vals))
 
 
 # ---------------------------------------------------------------------------

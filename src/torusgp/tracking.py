@@ -264,11 +264,9 @@ def step(
 
 @dataclass
 class TrackingResult:
-    """One filtering pass: per-step estimates, errors, and summary."""
+    """One filtering pass: per-step estimates, errors, and summary; the truth is the Trajectory's."""
 
     method: str
-    trajectory: str
-    truth: np.ndarray
     estimates: np.ndarray
     ape: np.ndarray
     rmse: float
@@ -308,15 +306,7 @@ def run_tracking(
         estimates[t] = particles.mean()
     ape = np.linalg.norm(estimates - truth, axis=1)
     rmse = float(np.sqrt(np.mean(ape**2)))
-    return TrackingResult(
-        method=method,
-        trajectory=traj.name,
-        truth=truth,
-        estimates=estimates,
-        ape=ape,
-        rmse=rmse,
-        diverged=diverged,
-    )
+    return TrackingResult(method=method, estimates=estimates, ape=ape, rmse=rmse, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +338,19 @@ def _run_row(task, state=None):
     result = run_tracking(cfg, method, model, seed, traj=traj)
     return {
         "method": method,
-        "trajectory": result.trajectory,
+        "trajectory": traj.name,
         "noise_level": cfg.noise_xi,
         "seed": seed,
         "rmse": result.rmse,
         "diverged": int(result.diverged),
     }
+
+
+def _check_grid(**lists):
+    """Raise ValueError, naming the list, if a campaign list is empty or names an entry twice."""
+    for key, values in lists.items():
+        if len(values) == 0 or len(set(values)) < len(values):
+            raise ValueError(f"{key}: list at least one entry and none twice, got {list(values)}")
 
 
 def campaign(
@@ -375,20 +372,26 @@ def campaign(
     (noise_index, method) to the TrainedMethod used. Results are identical
     for a fixed seed regardless of jobs. A serial campaign (jobs <= 1) keeps
     its state to itself, so several may run in threads at once.
+
+    The defaults are acceptance criterion 7's desk campaign (T1, 20 runs);
+    the campaign command's are the paper's full grid (T1-T3, 100 runs). An
+    unknown method, an empty or repeated list entry, runs < 1 or a noise
+    level ScenarioConfig refuses raises ValueError before any work starts.
     """
     methods = list(methods)
     for mth in methods:
         if mth not in METHODS:
             raise ValueError(f"unknown method {mth!r}; choose from {METHODS}")
-    # A trajectory depends on its name and the scenario geometry, not on the
-    # noise level or seed: each is built once, before any training, so one
-    # that leaves the arena fails before the fits are paid for.
+    _check_grid(methods=methods, trajectories=trajectories, noise_levels=noise_levels)
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    # Every scenario is built before any training, so a bad noise level or a
+    # trajectory that leaves the arena fails before the fits are paid for. A
+    # trajectory depends on its name and the geometry, not on the noise level.
+    cfgs = [cfg.with_(noise_xi=float(xi), seed=seed) for xi in noise_levels]
     trajs = [trajectory(cfg.with_(trajectory=tname)) for tname in trajectories]
     trained = {}
-    cfgs = []  # per noise level; run_tracking reads the trajectory from trajs
-    for ni, xi in enumerate(noise_levels):
-        cfg_n = cfg.with_(noise_xi=float(xi), seed=seed)
-        cfgs.append(cfg_n)
+    for ni, cfg_n in enumerate(cfgs):
         ts = build_training_set(cfg_n, rng_for(seed, 0, ni))
         for mi, method in enumerate(methods):
             trained[(ni, method)] = train_method(

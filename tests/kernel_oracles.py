@@ -293,20 +293,19 @@ def reference_probe(dataset, template, phi):
     return F, np.concatenate([g_theta * theta, g_G, g_sigma * sigma])
 
 
-def dense_observation_posterior(model, tests) -> gp.PosteriorGaussian:
-    """Joint posterior of the noisy observations: gp.predict plus R on the diagonal."""
-    post = gp.predict(model, tests)
-    noise = np.repeat(model.noise_var, post.mean.size // model.d)
-    return gp.PosteriorGaussian(post.mean, post.cov + np.diag(noise))
+def dense_observation_posterior(model, tests):
+    """Joint posterior (mean, cov) of the noisy observations: gp.predict plus R on the diagonal."""
+    mean, cov = gp.predict(model, tests)
+    return mean, cov + np.diag(np.repeat(model.noise_var, mean.size // model.d))
 
 
 def dense_observation_logpdf(model, point, z) -> float:
     """Log density of the observation vector z at one test point, by slogdet and solve."""
-    post = dense_observation_posterior(model, point)
-    r = np.atleast_1d(np.asarray(z, dtype=float)) - post.mean
-    sign, logdet = np.linalg.slogdet(post.cov)
+    mean, cov = dense_observation_posterior(model, point)
+    r = np.atleast_1d(np.asarray(z, dtype=float)) - mean
+    sign, logdet = np.linalg.slogdet(cov)
     assert sign > 0, "predictive covariance is not positive definite"
-    return float(-0.5 * (r @ np.linalg.solve(post.cov, r) + logdet + r.size * np.log(2.0 * np.pi)))
+    return float(-0.5 * (r @ np.linalg.solve(cov, r) + logdet + r.size * np.log(2.0 * np.pi)))
 
 
 def _mp_chart_angle(e):

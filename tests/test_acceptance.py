@@ -108,13 +108,13 @@ def test_criterion_3_posterior_periodicity_and_seam_gap(record_detail):
         models[family] = gp.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
 
     test_angles = np.linspace(0.0, TWO_PI, 50, endpoint=False)
-    base = gp.predict(models["hvm"], _embed_angles(test_angles))
-    wrapped = gp.predict(models["hvm"], _embed_angles(test_angles + TWO_PI))
-    mean_gap = float(np.max(np.abs(base.mean - wrapped.mean)))
-    var_gap = float(np.max(np.abs(np.diag(base.cov) - np.diag(wrapped.cov))))
+    base_mean, base_cov = gp.predict(models["hvm"], _embed_angles(test_angles))
+    wrapped_mean, wrapped_cov = gp.predict(models["hvm"], _embed_angles(test_angles + TWO_PI))
+    mean_gap = float(np.max(np.abs(base_mean - wrapped_mean)))
+    var_gap = float(np.max(np.abs(np.diag(base_cov) - np.diag(wrapped_cov))))
 
-    edge = gp.predict(models["pse"], _embed_angles(np.array([0.0, TWO_PI])))
-    seam_gap = float(abs(edge.mean[0] - edge.mean[1]))
+    edge_mean, _ = gp.predict(models["pse"], _embed_angles(np.array([0.0, TWO_PI])))
+    seam_gap = float(abs(edge_mean[0] - edge_mean[1]))
 
     record_detail(
         f"circular mean/var gaps {mean_gap:.2e}/{var_gap:.2e}, chart seam gap {seam_gap:.3f}"
@@ -138,7 +138,7 @@ def test_criterion_4_sweep_argmax_and_coupling_rank(record_detail):
         sweep = simulator.case_study_2_sweep(kernel, resolution=181)
         peak = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
         assert peak == (90, 90), f"set {idx + 1} peaks at grid index {peak}"
-        assert sweep.alphas[peak[0]] == 0.0 and sweep.betas[peak[1]] == 0.0
+        assert sweep.grid[peak[0]] == 0.0 and sweep.grid[peak[1]] == 0.0
         if kernel.theta[3] > 0.0:  # corr_12
             s = np.linalg.svd(np.log(sweep.values), compute_uv=False)
             sigma2_coupled.append(float(s[1]))
@@ -165,19 +165,19 @@ def test_criterion_5_identity_mixing_matches_independent_gps(record_detail):
     noise = np.array([0.04, 0.09, 0.02])
     joint = gp.fit(X, Z, kern, noise, coreg=np.eye(d))
     T = _random_inputs(rng, t, m)
-    post = gp.predict(joint, T)
+    post_mean, post_cov = gp.predict(joint, T)
 
     worst = 0.0
     for i in range(d):
-        solo = gp.predict(gp.fit(X, Z[:, i], kern, float(noise[i])), T)
-        mean_gap = np.max(np.abs(post.mean[i * t : (i + 1) * t] - solo.mean))
+        solo_mean, solo_cov = gp.predict(gp.fit(X, Z[:, i], kern, float(noise[i])), T)
+        mean_gap = np.max(np.abs(post_mean[i * t : (i + 1) * t] - solo_mean))
         cov_gap = np.max(
-            np.abs(post.cov[i * t : (i + 1) * t, i * t : (i + 1) * t] - solo.cov)
+            np.abs(post_cov[i * t : (i + 1) * t, i * t : (i + 1) * t] - solo_cov)
         )
         worst = max(worst, float(mean_gap), float(cov_gap))
         for j in range(d):
             if j != i:
-                cross = post.cov[i * t : (i + 1) * t, j * t : (j + 1) * t]
+                cross = post_cov[i * t : (i + 1) * t, j * t : (j + 1) * t]
                 worst = max(worst, float(np.max(np.abs(cross))))
     record_detail(f"max deviation {worst:.2e}")
     assert worst < 1e-10

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgp import cli, gp, kernels, tracking
+from torusgp import cli, gp, hyperopt, kernels, simulator, tracking
 
 TOY_CONFIG = {
     "seed": 55,
@@ -223,6 +224,10 @@ BAD_VALUES = [
     (["simulate"], {"scenario": ARENA_TOO_SMALL}, "scenario"),
     (["simulate"], {"scenario": REFERENCE_ON_GRID}, "scenario"),
     *[(["campaign", "--jobs", jobs], ONE_PARAMETRIC_RUN, "--jobs") for jobs in ("0", "-3")],
+    (["campaign"], {"campaign": {"trajectories": ["T4"]}}, "campaign.trajectories"),
+    (["campaign"], {"campaign": {"noise_levels": [0]}}, "campaign.noise_levels"),
+    (["campaign"], {"campaign": {"noise_levels": [-0.01]}}, "campaign.noise_levels"),
+    (["campaign"], {"campaign": {"methods": ["GP"]}}, "campaign.methods"),
 ]
 
 
@@ -278,23 +283,57 @@ def test_invalid_scenario_value_exits_2(tmp_path, capsys):
     assert "noise_xi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "scenario, trajectories",
-    [(ARENA_TOO_SMALL, ["T1"]), (ARENA_TOO_LOW, ["T1", "T3"]), (REFERENCE_ON_GRID, ["T1"])],
-    ids=["T1-leaves-arena", "T3-leaves-arena", "reference-on-grid"],
-)
+# (scenario, campaign overrides, key the error names). Refused scenario
+# geometry, and campaign lists that give no useful row: an empty list gives
+# none, a repeated method the same row twice, a repeated trajectory or noise
+# level a second set of rows under the same label.
+CAMPAIGN_REFUSED = {
+    "T1-leaves-arena": (ARENA_TOO_SMALL, {"trajectories": ["T1"]}, "scenario"),
+    "T3-leaves-arena": (ARENA_TOO_LOW, {"trajectories": ["T1", "T3"]}, "scenario"),
+    "reference-on-grid": (REFERENCE_ON_GRID, {"trajectories": ["T1"]}, "scenario"),
+    "methods-repeated": ({}, {"methods": ["Parametric", "parametric"]}, "campaign.methods"),
+    "methods-empty": ({}, {"methods": []}, "campaign.methods"),
+    "trajectories-empty": ({}, {"trajectories": []}, "campaign.trajectories"),
+    "trajectories-repeated": ({}, {"trajectories": ["T1", "T1"]}, "campaign.trajectories"),
+    "noise_levels-empty": ({}, {"noise_levels": []}, "campaign.noise_levels"),
+    "noise_levels-repeated": ({}, {"noise_levels": [0.01, 0.01]}, "campaign.noise_levels"),
+}
+
+
+@pytest.mark.parametrize("scenario, campaign, key", CAMPAIGN_REFUSED.values(), ids=CAMPAIGN_REFUSED.keys())
 def test_campaign_refuses_scenario_geometry_before_any_fit(
-    tmp_path, capsys, monkeypatch, scenario, trajectories
+    tmp_path, capsys, monkeypatch, scenario, campaign, key
 ):
+    """A refused scenario or campaign list exits 2, naming it, before any method is trained."""
+
     def no_fit(*args, **kwargs):
         raise AssertionError("a method was trained")
 
     monkeypatch.setattr(tracking, "train_method", no_fit)
-    campaign = dict(TOY_CONFIG["campaign"], trajectories=trajectories)
+    campaign = dict(TOY_CONFIG["campaign"], **campaign)
     cfg = _write_config(tmp_path, {"scenario": scenario, "campaign": campaign})
     rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert "scenario" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _library_defaults(owner, *skip):
+    params = inspect.signature(owner).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty and p.name not in skip}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """optimizer and case2 take the library's defaults; campaign differs from
+    tracking.campaign's only in trajectories and runs, the paper's full grid."""
+    config = cli.load_config(None)
+    assert config["optimizer"] == _library_defaults(hyperopt.optimize, "seed")
+    assert config["case2"] == _library_defaults(simulator.case_study_2_sweep)
+    library = _library_defaults(tracking.campaign, "seed", "jobs")
+    assert config["campaign"].keys() == library.keys()
+    assert {key for key in library if config["campaign"][key] != library[key]} == {"trajectories", "runs"}
+    assert config["campaign"]["trajectories"] == simulator.TRAJECTORY_NAMES
+    assert config["campaign"]["runs"] == 100
 
 
 # (command, config, exit code, start of stderr), each refused before it writes anything

@@ -33,7 +33,7 @@ def test_single_output_posterior_matches_dense_formula():
     noise = 0.05
 
     model = gp.fit(X, z, kernel, noise)
-    post = gp.predict(model, T)
+    post_mean, post_cov = gp.predict(model, T)
 
     K = kernel.gram(X, X) + noise * np.eye(n)
     Ks = kernel.gram(T, X)
@@ -41,8 +41,8 @@ def test_single_output_posterior_matches_dense_formula():
     Kinv = np.linalg.inv(K)
     mean = Ks @ Kinv @ z
     cov = Kss - Ks @ Kinv @ Ks.T
-    assert np.max(np.abs(post.mean - mean)) < 1e-8
-    assert np.max(np.abs(post.cov - cov)) < 1e-8
+    assert np.max(np.abs(post_mean - mean)) < 1e-8
+    assert np.max(np.abs(post_cov - cov)) < 1e-8
 
 
 def test_predict_observation_adds_noise_to_diagonal():
@@ -51,10 +51,10 @@ def test_predict_observation_adds_noise_to_diagonal():
     z = rng.standard_normal(10)
     model = gp.fit(X, z, _kernel(), 0.3)
     T = _inputs(rng, 4, 2)
-    f = gp.predict(model, T)
-    y = dense_observation_posterior(model, T)
-    assert np.allclose(y.mean, f.mean, atol=0)
-    assert np.allclose(y.cov, f.cov + 0.3 * np.eye(4), atol=1e-12)
+    f_mean, f_cov = gp.predict(model, T)
+    y_mean, y_cov = dense_observation_posterior(model, T)
+    assert np.allclose(y_mean, f_mean, atol=0)
+    assert np.allclose(y_cov, f_cov + 0.3 * np.eye(4), atol=1e-12)
 
 
 def test_small_noise_interpolates_training_data():
@@ -62,8 +62,8 @@ def test_small_noise_interpolates_training_data():
     X = _inputs(rng, 12, 2)
     z = rng.standard_normal(12)
     model = gp.fit(X, z, _kernel(), 1e-10)
-    post = gp.predict(model, X)
-    assert np.max(np.abs(post.mean - z)) < 1e-5
+    post_mean, _ = gp.predict(model, X)
+    assert np.max(np.abs(post_mean - z)) < 1e-5
 
 
 def test_multi_output_posterior_matches_dense_kron_formula():
@@ -78,7 +78,7 @@ def test_multi_output_posterior_matches_dense_kron_formula():
     noise = np.array([0.04, 0.09, 0.01])
 
     model = gp.fit(X, Z, kernel, noise, coreg=B)
-    post = gp.predict(model, T)
+    post_mean, post_cov = gp.predict(model, T)
 
     Kx = kernel.gram(X, X)
     K = np.kron(B, Kx) + np.kron(np.diag(noise), np.eye(n))
@@ -88,9 +88,9 @@ def test_multi_output_posterior_matches_dense_kron_formula():
     Kinv = np.linalg.inv(K)
     mean = Ks @ Kinv @ zvec
     cov = Kss - Ks @ Kinv @ Ks.T
-    assert post.mean.shape == (t * d,)
-    assert np.max(np.abs(post.mean - mean)) < 1e-8
-    assert np.max(np.abs(post.cov - cov)) < 1e-8
+    assert post_mean.shape == (t * d,)
+    assert np.max(np.abs(post_mean - mean)) < 1e-8
+    assert np.max(np.abs(post_cov - cov)) < 1e-8
 
 
 def test_identity_mixing_reduces_to_independent_gps():
@@ -103,14 +103,14 @@ def test_identity_mixing_reduces_to_independent_gps():
     noise = np.array([0.02, 0.05, 0.11])
     model = gp.fit(X, Z, kernel, noise, coreg=np.eye(d))
     T = _inputs(rng, 7, 3)
-    post = gp.predict(model, T)
+    post_mean, post_cov = gp.predict(model, T)
     for i in range(d):
         solo = gp.fit(X, Z[:, i], kernel, float(noise[i]))
-        ref = gp.predict(solo, T)
-        mean_i = post.mean[i * 7 : (i + 1) * 7]
-        cov_ii = post.cov[i * 7 : (i + 1) * 7, i * 7 : (i + 1) * 7]
-        assert np.max(np.abs(mean_i - ref.mean)) < 1e-10
-        assert np.max(np.abs(cov_ii - ref.cov)) < 1e-10
+        ref_mean, ref_cov = gp.predict(solo, T)
+        mean_i = post_mean[i * 7 : (i + 1) * 7]
+        cov_ii = post_cov[i * 7 : (i + 1) * 7, i * 7 : (i + 1) * 7]
+        assert np.max(np.abs(mean_i - ref_mean)) < 1e-10
+        assert np.max(np.abs(cov_ii - ref_cov)) < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -126,11 +126,11 @@ def test_marginals_are_the_diagonal_blocks_of_predict(family, d):
     kernel = kernel_from_family(family, 3)
     model = gp.fit(X, Z, kernel, np.array([0.02, 0.05, 0.01])[:d], coreg=B)
     means, covs = gp.marginals(model, T)
-    post = gp.predict(model, T)
+    post_mean, post_cov = gp.predict(model, T)
     # output-major layout: entry (i, p) of the joint posterior sits at i * t + p
     idx = np.arange(d)[:, None] * t + np.arange(t)[None, :]
-    assert np.allclose(means, post.mean[idx].T, rtol=0, atol=1e-12)
-    want = post.cov[idx[:, None, :], idx[None, :, :]].transpose(2, 0, 1)
+    assert np.allclose(means, post_mean[idx].T, rtol=0, atol=1e-12)
+    want = post_cov[idx[:, None, :], idx[None, :, :]].transpose(2, 0, 1)
     assert np.allclose(covs, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -145,9 +145,9 @@ def test_one_output_is_the_one_column_icm_model(dup):
     solo = gp.fit(X, z, _kernel(), noise)
     col = gp.fit(X, z[:, None], _kernel(), np.array([noise]), coreg=[[1.0]])
     assert solo.jitter_used == col.jitter_used and (solo.jitter_used > 0.0) == (dup > 1)
-    a, b = gp.predict(solo, T), gp.predict(col, T)
-    assert a.mean.shape == (5,) and a.cov.shape == (5, 5)
-    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    (a_mean, a_cov), (b_mean, b_cov) = gp.predict(solo, T), gp.predict(col, T)
+    assert a_mean.shape == (5,) and a_cov.shape == (5, 5)
+    assert np.array_equal(a_mean, b_mean) and np.array_equal(a_cov, b_cov)
     for x, y in zip(gp.marginals(solo, T), gp.marginals(col, T)):
         assert np.array_equal(x, y)
 
@@ -171,8 +171,8 @@ def test_log_likelihood_matches_dense_gaussian():
     point = _inputs(rng, 1, 3)
     z = rng.standard_normal(3)
 
-    post = gp.predict(model, point)
-    expected = stats.multivariate_normal(post.mean, post.cov + np.diag(noise)).logpdf(z)
+    post_mean, post_cov = gp.predict(model, point)
+    expected = stats.multivariate_normal(post_mean, post_cov + np.diag(noise)).logpdf(z)
     assert dense_observation_logpdf(model, point, z) == pytest.approx(expected, abs=1e-9)
 
 
@@ -289,10 +289,10 @@ def test_model_save_load_roundtrip(tmp_path_factory, family, d, seed):
     gp.save_model(model, path)
     back = gp.load_model(path)
     T = _inputs(rng, 5, 3)
-    a = gp.predict(model, T)
-    b = gp.predict(back, T)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.cov, b.cov)
+    a_mean, a_cov = gp.predict(model, T)
+    b_mean, b_cov = gp.predict(back, T)
+    assert np.array_equal(a_mean, b_mean)
+    assert np.array_equal(a_cov, b_cov)
     gp.save_model(back, again)
     assert again.read_bytes() == path.read_bytes()
 
@@ -311,10 +311,10 @@ def test_single_output_kernel_families_all_fit():
     for family in ("hvm", "pvm", "pprd", "pse"):
         kernel = kernel_from_family(family, 2)
         model = gp.fit(X, z, kernel, 0.05)
-        post = gp.predict(model, X[:3])
-        assert post.mean.shape == (3,)
-        assert np.all(np.isfinite(post.mean))
-        assert np.all(np.diag(post.cov) > -1e-12)
+        post_mean, post_cov = gp.predict(model, X[:3])
+        assert post_mean.shape == (3,)
+        assert np.all(np.isfinite(post_mean))
+        assert np.all(np.diag(post_cov) > -1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -346,12 +346,12 @@ def test_multi_output_jitter_escalates_and_matches_the_jittered_dense_posterior(
     alpha = lu_solve(lu, np.ravel(Z, order="F"))
     mean = Kc @ alpha
     cov = np.kron(B, kernel.gram(T, T)) - Kc @ lu_solve(lu, Kc.T)
-    post = gp.predict(model, T)
+    post_mean, post_cov = gp.predict(model, T)
     tol = 4.0 * np.linalg.cond(K) * np.finfo(float).eps
     model_alpha = np.ravel(model.A, order="F")
     assert np.max(np.abs(model_alpha - alpha)) <= tol * max(1.0, np.max(np.abs(alpha)))
-    assert np.max(np.abs(post.mean - mean)) <= tol * max(1.0, np.max(np.abs(mean)))
-    assert np.max(np.abs(post.cov - cov)) <= tol * max(1.0, np.max(np.abs(cov)))
+    assert np.max(np.abs(post_mean - mean)) <= tol * max(1.0, np.max(np.abs(mean)))
+    assert np.max(np.abs(post_cov - cov)) <= tol * max(1.0, np.max(np.abs(cov)))
 
     if d > 1:
         # The likelihood path scores with R + jitter_used, the R of the factor: at two

@@ -699,9 +699,9 @@ def test_one_output_result_carries_the_pinned_mixing_matrix():
     assert res.noise_var.shape == (1,)
     assert res.theta_vector()[res.kernel.theta.size] == 1.0
     T = _inputs(np.random.default_rng(10), 6, 3)
-    a = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, res.noise_var), T)
-    b = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, float(res.noise_var[0])), T)
-    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    a_mean, a_cov = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, res.noise_var), T)
+    b_mean, b_cov = gp.predict(gp.fit(ds.inputs, ds.obs, res.kernel, float(res.noise_var[0])), T)
+    assert np.array_equal(a_mean, b_mean) and np.array_equal(a_cov, b_cov)
     names, values = hyperopt.gradient(ds, res.kernel, res.noise_sigma)
     assert "b_11" not in names
     assert names == (*res.kernel.theta_names, "sigma_r_1") and values.size == len(names)

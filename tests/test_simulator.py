@@ -262,9 +262,9 @@ def test_case1_observation_noise():
 
 def test_case2_grid_is_inclusive_and_contains_zero():
     sweep = case_study_2_sweep(CASE2_PARAM_SETS[0], resolution=181)
-    assert sweep.alphas[0] == -np.pi
-    assert sweep.alphas[-1] == np.pi
-    assert np.any(sweep.alphas == 0.0)
+    assert sweep.grid[0] == -np.pi
+    assert sweep.grid[-1] == np.pi
+    assert np.any(sweep.grid == 0.0)
     assert sweep.values.shape == (181, 181)
     assert sweep.normalized.max() == 1.0
 
@@ -273,16 +273,16 @@ def test_case2_maximum_at_origin_all_sets():
     for kernel in CASE2_PARAM_SETS:
         sweep = case_study_2_sweep(kernel, resolution=61)
         idx = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
-        assert sweep.alphas[idx[0]] == 0.0
-        assert sweep.betas[idx[1]] == 0.0
+        assert sweep.grid[idx[0]] == 0.0
+        assert sweep.grid[idx[1]] == 0.0
 
 
 def test_case2_zero_interaction_sets_factorize():
     for kernel in (CASE2_PARAM_SETS[0], CASE2_PARAM_SETS[2]):
         sweep = case_study_2_sweep(kernel, resolution=41)
         lam = kernel.theta[1:3]
-        f = np.exp(lam[0] * np.cos(sweep.alphas))
-        g = np.exp(lam[1] * np.cos(sweep.betas))
+        f = np.exp(lam[0] * np.cos(sweep.grid))
+        g = np.exp(lam[1] * np.cos(sweep.grid))
         assert np.max(np.abs(sweep.values - np.outer(f, g))) < 1e-12
 
 

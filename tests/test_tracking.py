@@ -157,7 +157,7 @@ def test_gp_model_scores_an_indefinite_predictive_covariance_minus_inf():
     E = aoa_embedding_batch(pos, refs)
     q = 1.0 + model.factor.S * gp.eigen_moments(model, E)[1]
     assert np.min(q[0]) <= 0.0 and np.all(q[1:] > 0.0)
-    assert np.linalg.eigvalsh(dense_observation_posterior(model, E[:1]).cov)[0] < 0.0
+    assert np.linalg.eigvalsh(dense_observation_posterior(model, E[:1])[1])[0] < 0.0
     z = np.array([0.3, -0.2])
     ll = tracking.GpRangeModel(model).logpdf(pos, z, refs)
     assert ll[0] == -np.inf and not np.any(np.isnan(ll))
@@ -345,6 +345,35 @@ def test_campaign_refuses_a_trajectory_before_any_training(monkeypatch):
     with pytest.raises(GeometryError, match="T1 leaves the arena"):
         tracking.campaign(cfg, methods=("Parametric",), noise_levels=(0.01, 0.02), runs=1)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (dict(methods=("Parametric", "Parametric")), "methods"),
+        (dict(methods=()), "methods"),
+        (dict(trajectories=()), "trajectories"),
+        (dict(trajectories=("T2", "T2")), "trajectories"),
+        (dict(noise_levels=()), "noise_levels"),
+        (dict(noise_levels=(0.01, 0.01)), "noise_levels"),
+        (dict(noise_levels=(0.01, -0.01)), "noise_xi"),
+        (dict(runs=0), "runs"),
+    ],
+    ids=["methods-repeated", "methods-empty", "trajectories-empty", "trajectories-repeated",
+         "noise_levels-empty", "noise_levels-repeated", "noise_level-negative", "no-runs"],
+)
+def test_campaign_refuses_a_grid_with_no_useful_row_before_any_work(monkeypatch, grid, message):
+    """An empty or repeated list, no runs or a bad noise level is refused before
+    any trajectory is built or any method trained."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the campaign started work")
+
+    monkeypatch.setattr(tracking, "trajectory", no_work)
+    monkeypatch.setattr(tracking, "train_method", no_work)
+    cfg = ScenarioConfig(grid=(4, 3), steps=10, seed=0)
+    with pytest.raises(ValueError, match=message):
+        tracking.campaign(cfg, **{"methods": ("Parametric",), "runs": 1, **grid})
 
 
 def test_serial_campaign_releases_its_models_when_a_run_fails(monkeypatch):
