@@ -43,21 +43,21 @@ def main():
     print("torus kernel sweeps against the base point (0, 0)")
     print("=" * 70)
     for idx, kernel in enumerate(simulator.CASE2_PARAM_SETS, start=1):
-        sweep = simulator.case_study_2_sweep(kernel, resolution=121)
+        grid, values = simulator.case_study_2_sweep(kernel, resolution=121)
         omega, lam, corr = kernel.theta[0], kernel.theta[1:3], kernel.theta[3:]
-        peak = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
-        ratio = separability_ratio(sweep.values)
+        peak = np.unravel_index(np.argmax(values), values.shape)
+        ratio = separability_ratio(values)
         print()
         print(
             f"set {idx}: omega = {omega:g}, "
             f"concentrations = {tuple(lam.tolist())}, coupling = {tuple(corr.tolist())}"
         )
         print(
-            f"  peak at alpha = {sweep.grid[peak[0]]:+.3f}, "
-            f"beta = {sweep.grid[peak[1]]:+.3f}; "
+            f"  peak at alpha = {grid[peak[0]]:+.3f}, "
+            f"beta = {grid[peak[1]]:+.3f}; "
             f"separability sigma2/sigma1 = {ratio:.2e}"
         )
-        for line in render(sweep.normalized):
+        for line in render(values / np.max(values)):
             print("    " + line)
     print()
     print("rows run alpha from -pi (top) to pi; columns run beta likewise.")

@@ -37,7 +37,9 @@ One JSON file shared by all subcommands, every section optional:
 A key named after a library field or keyword takes its default from the
 library. The campaign section overrides two with the paper's full grid,
 trajectories T1-T3 and 100 runs, where tracking.campaign defaults to the
-desk campaign of acceptance criterion 7 (T1, 20 runs).
+desk campaign of acceptance criterion 7 (T1, 20 runs). Campaign fits use
+campaign.opt_budget and opt_restarts with hyperopt.optimize's default
+tolerances; the optimizer section is read by case1 and train only.
 
 The --seed flag overrides the config seed everywhere; with neither, the
 documented default seed 1234 applies. Every section is checked on every
@@ -63,7 +65,8 @@ values, a scenario whose trajectories or training grid the simulator refuses,
 a model file that does not match --method or the scenario); 3 missing or
 malformed upstream artifact (an input file another stage should have
 produced); 4 numerical failure (a factorization or optimization that did not
-survive the jitter policy).
+survive the jitter policy, a model file among them, or training data whose
+statistics overflow).
 """
 
 import argparse
@@ -94,6 +97,7 @@ from .simulator import (
     save_training_set,
     trajectory,
     write_csv,
+    write_json,
 )
 
 DEFAULT_SEED = 1234
@@ -246,7 +250,7 @@ def load_config(path) -> dict:
     ):
         try:
             cls(**fields)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"config section '{where}': {exc}") from exc
     camp = config["campaign"]
     methods = [normalize_method(m, "campaign.methods") for m in camp["methods"]]
@@ -279,10 +283,6 @@ def normalize_method(name: str, where: str = "--method") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _hyperparam_dict(kernel) -> dict:
     return {name: float(v) for name, v in zip(kernel.theta_names, kernel.theta)}
 
@@ -295,11 +295,14 @@ def _fit_summary(tm: tracking.TrainedMethod) -> dict:
 
 
 def _load_artifact(path: Path, hint: str, load, *args):
-    """load(path, *args), reporting a missing or malformed file as MissingArtifactError."""
+    """load(path, *args), reporting a missing or malformed file as MissingArtifactError;
+    a numerical failure (a LinAlgError, such as FactorizationError) passes through to exit 4."""
     if not path.exists():
         raise MissingArtifactError(f"expected {hint} at {path}")
     try:
         return load(path, *args)
+    except np.linalg.LinAlgError:
+        raise
     except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         raise MissingArtifactError(f"{path} is not {hint}: {exc!r}") from exc
 
@@ -320,26 +323,20 @@ def cmd_case1(args, config, cfg, out):
     thetas = rng.uniform(0.0, TWO_PI, sec["n_train"])
     z = case_study_1_observe(thetas, rng, density)
     ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
-    clocks = {}
-
-    models = {}
-    reports = {}
+    grid = np.linspace(-TWO_PI, 2.0 * TWO_PI, sec["curve_points"])
+    emb = embed_angles(grid[:, None])
+    check = np.linspace(0.0, TWO_PI, sec["periodicity_angles"], endpoint=False)
+    clocks, reports, curves, gap, per = {}, {}, {}, {}, {}
     for label, family in (("vm", "hvm"), ("se", "pse")):
         t1 = time.perf_counter()
         res = hyperopt.optimize(ds, family, seed=cfg.seed, **opts)
-        models[label] = gp_mod.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
+        model = gp_mod.fit(ds.inputs, ds.obs, res.kernel, res.noise_var)
+        clocks[f"fit_{label}"] = time.perf_counter() - t1
         reports[label] = {
             "hyperparams": _hyperparam_dict(res.kernel),
             "noise_var": float(res.noise_var[0]),
             "optimization": res.summary(),
         }
-        clocks[f"fit_{label}"] = time.perf_counter() - t1
-
-    grid = np.linspace(-TWO_PI, 2.0 * TWO_PI, sec["curve_points"])
-    emb = embed_angles(grid[:, None])
-    check = np.linspace(0.0, TWO_PI, sec["periodicity_angles"], endpoint=False)
-    curves, gap, per = {}, {}, {}
-    for label, model in models.items():
         mean, cov = gp_mod.marginals(model, emb)
         curves[label] = (mean[:, 0], cov[:, 0, 0])
         # Seam behavior: the same circle point reached from both chart sides.
@@ -369,7 +366,7 @@ def cmd_case1(args, config, cfg, out):
         "periodicity": per,
     }
     report_path = out / "case1_report.json"
-    _write_json(report_path, report)
+    write_json(report_path, report, indent=2)
     return (
         {"case1": sec, "optimizer": opts},
         [train_path.name, curves_path.name, report_path.name],
@@ -382,32 +379,27 @@ def cmd_case2(args, config, cfg, out):
     artifacts = []
     report = {}
     for idx, kernel in enumerate(CASE2_PARAM_SETS, start=1):
-        sweep = case_study_2_sweep(kernel, resolution=config["case2"]["resolution"])
-        rows = [
-            (a, b, sweep.values[i, j], sweep.normalized[i, j])
-            for i, a in enumerate(sweep.grid)
-            for j, b in enumerate(sweep.grid)
-        ]
+        grid, values = case_study_2_sweep(kernel, resolution=config["case2"]["resolution"])
+        peak = np.max(values)
+        alpha, beta = np.meshgrid(grid, grid, indexing="ij")
+        rows = zip(alpha.ravel(), beta.ravel(), values.ravel(), (values / peak).ravel())
         path = out / f"case2_set{idx}.csv"
         write_csv(path, ["alpha_rad", "beta_rad", "k", "k_normalized"], rows)
         artifacts.append(path.name)
-        amax = np.unravel_index(int(np.argmax(sweep.values)), sweep.values.shape)
-        logvals = np.log(sweep.values)
-        svals = np.linalg.svd(logvals, compute_uv=False)
-        vvals = np.linalg.svd(sweep.values, compute_uv=False)
+        amax = np.unravel_index(int(np.argmax(values)), values.shape)
+        svals = np.linalg.svd(np.log(values), compute_uv=False)
+        vvals = np.linalg.svd(values, compute_uv=False)
         report[f"set{idx}"] = {
             **gp_mod.kernel_params(kernel),
-            "argmax_alpha_rad": float(sweep.grid[amax[0]]),
-            "argmax_beta_rad": float(sweep.grid[amax[1]]),
-            "max_value": float(np.max(sweep.values)),
-            "point_symmetry_max_abs": float(
-                np.max(np.abs(sweep.values - sweep.values[::-1, ::-1]))
-            ),
+            "argmax_alpha_rad": float(grid[amax[0]]),
+            "argmax_beta_rad": float(grid[amax[1]]),
+            "max_value": float(peak),
+            "point_symmetry_max_abs": float(np.max(np.abs(values - values[::-1, ::-1]))),
             "log_kernel_sigma2": float(svals[1]),
             "kernel_sigma2_over_sigma1": float(vvals[1] / vvals[0]),
         }
     report_path = out / "case2_report.json"
-    _write_json(report_path, report)
+    write_json(report_path, report, indent=2)
     artifacts.append(report_path.name)
     return {"case2": config["case2"]}, artifacts, {}, None
 
@@ -454,7 +446,7 @@ def cmd_train(args, config, cfg, out):
                 "optimization": tm.opt.summary(),
             }
             report_path = out / f"optreport_{mth.lower()}.json"
-            _write_json(report_path, report)
+            write_json(report_path, report, indent=2)
             artifacts.append(report_path.name)
             summary[mth] = _fit_summary(tm)
         else:
@@ -531,7 +523,7 @@ def cmd_campaign(args, config, cfg, out):
 
 def _run(args) -> int:
     """Load the config, resolve the seed and scenario, create --out, run the
-    command, write its manifest. A command refused with exit 2 or 3 before it
+    command, write its manifest. A command that exits 2, 3 or 4 before it
     wrote anything removes the directories this run created."""
     out = Path(args.out)
     config = load_config(args.config)
@@ -542,7 +534,7 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         resolved, artifacts, clocks, summary = args.func(args, config, cfg, out)
-    except (ConfigError, GeometryError, MissingArtifactError):
+    except (ConfigError, GeometryError, MissingArtifactError, np.linalg.LinAlgError):
         if made and not any(out.iterdir()):
             for p in made:
                 p.rmdir()
@@ -562,7 +554,7 @@ def _run(args) -> int:
         doc["summary"] = summary
     method = getattr(args, "method", None)
     name = args.command if method is None else f"{args.command}_{method.lower()}"
-    _write_json(out / f"manifest_{name}.json", doc)
+    write_json(out / f"manifest_{name}.json", doc, indent=2)
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import kernels
 from .manifold import as_input_array
+from .simulator import write_json
 
 __all__ = [
     "Dataset",
@@ -55,6 +56,8 @@ __all__ = [
 
 JITTER_START_FACTOR = 1e-9
 JITTER_MAX_FACTOR = 1e-3
+
+LOG2PI = float(np.log(2.0 * np.pi))
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -119,6 +122,15 @@ class Dataset:
     @property
     def zvec(self) -> np.ndarray:
         return self.obs if self.obs.ndim == 1 else np.ravel(self.obs, order="F")
+
+    def mixing(self, coreg) -> np.ndarray:
+        """coreg as the (d, d) mixing matrix B, given for multi-output observations only; [[1]] for 1-D."""
+        if (coreg is None) == self.multi_output:
+            raise ValueError("coreg must be given for multi-output observations, and only then")
+        B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
+        if B.shape != (self.d, self.d):
+            raise ValueError(f"coreg must be ({self.d}, {self.d}), got {B.shape}")
+        return B
 
 
 @dataclass
@@ -234,11 +246,7 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     """
     data = Dataset.from_data(inputs, obs)
     X, d = data.inputs, data.d
-    if (coreg is None) == data.multi_output:
-        raise ValueError("coreg must be given for multi-output observations, and only then")
-    coreg = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
-    if coreg.shape != (d, d):
-        raise ValueError(f"coreg must be ({d}, {d}), got {coreg.shape}")
+    coreg = data.mixing(coreg)
     if not np.allclose(coreg, coreg.T, atol=1e-10):
         raise ValueError("coreg must be symmetric")
     noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
@@ -338,9 +346,7 @@ def save_model(gp: TrainedGp, path) -> None:
         "inputs": gp.inputs.tolist(),
         "obs": gp.obs.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> TrainedGp:

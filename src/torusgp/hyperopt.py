@@ -74,7 +74,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from . import kernels
-from .gp import Dataset, FactorizationError, icm_factor
+from .gp import LOG2PI, Dataset, FactorizationError, icm_factor
 
 __all__ = [
     "Dataset",
@@ -88,8 +88,6 @@ __all__ = [
 
 # A stalled run still counts as converged if it ends this close to stationary.
 GRAD_CONVERGED_FACTOR = 1e-4
-
-_LOG2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -247,7 +245,7 @@ class _Problem:
         Lf = np.asfortranarray(L)
         z = self.z
         alpha = _cho_solve(Lf, z)
-        F = -float(z @ alpha) - 2.0 * float(np.log(L.diagonal()).sum()) - self.N * _LOG2PI
+        F = -float(z @ alpha) - 2.0 * float(np.log(L.diagonal()).sum()) - self.N * LOG2PI
         A = alpha[:, None] * alpha  # np.outer(alpha, alpha)
         A -= _cho_solve(Lf, self.eye)
         # dF/dB = sum(A * K_x), as one dot product
@@ -259,7 +257,7 @@ class _Problem:
         Zt = f.U.T @ self.data.obs @ f.P
         M = Zt / f.D
         logdet = 2.0 * self.n * np.sum(np.log(sigma)) + np.sum(np.log(f.D))
-        F = float(-np.sum(Zt * M) - logdet - self.N * _LOG2PI)
+        F = float(-np.sum(Zt * M) - logdet - self.N * LOG2PI)
         Alpha = f.U @ M @ f.P.T
         Abar = Alpha @ B @ Alpha.T - (f.U * (f.Dinv @ f.S)) @ f.U.T
         g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ f.Dinv)) @ f.P.T
@@ -300,10 +298,8 @@ def _constrained(theta, B, sigma) -> np.ndarray:
 
 def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
     dataset = _as_dataset(dataset)
-    if (coreg is not None) != dataset.multi_output:
-        raise ValueError("coreg must be given for multi-output data, and only then")
+    B = dataset.mixing(coreg)
     sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
-    B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
     with np.errstate(all="ignore"):
         return _Problem(dataset, kernel).evaluate(kernel, B, sigma)
 
@@ -355,19 +351,22 @@ def default_initialization(dataset, family):
     tenth of the per-output deviation (0.1 where that is 0), and the mixing
     matrix at the PSD-projected sample output covariance for 2-D
     observations; 1-D ones have the pinned B = [[1]]. No coordinate starts
-    at 0, so every one has a log.
+    at 0, so every one has a log. Observations whose statistics overflow
+    (above about 1e154) raise FactorizationError naming the family.
     """
     dataset = _as_dataset(dataset)
     kernel = kernels.kernel_from_family(family, dataset.m)
-    scale = float(np.std(dataset.obs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.std(dataset.obs))
+        sig = np.atleast_1d(0.1 * np.std(dataset.obs, axis=0))
+        cov = np.atleast_2d(np.cov(dataset.obs.T)) if dataset.multi_output else np.ones((1, 1))
+    if not (isfinite(scale) and np.all(np.isfinite(sig)) and np.all(np.isfinite(cov))):
+        raise FactorizationError(f"{family}: the observations' deviation or covariance overflows")
     if not scale > 0.0:
         scale = 1.0
     kernel = kernel.with_theta(np.concatenate([[scale], kernel.theta[1:]]))
-    sig = np.atleast_1d(0.1 * np.std(dataset.obs, axis=0))
     sig[sig <= 0.0] = 0.1
-    if not dataset.multi_output:
-        return kernel, sig, np.ones((1, 1))
-    return kernel, sig, _psd_project(np.atleast_2d(np.cov(dataset.obs.T)), floor=1e-6)
+    return kernel, sig, _psd_project(cov, floor=1e-6) if dataset.multi_output else cov
 
 
 def optimize(

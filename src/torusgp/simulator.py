@@ -17,9 +17,11 @@ over two circles, evaluated on a symmetric angle grid.
 Every table the package writes, the training set and trajectory included,
 goes through write_csv: headed CSV with LF line ends and full float precision,
 so simulation output can feed the training and tracking stages as files.
+Model files, reports and manifests go through write_json.
 """
 
 import csv
+import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
@@ -27,7 +29,8 @@ from itertools import islice
 import numpy as np
 
 from .kernels import ExpLinearKernel
-from .manifold import AOA_SINGULARITY_TOL, GeometryError, aoa_embedding_batch, as_input_array, embed_angles
+from .manifold import AOA_SINGULARITY_TOL, GeometryError, aoa_directions, aoa_embedding_batch
+from .manifold import as_input_array, embed_angles
 
 __all__ = [
     "ScenarioConfig",
@@ -50,6 +53,7 @@ __all__ = [
     "save_trajectory",
     "load_trajectory",
     "write_csv",
+    "write_json",
 ]
 
 TRAJECTORY_NAMES = ("T1", "T2", "T3")
@@ -131,13 +135,10 @@ class ScenarioConfig:
 
 
 def range_function(x, references) -> np.ndarray:
-    """Distances from position(s) x to every reference: (m,) or (n, m)."""
+    """Distances from position(s) x to every reference, from aoa_directions: (m,) or (n, m)."""
     x = np.asarray(x, dtype=float)
-    refs = np.asarray(references, dtype=float)
-    single = x.ndim == 1
-    pos = x[None, :] if single else x
-    h = np.linalg.norm(refs[None, :, :] - pos[:, None, :], axis=2)
-    return h[0] if single else h
+    h = aoa_directions(np.atleast_2d(x), references)[1]
+    return h[0] if x.ndim == 1 else h
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -363,22 +364,13 @@ CASE2_PARAM_SETS = (
 )
 
 
-@dataclass
-class SweepResult:
-    """Kernel values[i, j] against the fixed point at alpha = grid[i], beta = grid[j]."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    normalized: np.ndarray
-
-
-def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepResult:
-    """Evaluate k(u0, v(alpha, beta)) on a symmetric angle grid.
+def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181):
+    """Evaluate k(u0, v(alpha, beta)) on a symmetric angle grid: (grid, values).
 
     kernel is any kernel on two circles (the study uses CASE2_PARAM_SETS).
     u0 is the torus point at angles (0, 0); the grid is the inclusive
     symmetric linspace over [-pi, pi] per axis (odd resolutions contain 0).
-    Rows index alpha, columns beta. normalized is values / max(values).
+    values[i, j] is the kernel at alpha = grid[i], beta = grid[j].
     """
     if kernel.m != 2:
         raise ValueError("the sweep is defined on two circles")
@@ -389,12 +381,18 @@ def case_study_2_sweep(kernel: ExpLinearKernel, resolution: int = 181) -> SweepR
     pts = embed_angles(np.column_stack([A.ravel(), Bm.ravel()]))
     u0 = embed_angles(np.zeros((1, 2)))
     vals = kernel.gram(pts, u0)[:, 0].reshape(resolution, resolution)
-    return SweepResult(grid=grid, values=vals, normalized=vals / np.max(vals))
+    return grid, vals
 
 
 # ---------------------------------------------------------------------------
-# File formats: headed CSV, LF line ends, full float precision.
+# File formats: headed CSV and JSON, full float precision.
 # ---------------------------------------------------------------------------
+
+
+def write_json(path, doc, indent=None) -> None:
+    """Write doc as JSON text, indented as json.dumps takes indent, ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=indent) + "\n")
 
 
 # write_csv formats this many rows at a time, so the per-column text lists stay

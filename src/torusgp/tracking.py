@@ -33,6 +33,7 @@ from scipy.linalg import solve_triangular
 
 from . import gp as gp_mod
 from . import hyperopt
+from .gp import LOG2PI
 from .manifold import AOA_SINGULARITY_TOL, aoa_directions
 from .simulator import (
     ScenarioConfig,
@@ -45,6 +46,7 @@ from .simulator import (
     simulate_dynamics,
     trajectory,
     write_csv,
+    write_json,
 )
 
 __all__ = [
@@ -70,8 +72,6 @@ METHODS = ("HvM", "PvM", "PPRD", "PSE", "Parametric")
 GP_FAMILIES = {"HvM": "hvm", "PvM": "pvm", "PPRD": "pprd", "PSE": "pse"}
 
 CAMPAIGN_HEADER = ["method", "trajectory", "noise_level", "seed", "rmse", "diverged"]
-
-_LOG2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -141,7 +141,7 @@ class GpRangeModel:
         logdet_R = np.sum(np.log(gp.noise_var + gp.jitter_used))
         # log q is NaN or -inf where q <= 0, so those particles fail the finiteness test
         with np.errstate(divide="ignore", invalid="ignore"):
-            ll = -0.5 * (np.sum(w * w / q, axis=1) + np.sum(np.log(q), axis=1) + logdet_R + gp.d * _LOG2PI)
+            ll = -0.5 * (np.sum(w * w / q, axis=1) + np.sum(np.log(q), axis=1) + logdet_R + gp.d * LOG2PI)
         out[ok] = np.where(np.isfinite(ll), ll, -np.inf)
         return out
 
@@ -167,14 +167,18 @@ class ParametricRangeModel:
         r = z[None, :] - (h + self.bias[None, :])
         y = solve_triangular(self.chol, r.T, lower=True)
         quad = np.sum(y * y, axis=0)
-        return -0.5 * (quad + self.logdet + self.bias.size * _LOG2PI)
+        return -0.5 * (quad + self.logdet + self.bias.size * LOG2PI)
 
 
 def fit_parametric(ts: TrainingSet, references) -> ParametricRangeModel:
-    """Bias and covariance of the training residuals z - h(x)."""
+    """Bias and covariance of the training residuals z - h(x); FactorizationError if they overflow."""
     h = range_function(ts.positions, np.asarray(references, dtype=float))
-    res = ts.obs - h
-    return ParametricRangeModel(bias=res.mean(axis=0), cov=np.atleast_2d(np.cov(res.T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = ts.obs - h
+        bias, cov = res.mean(axis=0), np.atleast_2d(np.cov(res.T))
+    if not (np.all(np.isfinite(bias)) and np.all(np.isfinite(cov))):
+        raise gp_mod.FactorizationError("parametric residual: the residuals' mean or covariance overflows")
+    return ParametricRangeModel(bias=bias, cov=cov)
 
 
 _PARAMETRIC_FORMAT = "torusgp-parametric"
@@ -188,9 +192,7 @@ def save_parametric(model: ParametricRangeModel, path) -> None:
         "bias": model.bias.tolist(),
         "cov": model.cov.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_range_model(path):

@@ -135,12 +135,12 @@ def test_criterion_4_sweep_argmax_and_coupling_rank(record_detail):
     """criterion 4: all four sweeps peak at the origin; coupled sweeps are non-separable (sigma2 > 1e-6)"""
     sigma2_coupled = []
     for idx, kernel in enumerate(simulator.CASE2_PARAM_SETS):
-        sweep = simulator.case_study_2_sweep(kernel, resolution=181)
-        peak = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
+        grid, values = simulator.case_study_2_sweep(kernel, resolution=181)
+        peak = np.unravel_index(np.argmax(values), values.shape)
         assert peak == (90, 90), f"set {idx + 1} peaks at grid index {peak}"
-        assert sweep.grid[peak[0]] == 0.0 and sweep.grid[peak[1]] == 0.0
+        assert grid[peak[0]] == 0.0 and grid[peak[1]] == 0.0
         if kernel.theta[3] > 0.0:  # corr_12
-            s = np.linalg.svd(np.log(sweep.values), compute_uv=False)
+            s = np.linalg.svd(np.log(values), compute_uv=False)
             sigma2_coupled.append(float(s[1]))
     record_detail(
         "peaks at (0, 0); coupled log-sweep sigma2 = "

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,11 +357,19 @@ REFUSED_RUNS = [
         3,
         "torusgp: missing artifact: expected a trained HvM model (train stage output) at ",
     ),
+    (
+        ["track", "--method", "all"],
+        {},
+        2,
+        "torusgp: config error: track runs one method per invocation; pass a single --method\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, config, code, message", REFUSED_RUNS, ids=["bad-config", "refused-geometry", "missing-model"]
+    "argv, config, code, message",
+    REFUSED_RUNS,
+    ids=["bad-config", "refused-geometry", "missing-model", "track-all"],
 )
 def test_a_refused_run_leaves_no_output_directory(tmp_path, capsys, argv, config, code, message):
     """A run refused with exit 2 or 3 before it writes anything leaves no
@@ -664,6 +673,7 @@ def test_case2_outputs_all_sets(tmp_path):
     data = (out / "case2_set1.csv").read_text().splitlines()
     assert data[0] == "alpha_rad,beta_rad,k,k_normalized"
     assert len(data) == 1 + 13 * 13
+    assert max(float(row.split(",")[3]) for row in data[1:]) == 1.0
 
 
 def test_campaign_jobs_flag_is_deterministic(tmp_path):
@@ -673,3 +683,74 @@ def test_campaign_jobs_flag_is_deterministic(tmp_path):
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(a)]) == 0
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(b), "--jobs", "2"]) == 0
     assert (a / "campaign.csv").read_bytes() == (b / "campaign.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, message",
+    [
+        (None, ["simulate"], 3, "torusgp: missing artifact: config file not found: {config}\n"),
+        ("<directory>", ["simulate"], 2, "torusgp: config error: {config}: [Errno 21] Is a directory"),
+        ("[1, 2]", ["simulate"], 2, "torusgp: config error: {config}: top level must be a JSON object\n"),
+        (
+            json.dumps({"format": "torusgp-manifest", "resolved_config": [1]}),
+            ["simulate"],
+            2,
+            "torusgp: config error: {config}: manifest resolved_config must be an object\n",
+        ),
+    ],
+    ids=["config-not-found", "config-is-a-directory", "config-not-an-object", "manifest-config-not-an-object"],
+)
+def test_refused_config_file_exits_with_its_code(tmp_path, capsys, text, argv, code, message):
+    """text is the config file's content; None leaves it absent, <directory> makes it a directory."""
+    config = tmp_path / "config.json"
+    if text == "<directory>":
+        config.mkdir()
+    elif text is not None:
+        config.write_text(text)
+    assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(message.format(config=config))
+
+
+def test_train_refuses_a_training_set_with_another_reference_count(tmp_path, capsys, toy_models):
+    cfg = _write_config(tmp_path, {"scenario": FOUR_REFERENCES})
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--trainset", str(toy_models / "training_set.csv")]) == 2
+    assert capsys.readouterr().err == "torusgp: config error: training set has 3 references, scenario has 4\n"
+
+
+def test_track_exits_4_when_a_model_file_cannot_be_refitted(tmp_path, capsys, toy_models):
+    """A well-formed model file whose mixing matrix is indefinite is a
+    numerical failure (exit 4), not a malformed artifact (exit 3)."""
+    ts = simulator.load_training_set(toy_models / "training_set.csv")
+    doc = {
+        "format": "torusgp-model",
+        "version": 1,
+        "kernel": {"family": "hvm", "m": 3, "params": gp.kernel_params(kernels.kernel_from_family("hvm", 3))},
+        "noise_var": [1e-4] * 3,
+        "coreg": [[1, 3, 0], [3, 1, 0], [0, 0, 1]],
+        "inputs": ts.inputs.tolist(),
+        "obs": ts.obs.tolist(),
+    }
+    path = tmp_path / "model_hvm.json"
+    path.write_text(json.dumps(doc))
+    argv = ["track", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--method", "HvM", "--model", str(path)]) == 4
+    message = "torusgp: numerical failure: hvm: system matrix not positive definite;"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, label", [("HvM", "hvm"), ("Parametric", "parametric residual")])
+def test_train_on_ranges_whose_statistics_overflow_exits_4(tmp_path, capsys, toy_models, method, label):
+    """Finite ranges near 1e200 overflow the fit's starting statistics: exit 4
+    naming the model, with no traceback and no RuntimeWarning."""
+    ts = simulator.load_training_set(toy_models / "training_set.csv")
+    ts.obs *= 1e200 / np.max(ts.obs)
+    big = tmp_path / "training_set.csv"
+    simulator.save_training_set(ts, big)
+    argv = ["train", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--method", method, "--trainset", str(big)]) == 4
+    assert capsys.readouterr().err.startswith(f"torusgp: numerical failure: {label}: ")
+    assert not (tmp_path / "out").exists()

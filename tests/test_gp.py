@@ -241,6 +241,8 @@ def test_fit_validates_coreg_and_noise():
         gp.fit(X, Z[:, 0], _kernel(), 0.0)
     with pytest.raises(ValueError):
         gp.fit(X, Z, _kernel(), 0.1)  # matrix obs need a mixing matrix
+    with pytest.raises(ValueError, match=r"^coreg must be \(2, 2\), got \(3, 3\)$"):
+        gp.fit(X, Z, _kernel(), 0.1, coreg=np.eye(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -398,3 +400,9 @@ def test_multi_output_alpha_is_as_accurate_as_a_dense_cholesky_solve():
     err = np.linalg.norm(np.ravel(model.A, order="F") - ref) / np.linalg.norm(ref)
     dense = cho_solve((np.linalg.cholesky(K), True), z)
     assert err <= np.linalg.norm(dense - ref) / np.linalg.norm(ref)
+
+
+def test_dataset_refuses_an_observation_row_count_that_does_not_match():
+    X = _inputs(np.random.default_rng(4), 5, 2)
+    with pytest.raises(ValueError, match=r"^observations of shape \(4, 2\) do not match 5 inputs$"):
+        gp.Dataset.from_data(X, np.zeros((4, 2)))

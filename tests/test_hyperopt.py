@@ -705,3 +705,50 @@ def test_one_output_result_carries_the_pinned_mixing_matrix():
     names, values = hyperopt.gradient(ds, res.kernel, res.noise_sigma)
     assert "b_11" not in names
     assert names == (*res.kernel.theta_names, "sigma_r_1") and values.size == len(names)
+
+
+@pytest.mark.parametrize("d", [1, 2], ids=["coreg-for-1d", "no-coreg-for-2d"])
+def test_objective_refuses_coreg_against_the_output_count(d):
+    """coreg is given for multi-output observations, and only then."""
+    rng = np.random.default_rng(6)
+    ds = hyperopt.Dataset.from_data(_inputs(rng, 6, 2), rng.standard_normal(6 if d == 1 else (6, d)))
+    coreg = np.eye(1) if d == 1 else None
+    with pytest.raises(ValueError, match="^coreg must be given for multi-output "):
+        hyperopt.objective(ds, kernel_from_family("hvm", 2), 0.1, coreg=coreg)
+
+
+def test_optimize_raises_the_last_failure_when_every_restart_fails(monkeypatch):
+    failures = []
+
+    def fail(self, phi):
+        failures.append(len(failures) + 1)
+        raise gp.FactorizationError(f"probe {failures[-1]} failed")
+
+    monkeypatch.setattr(hyperopt._Problem, "value_and_grad", fail)
+    with pytest.raises(gp.FactorizationError, match="^probe 3 failed$"):
+        hyperopt.optimize(_toy_dataset(seed=14), "hvm", restarts=3, seed=0)
+    assert failures == [1, 2, 3]
+
+
+def test_default_initialization_starts_omega_at_1_on_constant_observations():
+    X = _inputs(np.random.default_rng(15), 8, 2)
+    kernel, sigma, _ = hyperopt.default_initialization(hyperopt.Dataset.from_data(X, np.full(8, 2.5)), "hvm")
+    assert kernel.theta[0] == 1.0
+    assert np.array_equal(sigma, [0.1])
+
+
+@pytest.mark.parametrize("top", [1e200, 1e300])
+@pytest.mark.parametrize("d", [1, 3])
+def test_observations_whose_statistics_overflow_fail_typed_without_a_warning(top, d):
+    """Observations above about 1e154 overflow np.std and np.cov; the start
+    fails as a FactorizationError naming the family, and no RuntimeWarning
+    escapes (numpy attributes it to its own modules)."""
+    rng = np.random.default_rng(16)
+    Z = np.abs(rng.standard_normal(12 if d == 1 else (12, d))) + 1.0
+    ds = hyperopt.Dataset.from_data(_inputs(rng, 12, 3), Z * (top / np.max(Z)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gp.FactorizationError, match="^pvm: "):
+            hyperopt.default_initialization(ds, "pvm")
+        with pytest.raises(gp.FactorizationError, match="^hvm: "):
+            hyperopt.optimize(ds, "hvm", budget=5, restarts=2, seed=0)

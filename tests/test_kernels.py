@@ -38,6 +38,8 @@ def test_pair_order_adjacent_pairs_first():
     assert pair_order(2) == [(0, 1)]
     assert pair_order(3) == [(0, 1), (1, 2), (0, 2)]
     assert pair_order(4) == [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]
+    with pytest.raises(ValueError, match="^m must be >= 1$"):
+        pair_order(0)
 
 
 def test_k_vm_at_coincident_points():
@@ -67,7 +69,7 @@ def test_k_hvm_quadratic_term_uses_pair_products():
 
 
 def test_hvm_corr_length_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hvm on T\\^3 takes 7 coordinates, got 5$"):
         ExpLinearKernel("hvm", 3, (1.0, 1.0, 1.0, 1.0, 0.1))
 
 

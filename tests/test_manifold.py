@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from kernel_oracles import component_distances
 
 from torusgp.manifold import (
     GeometryError,
+    aoa_directions,
     aoa_embedding_batch,
     as_input_array,
     chart_angles,
@@ -121,3 +124,21 @@ def test_chart_angles_range_and_inverse():
     assert np.all(ang >= 0.0) and np.all(ang < 2.0 * np.pi)
     assert np.allclose(np.cos(ang), np.cos(theta), atol=1e-12)
     assert np.allclose(np.sin(ang), np.sin(theta), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "positions, references, message",
+    [
+        (np.zeros(2), np.zeros((3, 2)), "positions must be (n, 2), got (2,)"),
+        (np.zeros((4, 2)), np.zeros((3, 3)), "references must be (m, 2), got (3, 3)"),
+    ],
+    ids=["positions", "references"],
+)
+def test_aoa_directions_refuses_bad_shapes(positions, references, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        aoa_directions(positions, references)
+
+
+def test_as_input_array_refuses_another_circle_count():
+    with pytest.raises(ValueError, match="^expected m=3 circles, got 2$"):
+        as_input_array(embed_angles(np.zeros((4, 2))), m=3)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgp import simulator
+from torusgp.kernels import kernel_from_family
 from torusgp.manifold import GeometryError
 from torusgp.simulator import (
     CASE2_PARAM_SETS,
@@ -261,41 +264,40 @@ def test_case1_observation_noise():
 
 
 def test_case2_grid_is_inclusive_and_contains_zero():
-    sweep = case_study_2_sweep(CASE2_PARAM_SETS[0], resolution=181)
-    assert sweep.grid[0] == -np.pi
-    assert sweep.grid[-1] == np.pi
-    assert np.any(sweep.grid == 0.0)
-    assert sweep.values.shape == (181, 181)
-    assert sweep.normalized.max() == 1.0
+    grid, values = case_study_2_sweep(CASE2_PARAM_SETS[0], resolution=181)
+    assert grid[0] == -np.pi
+    assert grid[-1] == np.pi
+    assert np.any(grid == 0.0)
+    assert values.shape == (181, 181)
 
 
 def test_case2_maximum_at_origin_all_sets():
     for kernel in CASE2_PARAM_SETS:
-        sweep = case_study_2_sweep(kernel, resolution=61)
-        idx = np.unravel_index(np.argmax(sweep.values), sweep.values.shape)
-        assert sweep.grid[idx[0]] == 0.0
-        assert sweep.grid[idx[1]] == 0.0
+        grid, values = case_study_2_sweep(kernel, resolution=61)
+        idx = np.unravel_index(np.argmax(values), values.shape)
+        assert grid[idx[0]] == 0.0
+        assert grid[idx[1]] == 0.0
 
 
 def test_case2_zero_interaction_sets_factorize():
     for kernel in (CASE2_PARAM_SETS[0], CASE2_PARAM_SETS[2]):
-        sweep = case_study_2_sweep(kernel, resolution=41)
+        grid, values = case_study_2_sweep(kernel, resolution=41)
         lam = kernel.theta[1:3]
-        f = np.exp(lam[0] * np.cos(sweep.grid))
-        g = np.exp(lam[1] * np.cos(sweep.grid))
-        assert np.max(np.abs(sweep.values - np.outer(f, g))) < 1e-12
+        f = np.exp(lam[0] * np.cos(grid))
+        g = np.exp(lam[1] * np.cos(grid))
+        assert np.max(np.abs(values - np.outer(f, g))) < 1e-12
 
 
 def test_case2_set2_corner_value():
-    sweep = case_study_2_sweep(CASE2_PARAM_SETS[1], resolution=41)
+    _, values = case_study_2_sweep(CASE2_PARAM_SETS[1], resolution=41)
     # at (pi, pi) the linear terms cancel against the pair term exactly
-    assert sweep.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case2_point_symmetry():
     for kernel in CASE2_PARAM_SETS:
-        sweep = case_study_2_sweep(kernel, resolution=41)
-        assert np.max(np.abs(sweep.values - sweep.values[::-1, ::-1])) < 1e-12
+        _, values = case_study_2_sweep(kernel, resolution=41)
+        assert np.max(np.abs(values - values[::-1, ::-1])) < 1e-12
 
 
 def _crlf_copy(path):
@@ -371,3 +373,60 @@ def test_write_csv_writes_every_cell_type_exactly(tmp_path):
 def test_write_csv_refuses_a_row_of_another_width(tmp_path):
     with pytest.raises(ValueError, match="header's 2 cells"):
         simulator.write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"arena": (0.0, 30.0)}, "arena sides must be positive"),
+        ({"references": ((5.0, 5.0, 1.0), (25.0, 5.0, 1.0))}, "references must be (m, 2)"),
+        ({"references": ((5.0, 5.0), (25.0, 35.0))}, "references must lie inside the arena"),
+        ({"steps": 1}, "steps must be >= 2"),
+        ({"offset_ratio": -0.05}, "offset_ratio must be nonnegative"),
+        ({"process_cov": ((0.16, 0.0), (0.0, -0.01))}, "process_cov must be positive semidefinite"),
+        ({"grid": (24, 0)}, "grid must have at least one cell per axis"),
+        ({"particles": 0}, "particles must be >= 1"),
+    ],
+    ids=["arena", "reference-shape", "reference-outside", "steps", "offset", "cov-not-psd", "grid",
+         "particles"],
+)
+def test_scenario_config_refuses_each_bad_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"vm_weights": (0.5, 0.5)}, "one weight per von Mises component"),
+        ({"axial_conc": 0.0}, "axial concentration must be negative"),
+    ],
+    ids=["weight-count", "axial-conc"],
+)
+def test_circular_density_refuses_each_bad_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CircularDensity(**fields)
+
+
+@pytest.mark.parametrize(
+    "kernel, resolution, message",
+    [
+        (kernel_from_family("hvm", 3), 13, "the sweep is defined on two circles"),
+        (CASE2_PARAM_SETS[0], 1, "resolution must be >= 2"),
+    ],
+    ids=["three-circles", "resolution-1"],
+)
+def test_case2_sweep_refuses_its_bad_arguments(kernel, resolution, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        case_study_2_sweep(kernel, resolution=resolution)
+
+
+def test_loaders_refuse_an_empty_training_set_and_a_foreign_trajectory_header(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: empty training-set file$"):
+        load_training_set(empty)
+    foreign = tmp_path / "foreign.csv"
+    foreign.write_text("step,x,y\n0,1.0,2.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(foreign))}: unexpected trajectory header$"):
+        load_trajectory(foreign)

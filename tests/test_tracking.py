@@ -1,8 +1,10 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,13 +360,15 @@ def test_campaign_refuses_a_trajectory_before_any_training(monkeypatch):
         (dict(noise_levels=(0.01, 0.01)), "noise_levels"),
         (dict(noise_levels=(0.01, -0.01)), "noise_xi"),
         (dict(runs=0), "runs"),
+        (dict(methods=("Parametric", "GP")), "^unknown method 'GP'; choose from "),
     ],
     ids=["methods-repeated", "methods-empty", "trajectories-empty", "trajectories-repeated",
-         "noise_levels-empty", "noise_levels-repeated", "noise_level-negative", "no-runs"],
+         "noise_levels-empty", "noise_levels-repeated", "noise_level-negative", "no-runs",
+         "methods-unknown"],
 )
 def test_campaign_refuses_a_grid_with_no_useful_row_before_any_work(monkeypatch, grid, message):
-    """An empty or repeated list, no runs or a bad noise level is refused before
-    any trajectory is built or any method trained."""
+    """An empty or repeated list, an unknown method, no runs or a bad noise level
+    is refused before any trajectory is built or any method trained."""
 
     def no_work(*args, **kwargs):
         raise AssertionError("the campaign started work")
@@ -471,3 +475,32 @@ def test_campaign_csv_format(tmp_path):
     assert path.read_bytes() == (
         b"method,trajectory,noise_level,seed,rmse,diverged\n" b"HvM,T1,0.01,42,0.125,0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "positions, weights, message",
+    [
+        (np.zeros((4, 3)), np.full(4, 0.25), r"^positions must be \(N, 2\)$"),
+        (np.zeros((4, 2)), np.full(3, 1.0 / 3.0), "^one weight per particle$"),
+    ],
+    ids=["positions", "weights"],
+)
+def test_particle_set_refuses_bad_shapes(positions, weights, message):
+    with pytest.raises(ValueError, match=message):
+        tracking.ParticleSet(positions, weights)
+
+
+def test_gp_range_model_refuses_a_one_output_model(toy_trainset):
+    one = gp.fit(toy_trainset.inputs, toy_trainset.obs[:, 0], kernel_from_family("hvm", 3), 0.01)
+    with pytest.raises(ValueError, match="^tracking needs a multi-output range model$"):
+        tracking.GpRangeModel(one)
+
+
+def test_fit_parametric_refuses_residuals_whose_statistics_overflow(toy_trainset):
+    """Ranges near 1e200 overflow the residual covariance: a typed numerical
+    failure naming the model, with no RuntimeWarning."""
+    big = replace(toy_trainset, obs=toy_trainset.obs * (1e200 / np.max(toy_trainset.obs)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gp.FactorizationError, match="^parametric residual: "):
+            tracking.fit_parametric(big, TOY.references_array)
