@@ -70,6 +70,7 @@ statistics overflow).
 """
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -609,8 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args fills a fresh namespace on every call,
+# and no flag default is mutable
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except ConfigError as exc:

@@ -18,15 +18,22 @@ with Abar = sum_ij B_ij A_ij one contraction serves all kernel coordinates:
     d B_ij:    sum(A_ij * K_x)                  (each entry independent)
     d sigma_s: 2 sigma_s * tr(A_ss)
 
-Each dataset is lifted once (kernel.lift), and kernel.feature_sums takes
-the theta_f sums from that lift. How K is factored depends on the outputs.
+Each dataset is lifted once (kernel.lift). How K is factored, and how the
+theta_f sums are taken, depends on the outputs.
 
-1-D observations: K = K_x + sigma^2 I is n x n, and its Cholesky factor gives
-F and, for the gradient, A = alpha alpha^T - K^-1. The optimizer evaluates
-F and its gradient at every line-search probe, and at n = 40 (case study 1,
-hvm and pse, one BLAS thread) a probe through the ICM factor (which
-torusgp.gp.fit uses for any number of outputs) cost 2.2 to 2.6 times as
-much as one through Cholesky, so this path stays on Cholesky.
+1-D observations: K = K_x + sigma^2 I is n x n. The kernel's self-feature
+stack F_f (kernel.self_features, coincident diagonal exact) is formed once
+per dataset, and the probes of a fit are scored together, R at a time: their
+exponents sum_f c_f F_f, the exp, omega^2, sigma^2 and the finiteness test
+run on the (R, n, n) stack. Each row is then factored on its own with
+LAPACK's potrf, alpha = K^-1 z comes from potrs and K^-1 from potri, and
+sum(W), the sums <W, F_f> (one matrix-vector product with the stack) and
+tr(A) are taken on that row alone, so a row's result does not depend on the
+rows scored beside it. dF/dB = sum(A * K_x) = sum(W). A row whose system
+overflows or is not positive definite is that row's FactorizationError. Each
+(R, n, n) array stays within 2 MB (_STACK_BYTES): 163 rows at n = 40, one
+row from n = 363 up. At n = 40 a probe's cost is almost all numpy and
+LAPACK call overhead, which the stack shares among its rows.
 
 2-D observations, one column included: K is factored by
 torusgp.gp.icm_factor (U, lam, S, P and D as defined there), and with
@@ -38,7 +45,8 @@ Alpha = U ((U^T Z P) / D) P^T = K^-1 Z,
     dF/dsigma_s = 2 sigma_s (|Alpha_s|^2 - (Q^2 colsum(D^-1))_s / sigma_s^2)
 
 so an evaluation costs one n x n and one d x d eigh and forms no (nd) x (nd)
-matrix. A failed factorization raises FactorizationError.
+matrix; kernel.feature_sums takes the theta_f sums from the lift. A failed
+factorization raises FactorizationError.
 
 Optimization runs in unconstrained coordinates phi:
 
@@ -54,15 +62,18 @@ grad_tol * (1 + |F|), relative objective change below rel_tol, or the
 iteration budget. A run counts as converged when the gradient rule fired, or
 when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
 
-The restarts of a fit share nothing but the dataset. For 2-D observations
+The restarts of a fit share nothing but the dataset, and every start is
+drawn before any restart runs. For 1-D observations they run in lockstep on
+the calling thread: each restart is a generator (_steps) that yields the
+point it wants scored, and every round scores the pending probe of each
+restart still running in one stacked call (_lockstep). For 2-D observations
 they run concurrently: the calling thread runs restart 0, and up to
 min(restarts, usable CPUs) - 1 helper threads run the others. An ICM probe
 is almost all LAPACK and BLAS time (the n x n eigh in icm_factor), which
-releases the GIL. Every start is drawn before any restart runs, and the
-winner is picked in restart order, so the result is bit-identical to a
-serial run. Every helper is joined before optimize returns or raises. 1-D
-fits stay serial: their n = 40 Cholesky probes are bound by Python and the
-GIL, and threads made them slower (BENCH_24.json).
+releases the GIL. Every helper is joined before optimize returns or raises.
+Either way the winner is picked in restart order and each restart's
+arithmetic is the serial one, so the result is bit-identical to a serial
+run.
 """
 
 import os
@@ -71,6 +82,8 @@ from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf as _potrf
+from scipy.linalg.lapack import dpotri as _potri
 from scipy.linalg.lapack import dpotrs as _potrs
 
 from . import kernels
@@ -88,6 +101,10 @@ __all__ = [
 
 # A stalled run still counts as converged if it ends this close to stationary.
 GRAD_CONVERGED_FACTOR = 1e-4
+
+# Each (rows, n, n) array of a stacked one-output evaluation stays within this
+# many bytes: 163 rows at n = 40, one row from n = 363 up.
+_STACK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -150,8 +167,7 @@ class _Problem:
     kernel_template fixes the family and torus; every kernel coordinate is
     fitted. Everything a probe shares with the next is formed once here: the
     kernel's lift of the training inputs, the positions of phi's log
-    coordinates and, for 1-D observations, the identity that K^-1 is solved
-    from.
+    coordinates and, for 1-D observations, the (nf, n, n) feature stack.
     """
 
     def __init__(self, dataset: Dataset, kernel_template):
@@ -176,7 +192,8 @@ class _Problem:
         self.logs = np.concatenate(
             [np.arange(nk), nk + np.flatnonzero(self.diag), np.arange(nk + ng, nk + ng + self.d)]
         )
-        self.eye = None if self.multi else np.eye(self.n)  # solved against, never overwritten
+        # 1-D observations: the exponent of every probe's K_x is sum_f c_f F_f over this stack
+        self.features = None if self.multi else kernel_template.self_features(self.lifted)
 
     # -- packing ------------------------------------------------------------
 
@@ -194,10 +211,7 @@ class _Problem:
         phi = np.asarray(phi, dtype=float)
         grown = np.exp(phi[self.logs])
         if not (all(map(isfinite, phi.tolist())) and all(0.0 < v < inf for v in grown.tolist())):
-            raise FactorizationError(
-                f"{self.template.family}: hyperparameter coordinates "
-                "left the representable positive range"
-            )
+            raise self._out_of_range()
         v = phi.copy()
         v[self.logs] = grown
         a, b = self.split
@@ -205,6 +219,11 @@ class _Problem:
         G = self.G0.copy()
         G.put(self.tril, v[a:b])
         return kernel, G, G @ G.T, v[b:], grown
+
+    def _out_of_range(self):
+        return FactorizationError(
+            f"{self.template.family}: hyperparameter coordinates left the representable positive range"
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -215,41 +234,74 @@ class _Problem:
         system matrix that overflows or is not positive definite raises
         FactorizationError.
         """
+        if not self.multi:  # one row of the stacked evaluator; dF/dB is sum(A * K_x) = sum(W)
+            F, grad, sum_w, failed = self._score(kernel.theta[None], np.atleast_1d(sigma))
+            if failed[0] is not None:
+                raise failed[0]
+            k = kernel.theta.size
+            return float(F[0]), grad[0, :k], sum_w[:, None], grad[0, k:]
         K_x = kernel.gram_lifted(self.lifted)
-        if self.multi:
-            F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
-        else:
-            F, Abar, g_B, g_sigma = self._cholesky(K_x, sigma)
+        F, Abar, g_B, g_sigma = self._icm(K_x, B, sigma)
         W = Abar * K_x
         g_theta = np.empty(kernel.theta.size)
         g_theta[0] = (2.0 / kernel.theta[0]) * W.sum()
         g_theta[1:] = kernel.coefficients()[1] * kernel.feature_sums(self.lifted, W)
         return F, g_theta, g_B, g_sigma
 
-    def _cholesky(self, K_x, sigma):
-        """(F, Abar, dF/dB, dF/dsigma) for 1-D observations: K = K_x + sigma^2 I."""
+    def _score(self, theta, sigma):
+        """(F, [dF/dtheta, dF/dsigma], sum(W), failed) at each row of theta
+        (rows, nk) and sigma (rows,), for 1-D observations (module docstring).
+
+        failed[r] is None, or the FactorizationError of row r, whose other
+        entries are then meaningless. Callers run it under
+        np.errstate(all="ignore").
+        """
+        n, R, family = self.n, len(sigma), self.template.family
+        c, dc = self.template.coefficients(theta[:, 1:])
+        K_x = c[:, 0, None, None] * self.features[0]
+        for f in range(1, len(self.features)):
+            K_x += c[:, f, None, None] * self.features[f]
+        np.exp(K_x, out=K_x)
+        K_x *= (theta[:, 0] ** 2)[:, None, None]
         K = K_x.copy()
-        K.reshape(-1)[:: self.n + 1] += sigma**2
-        if not np.isfinite(K).all():
-            raise FactorizationError(
-                f"{self.template.family}: system matrix overflowed at the evaluated coordinates"
-            )
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            raise FactorizationError(
-                f"{self.template.family}: system matrix not positive definite"
-            ) from None
-        # the lower factor in LAPACK's column-major order, copied once for both
-        # solves; K was checked finite above, so its factor is too
-        Lf = np.asfortranarray(L)
+        K.reshape(R, -1)[:, :: n + 1] += (sigma**2)[:, None]
+        finite = np.isfinite(K.reshape(R, -1)).all(axis=1)
+        F, alpha, failed = np.zeros(R), np.zeros((R, n)), [None] * R
         z = self.z
-        alpha = _cho_solve(Lf, z)
-        F = -float(z @ alpha) - 2.0 * float(np.log(L.diagonal()).sum()) - self.N * LOG2PI
-        A = alpha[:, None] * alpha  # np.outer(alpha, alpha)
-        A -= _cho_solve(Lf, self.eye)
-        # dF/dB = sum(A * K_x), as one dot product
-        return F, A, np.array([[np.vdot(A, K_x)]]), 2.0 * sigma * np.einsum("ii->", A)
+        for r in range(R):
+            if not finite[r]:
+                failed[r] = FactorizationError(f"{family}: system matrix overflowed at the evaluated coordinates")
+                continue
+            # K[r] is symmetric, so its transpose is K in LAPACK's column-major
+            # order: the factor, and then K^-1, overwrite K[r]'s upper triangle
+            L, info = _potrf(K[r].T, lower=1, clean=1, overwrite_a=1)
+            if info > 0:
+                failed[r] = FactorizationError(f"{family}: system matrix not positive definite")
+                continue
+            alpha[r], info_s = _potrs(L, z, lower=1)
+            F[r] = -float(z @ alpha[r]) - 2.0 * float(np.log(L.diagonal()).sum()) - self.N * LOG2PI
+            _, info_i = _potri(L, lower=1, overwrite_c=1)
+            if min(info, info_s, info_i) < 0:
+                raise ValueError(f"illegal argument to LAPACK: potrf {info}, potrs {info_s}, potri {info_i}")
+        # clean=1 zeroed K[r] below its diagonal, so K + K^T holds each entry of
+        # K^-1 off the diagonal exactly, and the diagonal is copied back
+        inverse = K + K.swapaxes(1, 2)
+        inverse.reshape(R, -1)[:, :: n + 1] = K.reshape(R, -1)[:, :: n + 1]
+        A = alpha[:, :, None] * alpha[:, None, :]
+        A -= inverse
+        W = np.multiply(A, K_x, out=K_x)
+        sums, trace = np.zeros((R, len(self.features) + 1)), np.zeros(R)
+        flat = self.features.reshape(len(self.features), -1)
+        for r in range(R):
+            if failed[r] is None:
+                sums[r, 0] = W[r].sum()
+                sums[r, 1:] = flat @ W[r].ravel()
+                trace[r] = A[r].trace()
+        grad = np.empty((R, theta.shape[1] + 1))
+        grad[:, 0] = (2.0 / theta[:, 0]) * sums[:, 0]
+        grad[:, 1:-1] = dc * sums[:, 1:]
+        grad[:, -1] = 2.0 * sigma * trace
+        return F, grad, sums[:, 0], failed
 
     def _icm(self, K_x, B, sigma):
         """(F, Abar, dF/dB, dF/dsigma) for d outputs from the ICM factor."""
@@ -266,6 +318,11 @@ class _Problem:
 
     def value_and_grad(self, phi: np.ndarray):
         """(F, dF/dphi) at phi; FactorizationError if phi cannot be evaluated."""
+        if not self.multi:
+            (out,) = self.value_and_grad_many(np.asarray(phi, dtype=float)[None])
+            if isinstance(out, FactorizationError):
+                raise out
+            return out
         # A line-search probe can push exp(), and ell^-2 with it, past the float
         # range either way. unpack reports that as a FactorizationError, so the
         # caller backs off instead of crashing inside a parameter constructor,
@@ -278,17 +335,23 @@ class _Problem:
         grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
         return F, grad
 
-
-def _cho_solve(Lf, b):
-    """K^-1 b from K's lower Cholesky factor Lf in column-major order.
-
-    The LAPACK potrs call that scipy.linalg.cho_solve makes, without its
-    argument checks; b is copied, never overwritten.
-    """
-    x, info = _potrs(Lf, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
+    def value_and_grad_many(self, phis) -> list:
+        """(F, dF/dphi) at each row of phis, for 1-D observations, or the
+        FactorizationError value_and_grad would raise there; any other error
+        is raised. Rows are scored in stacked calls of _STACK_BYTES at most.
+        """
+        phis = np.asarray(phis, dtype=float)
+        out, step = [], max(1, _STACK_BYTES // (8 * self.n * self.n))
+        with np.errstate(all="ignore"):
+            for i in range(0, len(phis), step):
+                grown = np.exp(phis[i : i + step])  # every coordinate of a 1-D fit is a log
+                F, grad, _, failed = self._score(grown[:, :-1], grown[:, -1])
+                grad *= grown
+                for r, ok in enumerate(((0.0 < grown) & (grown < inf)).all(axis=1).tolist()):
+                    if not ok:
+                        failed[r] = self._out_of_range()
+                    out.append((float(F[r]), grad[r]) if failed[r] is None else failed[r])
+        return out
 
 
 def _constrained(theta, B, sigma) -> np.ndarray:
@@ -404,8 +467,10 @@ def optimize(
     thread plus up to min(restarts, usable CPUs) - 1 helper threads; the
     result is the serial one, bit for bit. Any other exception in a restart
     is raised here, that of the lowest restart first, and no helper thread
-    outlives the call. 1-D fits run their restarts one after another on the
-    calling thread: their small Cholesky probes hold the GIL.
+    outlives the call. 1-D fits run their restarts in lockstep on the
+    calling thread, each round's probes scored in one stacked call; no
+    restart's record depends on the restart count. Any exception other than
+    FactorizationError is raised at once.
     """
     dataset = _as_dataset(dataset)
     kern0, sig0, B0 = default_initialization(dataset, family)
@@ -415,11 +480,15 @@ def optimize(
 
     rng = np.random.default_rng(seed)
     starts = [phi0] + [phi0 + rng.normal(0.0, 0.5, size=phi0.shape) for _ in range(1, max(1, restarts))]
-    workers = min(len(starts), _usable_cpus()) if prob.multi else 1
+    args = (budget, rel_tol, grad_tol)
+    if prob.multi:
+        runs = _ascend_all(prob, starts, min(len(starts), _usable_cpus()), *args)
+    else:
+        runs = _lockstep(prob, starts, *args)
     best = None
     restart_objectives, restart_failures = [], []
     last_error = None
-    for r, run in enumerate(_ascend_all(prob, starts, workers, budget, rel_tol, grad_tol)):
+    for r, run in enumerate(runs):
         if isinstance(run, FactorizationError):
             last_error = run
             restart_objectives.append(float("-inf"))
@@ -498,13 +567,67 @@ def _norm(x: np.ndarray) -> float:
     return sqrt(x.dot(x))
 
 
-def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_tol: float):
-    """BFGS ascent with backtracking; accepts only strictly improving steps.
+def _ascend(prob: _Problem, phi0: np.ndarray, *args):
+    """_steps from phi0, each probe scored by prob.value_and_grad.
 
     Returns the restart's record, keyed by OptResult's field names, and phi.
     """
+    steps = _steps(phi0, *args)
+    phi = next(steps)
+    with np.errstate(all="ignore"):
+        try:
+            while True:
+                try:
+                    scored = prob.value_and_grad(phi)
+                except FactorizationError as err:
+                    phi = steps.throw(err)
+                else:
+                    phi = steps.send(scored)
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(prob: _Problem, starts: list, *args) -> list:
+    """_steps from every start at once, for 1-D observations.
+
+    Each round scores the pending probe of every restart still running in
+    one prob.value_and_grad_many call. Returns each start's record, or the
+    FactorizationError that failed it at its start, by index; any other
+    exception is raised at once.
+    """
+    steps = [_steps(phi0, *args) for phi0 in starts]
+    pending = {r: next(run) for r, run in enumerate(steps)}  # restart -> the point it waits on
+    outcomes = [None] * len(starts)
+    with np.errstate(all="ignore"):
+        while pending:
+            scored = prob.value_and_grad_many(list(pending.values()))
+            for r, result in zip(list(pending), scored):
+                try:
+                    if isinstance(result, FactorizationError):
+                        pending[r] = steps[r].throw(result)
+                    else:
+                        pending[r] = steps[r].send(result)
+                except StopIteration as done:
+                    outcomes[r] = done.value
+                    del pending[r]
+                except FactorizationError as err:
+                    outcomes[r] = err
+                    del pending[r]
+    return outcomes
+
+
+def _steps(phi0: np.ndarray, budget: int, rel_tol: float, grad_tol: float):
+    """BFGS ascent with backtracking; accepts only strictly improving steps.
+
+    A generator: it yields each point to evaluate and is sent its (F,
+    dF/dphi), or thrown the FactorizationError that rejects it. It returns
+    the restart's record, keyed by OptResult's field names, and phi.
+    _ascend and _lockstep run it under np.errstate(all="ignore"): gradients
+    near the float range overflow _norm and the BFGS products, such a step
+    skips the update, and no warning reaches the caller.
+    """
     phi = np.asarray(phi0, dtype=float).copy()
-    F, g = prob.value_and_grad(phi)
+    F, g = yield phi
     if not isfinite(F):
         raise FactorizationError("objective not finite at the starting point")
     p = phi.size
@@ -513,60 +636,57 @@ def _ascend(prob: _Problem, phi0: np.ndarray, budget: int, rel_tol: float, grad_
     stop_reason = "budget"
     iterations = backtracks = 0
     first_update = True
-    # gradients near the float range overflow _norm and the BFGS products;
-    # such a step skips the update, and no warning reaches the caller
-    with np.errstate(all="ignore"):
-        for it in range(budget):
-            gnorm = _norm(g)
-            if gnorm < grad_tol * (1.0 + abs(F)):
-                stop_reason = "gradient_norm"
-                break
-            direction = H @ g
-            if float(direction @ g) <= 0.0:
-                H = np.eye(p)
-                direction = g
-            accepted = False
-            for attempt in range(2):
-                slope = float(direction @ g)
-                t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, gnorm))
-                for _ in range(40):
-                    phi_new = phi + t * direction
-                    try:
-                        F_new, g_new = prob.value_and_grad(phi_new)
-                    except FactorizationError:
-                        F_new = -inf
-                    if isfinite(F_new) and F_new > F + 1e-4 * t * slope:
-                        accepted = True
-                        break
-                    t *= 0.5
-                    backtracks += 1
-                if accepted or attempt == 1:
-                    break
-                # quasi-Newton direction failed outright: fall back to steepest
-                H = np.eye(p)
-                direction = g
-            if not accepted:
-                stop_reason = "step_failure"
-                break
-            s = phi_new - phi
-            y = -(g_new - g)  # gradient change of -F (minimization form)
-            sy = float(s @ y)
-            if sy > 1e-10 * _norm(s) * _norm(y):
-                if first_update:
-                    H = (sy / float(y @ y)) * np.eye(p)
-                    first_update = False
-                rho = 1.0 / sy
-                Hy = H @ y
-                sHy = s[:, None] * Hy  # np.outer(s, Hy); its transpose is np.outer(Hy, s)
-                H = H - rho * (sHy + sHy.T) + rho * (rho * float(y @ Hy) + 1.0) * (s[:, None] * s)
-            delta = F_new - F
-            phi, F, g = phi_new, F_new, g_new
-            trace.append(F)
-            iterations = it + 1
-            if abs(delta) < rel_tol * max(1.0, abs(F)):
-                stop_reason = "objective_change"
-                break
+    for it in range(budget):
         gnorm = _norm(g)
+        if gnorm < grad_tol * (1.0 + abs(F)):
+            stop_reason = "gradient_norm"
+            break
+        direction = H @ g
+        if float(direction @ g) <= 0.0:
+            H = np.eye(p)
+            direction = g
+        accepted = False
+        for attempt in range(2):
+            slope = float(direction @ g)
+            t = 1.0 if it > 0 else min(1.0, 1.0 / max(1.0, gnorm))
+            for _ in range(40):
+                phi_new = phi + t * direction
+                try:
+                    F_new, g_new = yield phi_new
+                except FactorizationError:
+                    F_new = -inf
+                if isfinite(F_new) and F_new > F + 1e-4 * t * slope:
+                    accepted = True
+                    break
+                t *= 0.5
+                backtracks += 1
+            if accepted or attempt == 1:
+                break
+            # quasi-Newton direction failed outright: fall back to steepest
+            H = np.eye(p)
+            direction = g
+        if not accepted:
+            stop_reason = "step_failure"
+            break
+        s = phi_new - phi
+        y = -(g_new - g)  # gradient change of -F (minimization form)
+        sy = float(s @ y)
+        if sy > 1e-10 * _norm(s) * _norm(y):
+            if first_update:
+                H = (sy / float(y @ y)) * np.eye(p)
+                first_update = False
+            rho = 1.0 / sy
+            Hy = H @ y
+            sHy = s[:, None] * Hy  # np.outer(s, Hy); its transpose is np.outer(Hy, s)
+            H = H - rho * (sHy + sHy.T) + rho * (rho * float(y @ Hy) + 1.0) * (s[:, None] * s)
+        delta = F_new - F
+        phi, F, g = phi_new, F_new, g_new
+        trace.append(F)
+        iterations = it + 1
+        if abs(delta) < rel_tol * max(1.0, abs(F)):
+            stop_reason = "objective_change"
+            break
+    gnorm = _norm(g)
     converged = stop_reason == "gradient_norm" or (
         stop_reason in ("objective_change", "step_failure")
         and gnorm < GRAD_CONVERGED_FACTOR * (1.0 + abs(F))

@@ -30,7 +30,8 @@ to the coincident exponent sum_f c_f F_f(x, x) in theta order: k(x, x) is
 the same for every x, and prior_variance() returns it. gram_lifted()
 takes lifts made once, as gp.fit and the optimizer keep for the training
 inputs; feature_sums() gives the optimizer's sum_ij W_ij F_f(x_i, x_j), the
-block sums of diag(lift^T W lift).
+block sums of diag(lift^T W lift), and self_features() the (nf, n, n) stack
+of F_f that its one-output evaluator forms exponents and those sums from.
 
 A kernel is named by its family, m and theta alone; the optimizer, model
 files and the case-2 parameter sets all carry that form.
@@ -109,8 +110,8 @@ class ExpLinearKernel:
             )
         theta.flags.writeable = False
         self.theta = theta
-        t, lam = theta[1:], self._scale == "lam"
-        self._c, self._dc = (slopes * t, slopes) if lam else (1.0 / t**2, -2.0 / t**3)
+        self._slopes = slopes
+        self._c, self._dc = self.coefficients(theta[1:])
         if family != "pse":  # c_f over its block of the lift, rooted
             self._root_w = np.sqrt(self._c)[block]
 
@@ -123,9 +124,15 @@ class ExpLinearKernel:
     def with_theta(self, theta) -> "ExpLinearKernel":
         return ExpLinearKernel(self.family, self.m, theta)
 
-    def coefficients(self):
-        """Exponent coefficients c_f and their derivatives dc_f / dtheta_f."""
-        return self._c, self._dc
+    def coefficients(self, t=None):
+        """Exponent coefficients c_f and their derivatives dc_f / dtheta_f.
+
+        t, theta[1:] of kernels of this family and m stacked in rows, gives
+        them row by row, each row equal bit for bit to its own kernel's.
+        """
+        if t is None:
+            return self._c, self._dc
+        return (self._slopes * t, self._slopes) if self._scale == "lam" else (1.0 / t**2, -2.0 / t**3)
 
     def lift(self, A: np.ndarray) -> np.ndarray:
         """The lift of (n, m, 2) inputs: (n, width) rows, the (n, m) chart angles for pse."""
@@ -176,6 +183,13 @@ class ExpLinearKernel:
             return [self._chart_term(L, L, s, 1.0) for s in range(self.m)]
         blocks = [L[:, a : a + w] for a, w in zip(self._starts, self._widths)]
         return [b @ b.T - (1.0 if self.family == "pprd" else 0.0) for b in blocks]
+
+    def self_features(self, L: np.ndarray) -> np.ndarray:
+        """The (nf, n, n) stack of F_f among the lifted points, in theta order, its
+        coincident diagonal exact: F_f(x, x) is 1 for hvm/pvm, 0 for pprd/pse."""
+        F = np.stack(self._features(L))
+        F.reshape(len(F), -1)[:, :: len(L) + 1] = 0.0 if self._scale == "ell" else 1.0
+        return F
 
     def feature_sums(self, L: np.ndarray, W: np.ndarray) -> np.ndarray:
         """sum_ij W_ij F_f(x_i, x_j) for every feature f, from the lift L of the x_i."""

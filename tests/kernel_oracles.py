@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri
 
 from torusgp import gp
 from torusgp.kernels import ExpLinearKernel, pair_order
@@ -243,10 +244,13 @@ def reference_probe(dataset, template, phi):
     phi is [log theta, G's lower triangle row by row (log on its
     diagonal), log sigma], G empty for 1-D data. Each coordinate group is
     exponentiated on its own and the kernel is built afresh from the full
-    theta. 1-D data is solved with scipy's cho_solve, K^-1 included;
-    two-output data goes through gp.icm_factor. The Gram and the feature
-    sums come from the kernel itself (checked elsewhere against the scalar
-    oracles), so this pins the probe's own arithmetic, not the kernel's.
+    theta. Two-output data goes through the kernel's Gram, gp.icm_factor and
+    the kernel's feature sums. 1-D data forms the exponent sum_f c_f F_f
+    from the kernel's self-feature stack, factors K with scipy's cholesky,
+    solves for alpha with cho_solve, takes K^-1 from LAPACK's potri and
+    contracts W with each feature. The kernel's own parts are checked
+    elsewhere against the scalar oracles, so this pins the probe's own
+    arithmetic, not the kernel's.
     """
     phi = np.asarray(phi, dtype=float)
     n, d, N = dataset.n, dataset.d, dataset.zvec.size
@@ -262,9 +266,10 @@ def reference_probe(dataset, template, phi):
     G[tril] = g
     B = G @ G.T
     lifted = kernel.lift(dataset.inputs)
-    K_x = kernel.gram_lifted(lifted)
     log2pi = float(np.log(2.0 * np.pi))
+    c, dc = kernel.coefficients()
     if dataset.multi_output:
+        K_x = kernel.gram_lifted(lifted)
         f, _ = gp.icm_factor(K_x, B, sigma, kernel.family)
         Zt = f.U.T @ dataset.obs @ f.P
         M = Zt / f.D
@@ -274,20 +279,24 @@ def reference_probe(dataset, template, phi):
         Abar = Alpha @ B @ Alpha.T - (f.U * (f.Dinv @ f.S)) @ f.U.T
         g_B = f.P @ (M.T @ (f.lam[:, None] * M) - np.diag(f.lam @ f.Dinv)) @ f.P.T
         g_sigma = 2.0 * sigma * (np.sum(Alpha**2, axis=0) - f.P**2 @ f.Dinv.sum(axis=0))
+        W = Abar * K_x
+        sums = kernel.feature_sums(lifted, W)
     else:
+        features = kernel.self_features(lifted)
+        K_x = theta[0] ** 2 * np.exp(sum(c_f * F_f for c_f, F_f in zip(c, features)))
         K = K_x.copy()
         K.flat[:: n + 1] += sigma**2
-        L = np.linalg.cholesky(K)
+        L = cholesky(K, lower=True)
         z = dataset.zvec
         alpha = cho_solve((L, True), z)
         F = float(-z @ alpha - 2.0 * np.sum(np.log(np.diag(L))) - N * log2pi)
-        Abar = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
-        g_B = np.array([[np.vdot(Abar, K_x)]])
-        g_sigma = 2.0 * sigma * np.einsum("ii->", Abar)
-    W = Abar * K_x
-    g_theta = np.concatenate(
-        [[(2.0 / theta[0]) * W.sum()], kernel.coefficients()[1] * kernel.feature_sums(lifted, W)]
-    )
+        inverse, _ = dpotri(L, lower=1)
+        Abar = np.outer(alpha, alpha) - (np.tril(inverse) + np.tril(inverse, -1).T)
+        g_B = np.zeros((1, 1))  # B = [[1]] is pinned, not a coordinate
+        g_sigma = 2.0 * sigma * np.trace(Abar)
+        W = Abar * K_x
+        sums = features.reshape(len(features), -1) @ W.ravel()
+    g_theta = np.concatenate([[(2.0 / theta[0]) * W.sum()], dc * sums])
     g_G = ((g_B + g_B.T) @ G)[tril]
     g_G[diag] *= np.diag(G)
     return F, np.concatenate([g_theta * theta, g_G, g_sigma * sigma])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusgp
 from torusgp import cli, gp, hyperopt, kernels, simulator, tracking
 
 TOY_CONFIG = {
@@ -176,6 +177,23 @@ def test_default_seed_applies_without_config(tmp_path):
     assert cli.main(["case2", "--out", str(out)]) == 0
     doc = json.loads((out / "manifest_case2.json").read_text())
     assert doc["seed"] == cli.DEFAULT_SEED == 1234
+
+
+def test_a_flag_given_to_one_call_does_not_reach_the_next(tmp_path):
+    """main builds its parser once per process; a --seed given to one call
+    is not the default of the next."""
+    assert cli.main(["case1", "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["case1", "--out", str(tmp_path / "b")]) == 0
+    seeds = [json.loads((tmp_path / d / "manifest_case1.json").read_text())["seed"] for d in "ab"]
+    assert seeds == [5, cli.DEFAULT_SEED]
+
+
+def test_version_flag_exits_0(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == f"torusgp {torusgp.__version__}\n"
 
 
 def test_bad_json_exits_2_with_line_info(tmp_path, capsys):

@@ -460,11 +460,15 @@ def _assert_record_is_the_winning_restart(ds, res):
     assert np.linalg.norm(grad) == pytest.approx(res.grad_norm, rel=1e-9)
 
 
-def test_case_1_fit_record_is_the_winning_restart():
-    rng = simulator.rng_for(77, 0)
+def _case_1_dataset(seed=77):
+    rng = simulator.rng_for(seed, 0)
     thetas = rng.uniform(0.0, 2.0 * np.pi, 40)
     z = simulator.case_study_1_observe(thetas, rng)
-    ds = hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
+    return hyperopt.Dataset.from_data(embed_angles(thetas[:, None]), z)
+
+
+def test_case_1_fit_record_is_the_winning_restart():
+    ds = _case_1_dataset()
     res = hyperopt.optimize(ds, "hvm", restarts=3, budget=60, seed=77)
     assert res.restart_failures == [] and res.iterations > 0
     _assert_record_is_the_winning_restart(ds, res)
@@ -601,14 +605,22 @@ def test_concurrent_restarts_take_every_start_once_under_contention(monkeypatch)
 
 
 def test_one_output_fits_start_no_thread(monkeypatch):
-    """1-D fits run their restarts one after another on the caller, however
-    many CPUs there are."""
+    """1-D fits score their restarts' probes on the caller, however many CPUs
+    there are: every stacked evaluation runs on the calling thread with no
+    other thread alive, and the first one scores every restart's start."""
     ds = _toy_dataset(seed=14, n=20)
     monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 4)
-    ran = _ascend_recording_threads(monkeypatch, ds, "hvm", 3, 0)
+    score, ran = hyperopt._Problem.value_and_grad_many, []
+
+    def recording(prob, phis):
+        ran.append((len(phis), threading.get_ident(), threading.active_count()))
+        return score(prob, phis)
+
+    monkeypatch.setattr(hyperopt._Problem, "value_and_grad_many", recording)
     before = threading.active_count()
     hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
-    assert ran == {r: (threading.get_ident(), before) for r in range(3)}
+    assert ran[0][0] == 3
+    assert {(ident, alive) for _, ident, alive in ran} == {(threading.get_ident(), before)}
 
 
 def test_extreme_probe_coordinates_raise_the_typed_error():
@@ -672,6 +684,98 @@ def test_probe_matches_the_plain_reference_bit_for_bit(family, m, d):
         assert grad.shape == grad_ref.shape and grad.tobytes() == grad_ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("family", ["hvm", "pvm", "pprd", "pse"])
+def test_stacked_one_output_evaluation_matches_the_dense_oracle(family, m):
+    """The stacked evaluator, one row through objective and gradient and four
+    rows through value_and_grad_many, against dense_icm's N x N inverse with
+    B = [[1]], block by block at 1e-9 of each block's scale."""
+    rng = np.random.default_rng(["hvm", "pvm", "pprd", "pse"].index(family) + 10 * m)
+    X, Z, _, _, _ = _icm_problem(rng, family, 30, 1, m)
+    template = kernel_from_family(family, m)
+    ds = hyperopt.Dataset.from_data(X, Z[:, 0])
+    prob = hyperopt._Problem(ds, template)
+    phis = [np.log(np.r_[template.theta * rng.uniform(0.6, 1.4, template.theta.size), rng.uniform(0.2, 0.5)])]
+    phis += [phis[0] + rng.normal(0.0, 0.3, phis[0].size) for _ in range(3)]
+    k = template.theta.size
+    for phi, (F_row, grad_row) in zip(phis, prob.value_and_grad_many(phis)):
+        kernel, sigma = template.with_theta(np.exp(phi[:k])), np.exp(phi[k:])
+        F_ref, g_theta, _, g_sigma = dense_icm(kernel, X, Z, np.ones((1, 1)), sigma)
+        names, grads = hyperopt.gradient(ds, kernel, sigma)
+        assert names == (*kernel.theta_names, "sigma_r_1")
+        blocks = {
+            "F": ([hyperopt.objective(ds, kernel, sigma), F_row], [F_ref, F_ref]),
+            "theta": (np.r_[grads[:k], grad_row[:k] / kernel.theta], np.r_[g_theta, g_theta]),
+            "sigma": (np.r_[grads[k:], grad_row[k:] / sigma], np.r_[g_sigma, g_sigma]),
+        }
+        for name, (got, ref) in blocks.items():
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(np.subtract(got, ref))) <= ICM_RTOL * scale, name
+
+
+def test_a_stacked_row_is_its_batch_of_one_and_bad_rows_fail_typed():
+    """Good probes share one stacked call with a probe whose system
+    overflows, one whose system is singular (every input twice, noise
+    1e-12) and one outside the float range. Each good row equals its batch
+    of one bit for bit, each bad row is its typed rejection, and no warning
+    escapes. n = 30 puts the rows of each (rows, n, n) array at different
+    alignments."""
+    rng = np.random.default_rng(23)
+    X = _inputs(rng, 15, 2)
+    ds = hyperopt.Dataset.from_data(np.concatenate([X, X]), rng.standard_normal(30))
+    kern0, sig0, _ = hyperopt.default_initialization(ds, "hvm")
+    prob = hyperopt._Problem(ds, kern0)
+    phi0 = prob.pack(kern0, np.eye(1), sig0)
+    good = [phi0 + rng.normal(0.0, 0.3, phi0.size) for _ in range(4)]
+    overflow, singular, outside = phi0.copy(), phi0.copy(), phi0.copy()
+    overflow[0] = 400.0
+    singular[-1] = np.log(1e-12)
+    outside[1] = 800.0
+    batch = [good[0], overflow, good[1], singular, good[2], outside, good[3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scored = prob.value_and_grad_many(batch)
+        alone = [prob.value_and_grad_many([phi])[0] for phi in good]
+    rejected = {
+        1: "hvm: system matrix overflowed at the evaluated coordinates",
+        3: "hvm: system matrix not positive definite",
+        5: "hvm: hyperparameter coordinates left the representable positive range",
+    }
+    for r, message in rejected.items():
+        assert isinstance(scored[r], gp.FactorizationError) and str(scored[r]) == message
+    for (F, grad), (F1, grad1) in zip([scored[r] for r in (0, 2, 4, 6)], alone):
+        assert np.float64(F).tobytes() == np.float64(F1).tobytes() and grad.tobytes() == grad1.tobytes()
+
+
+@pytest.mark.parametrize("family", ["hvm", "pse"])
+def test_restart_0_of_a_one_output_fit_does_not_depend_on_the_restart_count(family):
+    """Lockstep restarts share stacked calls, and restart 0 ends at the same
+    objective, bit for bit, whether 1, 2 or 4 restarts run beside it."""
+    ds = _case_1_dataset()
+    objectives = {
+        restarts: hyperopt.optimize(ds, family, restarts=restarts, seed=77).restart_objectives[0]
+        for restarts in (1, 2, 4)
+    }
+    assert len({np.float64(v).tobytes() for v in objectives.values()}) == 1, objectives
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_lower_stack_cap_gives_the_same_fit_bit_for_bit(monkeypatch, rows):
+    """Capping the stacked arrays at one or three rows splits each round of
+    four probes over more calls and leaves the OptResult unchanged."""
+    ds = _case_1_dataset(seed=5)
+    fits = [hyperopt.optimize(ds, "hvm", restarts=4, seed=5)]
+    monkeypatch.setattr(hyperopt, "_STACK_BYTES", rows * 8 * ds.n * ds.n)
+    fits.append(hyperopt.optimize(ds, "hvm", restarts=4, seed=5))
+    a, b = fits
+    for field in ("objective", "trace", "restart_objectives", "restart", "iterations", "evaluations",
+                  "backtracks", "grad_norm", "stop_reason", "converged", "restart_failures"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("coreg", "noise_sigma"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert a.kernel.theta.tobytes() == b.kernel.theta.tobytes()
+
+
 def test_cholesky_and_one_column_icm_evaluations_agree():
     """The two factorizations of one output: 1-D data z (Cholesky, B pinned)
     and the one column z[:, None] with B = [[1]] (ICM factor) give the same
@@ -720,11 +824,12 @@ def test_objective_refuses_coreg_against_the_output_count(d):
 def test_optimize_raises_the_last_failure_when_every_restart_fails(monkeypatch):
     failures = []
 
-    def fail(self, phi):
-        failures.append(len(failures) + 1)
-        raise gp.FactorizationError(f"probe {failures[-1]} failed")
+    def fail(self, phis):
+        for _ in phis:
+            failures.append(len(failures) + 1)
+        return [gp.FactorizationError(f"probe {k} failed") for k in failures[-len(phis) :]]
 
-    monkeypatch.setattr(hyperopt._Problem, "value_and_grad", fail)
+    monkeypatch.setattr(hyperopt._Problem, "value_and_grad_many", fail)
     with pytest.raises(gp.FactorizationError, match="^probe 3 failed$"):
         hyperopt.optimize(_toy_dataset(seed=14), "hvm", restarts=3, seed=0)
     assert failures == [1, 2, 3]

@@ -312,6 +312,11 @@ def test_gram_is_one_product_of_lifts(family, m, t, n, seed):
     want = np.einsum("ij,ijf->f", W, F)
     scale = np.einsum("ij,ijf->f", np.abs(W), np.maximum(np.abs(F), 1.0))  # pprd's D - 1 cancels
     assert np.all(np.abs(kernel.feature_sums(LA, W) - want) <= 1e-13 * scale)
+    # the self-feature stack: the same values, its coincident diagonal exact
+    S = kernel.self_features(LA)
+    assert S.shape == (F.shape[2], t, t)
+    assert np.all(np.abs(S - F.transpose(2, 0, 1)) <= 1e-13 * np.maximum(np.abs(F.transpose(2, 0, 1)), 1.0))
+    assert np.all(S[:, np.arange(t), np.arange(t)] == (0.0 if family in ("pprd", "pse") else 1.0))
 
 
 # Over 3000 random draws of the ranges below (seam points and duplicates
