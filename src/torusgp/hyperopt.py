@@ -63,17 +63,19 @@ iteration budget. A run counts as converged when the gradient rule fired, or
 when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
 
 The restarts of a fit share nothing but the dataset, and every start is
-drawn before any restart runs. For 1-D observations they run in lockstep on
-the calling thread: each restart is a generator (_steps) that yields the
-point it wants scored, and every round scores the pending probe of each
-restart still running in one stacked call (_lockstep). For 2-D observations
-they run concurrently: the calling thread runs restart 0, and up to
-min(restarts, usable CPUs) - 1 helper threads run the others. An ICM probe
-is almost all LAPACK and BLAS time (the n x n eigh in icm_factor), which
-releases the GIL. Every helper is joined before optimize returns or raises.
-Either way the winner is picked in restart order and each restart's
-arithmetic is the serial one, so the result is bit-identical to a serial
-run.
+drawn before any restart runs. Each restart is a generator (_steps) that
+yields the point it wants scored, and one driver (_lockstep) runs every
+restart: each round it scores the pending probe of each restart still
+running in one _Problem.value_and_grad_many call. For 1-D observations all
+restarts run in one _lockstep on the calling thread, so each round's probes
+share one stacked evaluation. For 2-D observations each restart is a
+_lockstep of its own, and the restarts run concurrently: the calling thread
+runs restart 0, and up to min(restarts, usable CPUs) - 1 helper threads run
+the others. An ICM probe is almost all LAPACK and BLAS time (the n x n eigh
+in icm_factor), which releases the GIL. Every helper is joined before
+optimize returns or raises. Either way the winner is picked in restart
+order and each restart's arithmetic is the serial one, so the result is
+bit-identical to a serial run.
 """
 
 import os
@@ -318,31 +320,39 @@ class _Problem:
 
     def value_and_grad(self, phi: np.ndarray):
         """(F, dF/dphi) at phi; FactorizationError if phi cannot be evaluated."""
-        if not self.multi:
-            (out,) = self.value_and_grad_many(np.asarray(phi, dtype=float)[None])
-            if isinstance(out, FactorizationError):
-                raise out
-            return out
-        # A line-search probe can push exp(), and ell^-2 with it, past the float
-        # range either way. unpack reports that as a FactorizationError, so the
-        # caller backs off instead of crashing inside a parameter constructor,
-        # and evaluate raises the same error on an overflowed or indefinite
-        # system: a rejected step, whose gradient the optimizer never reads.
-        with np.errstate(all="ignore"):
-            kernel, G, B, sigma, grown = self.unpack(phi)
-            F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma)
-        grad = np.concatenate([g_theta, ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
-        grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
-        return F, grad
+        (out,) = self.value_and_grad_many(np.asarray(phi, dtype=float)[None])
+        if isinstance(out, FactorizationError):
+            raise out
+        return out
 
     def value_and_grad_many(self, phis) -> list:
-        """(F, dF/dphi) at each row of phis, for 1-D observations, or the
-        FactorizationError value_and_grad would raise there; any other error
-        is raised. Rows are scored in stacked calls of _STACK_BYTES at most.
+        """(F, dF/dphi) at each row of phis, or the FactorizationError that
+        rejects the row; any other error is raised.
+
+        A line-search probe can push exp(), and ell^-2 with it, past the float
+        range either way. That is the row's FactorizationError, as is an
+        overflowed or indefinite system: a rejected step, whose gradient the
+        optimizer never reads. 1-D rows are scored in stacked calls of
+        _STACK_BYTES at most, 2-D rows one at a time through the ICM factor.
         """
         phis = np.asarray(phis, dtype=float)
-        out, step = [], max(1, _STACK_BYTES // (8 * self.n * self.n))
+        out = []
         with np.errstate(all="ignore"):
+            if self.multi:
+                for phi in phis:
+                    try:
+                        kernel, G, B, sigma, grown = self.unpack(phi)
+                        F, g_theta, g_B, g_sigma = self.evaluate(kernel, B, sigma)
+                    except FactorizationError as err:
+                        # dropped: its traceback holds this frame, and out with it,
+                        # a cycle that would keep each rejected probe's arrays alive
+                        out.append(err.with_traceback(None))
+                        continue
+                    grad = np.concatenate([g_theta, ((g_B + g_B.T) @ G).take(self.tril), g_sigma])
+                    grad[self.logs] *= grown  # d exp(phi_i) / d phi_i on the log coordinates
+                    out.append((F, grad))
+                return out
+            step = max(1, _STACK_BYTES // (8 * self.n * self.n))
             for i in range(0, len(phis), step):
                 grown = np.exp(phis[i : i + step])  # every coordinate of a 1-D fit is a log
                 F, grad, _, failed = self._score(grown[:, :-1], grown[:, -1])
@@ -463,14 +473,14 @@ def optimize(
     identical result. Raises FactorizationError if every restart fails at
     its starting point.
 
-    For 2-D observations the restarts run concurrently, on the calling
-    thread plus up to min(restarts, usable CPUs) - 1 helper threads; the
-    result is the serial one, bit for bit. Any other exception in a restart
-    is raised here, that of the lowest restart first, and no helper thread
-    outlives the call. 1-D fits run their restarts in lockstep on the
-    calling thread, each round's probes scored in one stacked call; no
-    restart's record depends on the restart count. Any exception other than
-    FactorizationError is raised at once.
+    1-D fits run their restarts in lockstep on the calling thread, each
+    round's probes scored in one stacked call; no restart's record depends
+    on the restart count. For 2-D observations the restarts run
+    concurrently, on the calling thread plus up to min(restarts, usable
+    CPUs) - 1 helper threads; the result is the serial one, bit for bit.
+    Any exception other than FactorizationError is raised here, for 2-D
+    observations that of the lowest restart first, and no helper thread
+    outlives the call.
     """
     dataset = _as_dataset(dataset)
     kern0, sig0, B0 = default_initialization(dataset, family)
@@ -523,14 +533,15 @@ def _usable_cpus() -> int:
 
 
 def _ascend_all(prob: _Problem, starts: list, workers: int, *args) -> list:
-    """_ascend from every start, on the calling thread and workers - 1 helpers.
+    """A _lockstep of one start for every start, on the calling thread and
+    workers - 1 helpers.
 
-    Returns each start's record, or the exception it raised, by index. The
-    caller runs start 0 and helper k start k; then each thread takes the
-    lowest start no thread has taken yet. After an exception other than
-    FactorizationError no thread takes a new start, so every start below it
-    still has its outcome, as in a serial loop that stops there. Every
-    helper is joined before this returns or raises.
+    Returns each start's outcome from _lockstep, or the exception it
+    raised, by index. The caller runs start 0 and helper k start k; then
+    each thread takes the lowest start no thread has taken yet. After an
+    exception no thread takes a new start, so every start below it still
+    has its outcome, as in a serial loop that stops there. Every helper is
+    joined before this returns or raises.
     """
     outcomes = [None] * len(starts)
     pending = iter(range(len(starts)))
@@ -539,11 +550,10 @@ def _ascend_all(prob: _Problem, starts: list, workers: int, *args) -> list:
     def work(r):
         while r is not None:
             try:
-                outcomes[r] = _ascend(prob, starts[r], *args)
+                (outcomes[r],) = _lockstep(prob, starts[r : r + 1], *args)
             except Exception as err:  # handed to the caller by index
                 outcomes[r] = err
-                if not isinstance(err, FactorizationError):
-                    stop.set()
+                stop.set()
             with lock:
                 r = None if stop.is_set() else next(pending, None)
 
@@ -567,28 +577,8 @@ def _norm(x: np.ndarray) -> float:
     return sqrt(x.dot(x))
 
 
-def _ascend(prob: _Problem, phi0: np.ndarray, *args):
-    """_steps from phi0, each probe scored by prob.value_and_grad.
-
-    Returns the restart's record, keyed by OptResult's field names, and phi.
-    """
-    steps = _steps(phi0, *args)
-    phi = next(steps)
-    with np.errstate(all="ignore"):
-        try:
-            while True:
-                try:
-                    scored = prob.value_and_grad(phi)
-                except FactorizationError as err:
-                    phi = steps.throw(err)
-                else:
-                    phi = steps.send(scored)
-        except StopIteration as done:
-            return done.value
-
-
 def _lockstep(prob: _Problem, starts: list, *args) -> list:
-    """_steps from every start at once, for 1-D observations.
+    """_steps from every start at once.
 
     Each round scores the pending probe of every restart still running in
     one prob.value_and_grad_many call. Returns each start's record, or the
@@ -622,7 +612,7 @@ def _steps(phi0: np.ndarray, budget: int, rel_tol: float, grad_tol: float):
     A generator: it yields each point to evaluate and is sent its (F,
     dF/dphi), or thrown the FactorizationError that rejects it. It returns
     the restart's record, keyed by OptResult's field names, and phi.
-    _ascend and _lockstep run it under np.errstate(all="ignore"): gradients
+    _lockstep runs it under np.errstate(all="ignore"): gradients
     near the float range overflow _norm and the BFGS products, such a step
     skips the update, and no warning reaches the caller.
     """

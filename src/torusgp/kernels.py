@@ -177,25 +177,21 @@ class ExpLinearKernel:
         """Kernel matrix between two input sets; gram(A) or gram(A, A) is A's self-Gram."""
         return self.gram_lifted(self.lift(A), None if B is None or B is A else self.lift(B))
 
-    def _features(self, L: np.ndarray) -> list:
-        """The (n, n) feature matrices F_f between the lifted points, in theta order."""
-        if self.family == "pse":
-            return [self._chart_term(L, L, s, 1.0) for s in range(self.m)]
-        blocks = [L[:, a : a + w] for a, w in zip(self._starts, self._widths)]
-        return [b @ b.T - (1.0 if self.family == "pprd" else 0.0) for b in blocks]
-
     def self_features(self, L: np.ndarray) -> np.ndarray:
         """The (nf, n, n) stack of F_f among the lifted points, in theta order, its
         coincident diagonal exact: F_f(x, x) is 1 for hvm/pvm, 0 for pprd/pse."""
-        F = np.stack(self._features(L))
+        if self.family == "pse":
+            F = -0.5 * _squared_chart_differences(L)
+        else:
+            blocks = [L[:, a : a + w] for a, w in zip(self._starts, self._widths)]
+            F = np.stack([b @ b.T - (1.0 if self.family == "pprd" else 0.0) for b in blocks])
         F.reshape(len(F), -1)[:, :: len(L) + 1] = 0.0 if self._scale == "ell" else 1.0
         return F
 
     def feature_sums(self, L: np.ndarray, W: np.ndarray) -> np.ndarray:
         """sum_ij W_ij F_f(x_i, x_j) for every feature f, from the lift L of the x_i."""
-        if self.family == "pse":  # every circle's squared chart differences, one (m, n, n) stack
-            D2 = np.subtract(L.T[:, :, None], L.T[:, None, :], order="C") ** 2
-            return -0.5 * (D2.reshape(self.m, -1) @ W.ravel())
+        if self.family == "pse":  # contracted, then scaled: cheaper than contracting self_features
+            return -0.5 * (_squared_chart_differences(L).reshape(self.m, -1) @ W.ravel())
         sums = np.add.reduceat((L * (W @ L)).sum(axis=0), self._starts)
         return sums - np.sum(W) if self.family == "pprd" else sums
 
@@ -203,12 +199,17 @@ class ExpLinearKernel:
         """Gram matrix and its derivatives in theta order, as a stack."""
         L = self.lift(X)
         K = self.gram_lifted(L)
-        parts = [(2.0 / self.theta[0]) * K] + [dc * K * F for dc, F in zip(self._dc, self._features(L))]
+        parts = [(2.0 / self.theta[0]) * K] + [dc * K * F for dc, F in zip(self._dc, self.self_features(L))]
         return K, np.stack(parts)
 
     def prior_variance(self) -> float:
         """k(x, x), identical for every x, and the diagonal of every self-Gram."""
         return float(np.exp(self._coincident_exponent()) * self.theta[0] ** 2)
+
+
+def _squared_chart_differences(L: np.ndarray) -> np.ndarray:
+    """(m, n, n) stack of (a_s - b_s)^2 among the chart angles L of n points, circle by circle."""
+    return np.subtract(L.T[:, :, None], L.T[:, None, :], order="C") ** 2
 
 
 def kernel_from_family(family: str, m: int) -> ExpLinearKernel:

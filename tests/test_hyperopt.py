@@ -488,21 +488,23 @@ def _restart_starts(ds, family, restarts, seed):
 
 
 def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
-    """A stand-in for _ascend fails restart 0 at its start, so the winner is
-    a later restart and restart_objectives keeps -inf at index 0. Restarts
-    of a two-output fit run concurrently, so restart 0 is recognized by its
-    start, not by the order of the calls."""
+    """A stand-in for _lockstep fails restart 0 at its start, so the winner
+    is a later restart and restart_objectives keeps -inf at index 0.
+    Restarts of a two-output fit run concurrently, each a _lockstep of its
+    own start, so restart 0 is recognized by its start, not by the order of
+    the calls."""
     ds = _two_output_toy_dataset()
     start0 = _restart_starts(ds, "hvm", 1, 0)[0]
-    ascend, starts = hyperopt._ascend, []
+    lockstep, starts = hyperopt._lockstep, []
 
-    def fail_first(prob, phi0, *args):
+    def fail_first(prob, own, *args):
+        (phi0,) = own
         starts.append(phi0)
         if np.array_equal(phi0, start0):
-            raise gp.FactorizationError("objective not finite at the starting point")
-        return ascend(prob, phi0, *args)
+            return [gp.FactorizationError("objective not finite at the starting point")]
+        return lockstep(prob, own, *args)
 
-    monkeypatch.setattr(hyperopt, "_ascend", fail_first)
+    monkeypatch.setattr(hyperopt, "_lockstep", fail_first)
     res = hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
     assert len(starts) == 3 and res.restart in (1, 2)
     assert res.restart_objectives[0] == -np.inf
@@ -510,21 +512,23 @@ def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
     _assert_record_is_the_winning_restart(ds, res)
 
 
-def _ascend_recording_threads(monkeypatch, ds, family, restarts, seed, fail_at=None):
-    """Replace _ascend by a stand-in that records, per restart, the thread
+def _lockstep_recording_threads(monkeypatch, ds, family, restarts, seed, fail_at=None):
+    """Replace _lockstep by a stand-in that records, per restart, the thread
     that runs it and the live thread count, and raises RuntimeError in
-    restart fail_at. Returns the per-restart records."""
+    restart fail_at. Each two-output restart is a _lockstep of its own
+    start. Returns the per-restart records."""
     starts = _restart_starts(ds, family, restarts, seed)
-    ascend, ran = hyperopt._ascend, {}
+    lockstep, ran = hyperopt._lockstep, {}
 
-    def recording(prob, phi0, *args):
+    def recording(prob, own, *args):
+        (phi0,) = own
         r = next(i for i, phi in enumerate(starts) if np.array_equal(phi, phi0))
         ran[r] = (threading.get_ident(), threading.active_count())
         if r == fail_at:
             raise RuntimeError(f"restart {r} broke")
-        return ascend(prob, phi0, *args)
+        return lockstep(prob, own, *args)
 
-    monkeypatch.setattr(hyperopt, "_ascend", recording)
+    monkeypatch.setattr(hyperopt, "_lockstep", recording)
     return ran
 
 
@@ -536,7 +540,7 @@ def test_two_output_restarts_run_concurrently_and_match_a_serial_run(monkeypatch
     monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 1)
     serial = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
     monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
-    ran = _ascend_recording_threads(monkeypatch, ds, family, 3, 3)
+    ran = _lockstep_recording_threads(monkeypatch, ds, family, 3, 3)
     before = threading.active_count()
     res = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
     assert threading.active_count() == before
@@ -566,7 +570,7 @@ def test_an_exception_in_a_helper_restart_reaches_the_caller(monkeypatch):
     by optimize, and the helper is joined before optimize raises."""
     ds = _two_output_toy_dataset()
     monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
-    ran = _ascend_recording_threads(monkeypatch, ds, "hvm", 3, 0, fail_at=1)
+    ran = _lockstep_recording_threads(monkeypatch, ds, "hvm", 3, 0, fail_at=1)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="^restart 1 broke$"):
         hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
@@ -581,13 +585,14 @@ def test_concurrent_restarts_take_every_start_once_under_contention(monkeypatch)
     start still has its outcome and no thread is left running."""
     calls, fail_at = [], None
 
-    def double(prob, start, *args):
+    def double(prob, own, *args):
+        (start,) = own
         calls.append(start)
         if start == fail_at:
             raise RuntimeError("broke")
-        return 2 * start
+        return [2 * start]
 
-    monkeypatch.setattr(hyperopt, "_ascend", double)
+    monkeypatch.setattr(hyperopt, "_lockstep", double)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -719,7 +724,8 @@ def test_a_stacked_row_is_its_batch_of_one_and_bad_rows_fail_typed():
     1e-12) and one outside the float range. Each good row equals its batch
     of one bit for bit, each bad row is its typed rejection, and no warning
     escapes. n = 30 puts the rows of each (rows, n, n) array at different
-    alignments."""
+    alignments. Two-output rows, scored one at a time, keep the same
+    contract: each good row is value_and_grad at its point, bit for bit."""
     rng = np.random.default_rng(23)
     X = _inputs(rng, 15, 2)
     ds = hyperopt.Dataset.from_data(np.concatenate([X, X]), rng.standard_normal(30))
@@ -744,6 +750,23 @@ def test_a_stacked_row_is_its_batch_of_one_and_bad_rows_fail_typed():
     for r, message in rejected.items():
         assert isinstance(scored[r], gp.FactorizationError) and str(scored[r]) == message
     for (F, grad), (F1, grad1) in zip([scored[r] for r in (0, 2, 4, 6)], alone):
+        assert np.float64(F).tobytes() == np.float64(F1).tobytes() and grad.tobytes() == grad1.tobytes()
+
+    two = _two_output_toy_dataset()
+    kern0, sig0, B0 = hyperopt.default_initialization(two, "hvm")
+    prob = hyperopt._Problem(two, kern0)
+    phi0 = prob.pack(kern0, np.linalg.cholesky(B0), sig0)
+    good = [phi0 + rng.normal(0.0, 0.3, phi0.size) for _ in range(3)]
+    overflow, outside = phi0.copy(), phi0.copy()
+    overflow[0] = 400.0
+    outside[1] = 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scored = prob.value_and_grad_many([good[0], overflow, good[1], outside, good[2]])
+        alone = [prob.value_and_grad(phi) for phi in good]
+    for r, message in {1: rejected[1], 3: rejected[5]}.items():
+        assert isinstance(scored[r], gp.FactorizationError) and str(scored[r]) == message
+    for (F, grad), (F1, grad1) in zip([scored[r] for r in (0, 2, 4)], alone):
         assert np.float64(F).tobytes() == np.float64(F1).tobytes() and grad.tobytes() == grad1.tobytes()
 
 
