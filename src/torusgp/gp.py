@@ -249,9 +249,10 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     coreg = data.mixing(coreg)
     if not np.allclose(coreg, coreg.T, atol=1e-10):
         raise ValueError("coreg must be symmetric")
-    noise_var = np.asarray(noise_var, dtype=float) * np.ones(d)
-    if noise_var.shape != (d,) or not np.all(noise_var > 0.0):
+    noise_var = np.asarray(noise_var, dtype=float)
+    if noise_var.shape not in ((), (1,), (d,)) or not np.all(noise_var > 0.0):
         raise ValueError(f"noise variances must be {d} positive numbers")
+    noise_var = noise_var * np.ones(d)
     Y = data.obs.reshape(data.n, d)
     lifted = kernel.lift(X)
     K_x = kernel.gram_lifted(lifted)

@@ -19,8 +19,10 @@ order (1,2), (2,3), ..., (m-1,m), (1,3), ...; with corr = 0 it is pvm, a
 product of von Mises kernels. pprd is exp(-2 sin^2((a - b)/2) / l^2). pse
 keeps the chart-difference form, aperiodic across the chart seam by design:
 lifted, (a - b)^2 = a^2 - 2ab + b^2 with angles up to 2 pi would lose digits
-and the diagonal would no longer be exactly 0. dK/d omega = (2/omega) K and
-dK/d theta_f = c_f' K F_f.
+and the diagonal would no longer be exactly 0. Its one helper,
+_squared_chart_differences, gives the (m, nA, nB) stack of (a_s - b_s)^2 that
+every pse Gram, cross and self, its self_features and its feature_sums read.
+dK/d omega = (2/omega) K and dK/d theta_f = c_f' K F_f.
 
 For hvm, pvm and pprd every Gram, gram(A, B) and the self-Gram gram(A)
 alike, is one GEMM Psi(A) Psi(B)^T with Psi = lift diag(sqrt w) (every
@@ -148,21 +150,14 @@ class ExpLinearKernel:
         """sum_f c_f F_f(x, x), summed in theta order: F_f(x, x) is 1 for hvm/pvm, 0 for pprd/pse."""
         return 0.0 if self._scale == "ell" else reduce(add, self._c.tolist(), 0.0)
 
-    def _chart_term(self, LA: np.ndarray, LB: np.ndarray, s: int, c_s: float, out=None) -> np.ndarray:
-        """c_s * -(a_s - b_s)^2 / 2 between the chart angles of two lifts."""
-        F = np.subtract(LA[:, s, None], LB[None, :, s], out=out)
-        F *= F
-        F *= -0.5 * c_s
-        return F
-
     def gram_lifted(self, LA: np.ndarray, LB: np.ndarray | None = None) -> np.ndarray:
         """Kernel matrix between lifted inputs; LB = None gives the self-Gram of LA."""
         own, LB = LB is None, LA if LB is None else LB
         if self.family == "pse":
-            E = self._chart_term(LA, LB, 0, self._c[0])
-            F = np.empty_like(E) if self.m > 1 else None
-            for s in range(1, self.m):
-                E += self._chart_term(LA, LB, s, self._c[s], out=F)
+            D = _squared_chart_differences(LA, LB)
+            E = (-0.5 * self._c[0]) * D[0]
+            for s in range(1, self.m):  # a scaled add per circle, in theta order
+                E += (-0.5 * self._c[s]) * D[s]
         else:  # two distinct factors, so a self-Gram takes the same GEMM as a cross-Gram
             E = (LA * self._root_w) @ (LB * self._root_w).T
             if self.family == "pprd":
@@ -207,9 +202,10 @@ class ExpLinearKernel:
         return float(np.exp(self._coincident_exponent()) * self.theta[0] ** 2)
 
 
-def _squared_chart_differences(L: np.ndarray) -> np.ndarray:
-    """(m, n, n) stack of (a_s - b_s)^2 among the chart angles L of n points, circle by circle."""
-    return np.subtract(L.T[:, :, None], L.T[:, None, :], order="C") ** 2
+def _squared_chart_differences(LA: np.ndarray, LB: np.ndarray | None = None) -> np.ndarray:
+    """(m, nA, nB) stack of (a_s - b_s)^2 between chart angles LA and LB (default LA), circle by circle."""
+    LB = LA if LB is None else LB
+    return np.subtract(LA.T[:, :, None], LB.T[:, None, :], order="C") ** 2
 
 
 def kernel_from_family(family: str, m: int) -> ExpLinearKernel:

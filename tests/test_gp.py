@@ -243,6 +243,8 @@ def test_fit_validates_coreg_and_noise():
         gp.fit(X, Z, _kernel(), 0.1)  # matrix obs need a mixing matrix
     with pytest.raises(ValueError, match=r"^coreg must be \(2, 2\), got \(3, 3\)$"):
         gp.fit(X, Z, _kernel(), 0.1, coreg=np.eye(3))
+    with pytest.raises(ValueError, match=r"^noise variances must be 2 positive numbers$"):
+        gp.fit(X, Z, _kernel(), [0.1, 0.2, 0.3], coreg=np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -100,6 +100,11 @@ def test_kernel_rejects_out_of_range_coordinates(family, theta):
         ExpLinearKernel(family, 2, theta)
 
 
+def test_kernel_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown kernel family 'sqexp'$"):
+        ExpLinearKernel("sqexp", 1, (1.0, 1.0))
+
+
 def test_kernel_accepts_zero_concentrations_and_pair_weights():
     """The range boundary: lam = 0 and corr = 0 are valid, omega and ell must be positive."""
     assert ExpLinearKernel("hvm", 2, (1.0, 0.0, 0.0, 0.0)).prior_variance() == 1.0
@@ -277,6 +282,17 @@ def test_periodic_kernel_wraps():
 
 _AXIS_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
+# chart angles at and next to the seam, where pse is discontinuous
+_SEAM_ANGLES = np.array([0.0, 1e-12, np.pi, 2.0 * np.pi - 1e-12, np.nextafter(2.0 * np.pi, 0.0)])
+
+
+def _seam_inputs(rng, count, m):
+    """Random inputs with about 30% of their chart angles drawn from _SEAM_ANGLES."""
+    ang = rng.uniform(0.0, 2.0 * np.pi, (count, m))
+    seam = rng.random((count, m)) < 0.3
+    ang[seam] = rng.choice(_SEAM_ANGLES, int(seam.sum()))
+    return _point(ang)
+
 
 def _lift_width(family, m):
     return {"hvm": 2 * m + 4 * (m * (m - 1) // 2), "pvm": 2 * m, "pprd": 2 * m, "pse": m}[family]
@@ -317,6 +333,14 @@ def test_gram_is_one_product_of_lifts(family, m, t, n, seed):
     assert S.shape == (F.shape[2], t, t)
     assert np.all(np.abs(S - F.transpose(2, 0, 1)) <= 1e-13 * np.maximum(np.abs(F.transpose(2, 0, 1)), 1.0))
     assert np.all(S[:, np.arange(t), np.arange(t)] == (0.0 if family in ("pprd", "pse") else 1.0))
+    if family == "pse":  # pse's Gram is the plain chart-difference sum, bit for bit, seam points included
+        LA, LB = kernel.lift(_seam_inputs(rng, t, m)), kernel.lift(_seam_inputs(rng, n, m))
+        c = kernel.coefficients()[0]
+        for a, b in [(LA, LB), (LA, LA)]:
+            E = (-0.5 * c[0]) * (a[:, 0, None] - b[None, :, 0]) ** 2
+            for s in range(1, m):
+                E = E + (-0.5 * c[s]) * (a[:, s, None] - b[None, :, s]) ** 2
+            assert np.array_equal(kernel.gram_lifted(a, None if b is a else b), np.exp(E) * kernel.theta[0] ** 2)
 
 
 # Over 3000 random draws of the ranges below (seam points and duplicates
@@ -325,10 +349,6 @@ def test_gram_is_one_product_of_lifts(family, m, t, n, seed):
 # magnitude, so one ulp of it is 1e-13 of K). 1e-12 leaves a margin of 45;
 # a wrong weight or block moves entries by far more.
 LIFT_RTOL = 1e-12
-
-# chart angles at and next to the seam, where pse is discontinuous
-_SEAM_ANGLES = np.array([0.0, 1e-12, np.pi, 2.0 * np.pi - 1e-12, np.nextafter(2.0 * np.pi, 0.0)])
-
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -344,14 +364,7 @@ def test_lifted_gram_matches_the_scalar_oracles(family, m, t, n, duplicates, see
     rng = np.random.default_rng(seed)
     template = kernel_from_family(family, m)
     kernel = template.with_theta(template.theta * rng.uniform(0.2, 5.0, template.theta.size))
-
-    def points(count):
-        ang = rng.uniform(0.0, 2.0 * np.pi, (count, m))
-        seam = rng.random((count, m)) < 0.3
-        ang[seam] = rng.choice(_SEAM_ANGLES, int(seam.sum()))
-        return _point(ang)
-
-    A, B = points(t), points(n)
+    A, B = _seam_inputs(rng, t, m), _seam_inputs(rng, n, m)
     if duplicates:
         B = np.concatenate([B, A[rng.integers(0, t, 2)]])
     oracle = scalar_kernel(kernel)

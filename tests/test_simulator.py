@@ -400,8 +400,9 @@ def test_scenario_config_refuses_each_bad_field(fields, message):
     [
         ({"vm_weights": (0.5, 0.5)}, "one weight per von Mises component"),
         ({"axial_conc": 0.0}, "axial concentration must be negative"),
+        ({"noise_var": 0.0}, "noise_var must be positive"),
     ],
-    ids=["weight-count", "axial-conc"],
+    ids=["weight-count", "axial-conc", "noise-var"],
 )
 def test_circular_density_refuses_each_bad_field(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -171,10 +171,18 @@ def test_gp_model_rejects_particles_on_references(toy_gp_model):
     refs = TOY.references_array
     near = refs[2] + [0.0, 0.5 * AOA_SINGULARITY_TOL]
     pos = np.vstack([refs[0], [10.0, 10.0], near])
-    ll = toy_gp_model.logpdf(pos, np.array([1.0, 2.0, 3.0]), refs)
+    z = np.array([1.0, 2.0, 3.0])
+    ll = toy_gp_model.logpdf(pos, z, refs)
     assert ll[0] == -np.inf
     assert np.isfinite(ll[1])
     assert ll[2] == -np.inf
+    # a cloud with every particle on a reference scores all -inf, and a step on it
+    # (no process noise, so the particles stay there) resets to uniform weights
+    cloud = np.vstack([refs, near])
+    assert np.all(toy_gp_model.logpdf(cloud, z, refs) == -np.inf)
+    still = replace(TOY, process_cov=((0.0, 0.0), (0.0, 0.0)))
+    out = tracking.step(tracking.ParticleSet(cloud, np.full(4, 0.25)), z, toy_gp_model, still, rng_for(5, 1))
+    assert out.diverged and np.all(out.weights == 0.25)
 
 
 def test_parametric_model_matches_scipy(toy_trainset):
@@ -295,6 +303,9 @@ def test_run_tracking_reproducible(toy_gp_model):
     assert a.rmse == pytest.approx(float(np.sqrt(np.mean(a.ape**2))))
     c = tracking.run_tracking(TOY, "HvM", toy_gp_model, seed=13, traj=traj)
     assert not np.array_equal(a.estimates, c.estimates)
+    # without traj the run draws the configured trajectory itself
+    d = tracking.run_tracking(TOY, "HvM", toy_gp_model, seed=12)
+    assert np.array_equal(a.estimates, d.estimates) and np.array_equal(a.ape, d.ape) and a.rmse == d.rmse
 
 
 def test_train_method_rejects_unknown(toy_trainset):
