@@ -66,7 +66,7 @@ a model file that does not match --method or the scenario); 3 missing or
 malformed upstream artifact (an input file another stage should have
 produced); 4 numerical failure (a factorization or optimization that did not
 survive the jitter policy, a model file among them, or training data whose
-statistics overflow).
+statistics overflow or, from one row, do not exist).
 """
 
 import argparse
@@ -119,6 +119,14 @@ class ConfigError(Exception):
 
 class MissingArtifactError(Exception):
     """An upstream stage's output file is absent or malformed (exit code 3)."""
+
+
+_FAILURES = {  # the failures _run cleans up after and main reports: type -> (exit code, stderr prefix)
+    ConfigError: (EXIT_CONFIG, "config error: "),
+    GeometryError: (EXIT_CONFIG, "config error: config section 'scenario': "),
+    MissingArtifactError: (EXIT_MISSING, "missing artifact: "),
+    np.linalg.LinAlgError: (EXIT_NUMERICAL, "numerical failure: "),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +543,7 @@ def _run(args) -> int:
     t0 = time.perf_counter()
     try:
         resolved, artifacts, clocks, summary = args.func(args, config, cfg, out)
-    except (ConfigError, GeometryError, MissingArtifactError, np.linalg.LinAlgError):
+    except tuple(_FAILURES):
         if made and not any(out.iterdir()):
             for p in made:
                 p.rmdir()
@@ -619,18 +627,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"torusgp: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GeometryError as exc:
-        print(f"torusgp: config error: config section 'scenario': {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MissingArtifactError as exc:
-        print(f"torusgp: missing artifact: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except np.linalg.LinAlgError as exc:
-        print(f"torusgp: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(_FAILURES) as exc:
+        code, prefix = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+        print(f"torusgp: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Exact Gaussian process regression, single and multi-output.
 
 Observations get a zero prior mean and are used raw. d outputs couple
-through a PSD mixing matrix B (intrinsic coregionalization):
+through a mixing matrix B (intrinsic coregionalization):
 
     K = B kron Kxx + R kron I_n,    R = diag(sigma_r1^2, ..., sigma_rd^2),
 
 with observations vectorized output-major, z = vec(Z) for the n x d matrix Z,
 so block (i, j) of K holds B_ij * Kxx; predictions over t test points keep
 the same layout with length t*d. A single output is the case d = 1,
-B = [[1]], R = sigma_r^2. K has the exact Kronecker-eigen factor
-IcmFactor (Bonilla et al. 2008; Rakitsch et al. 2013): with
+B = [[1]], R = sigma_r^2. fit and hyperopt's objective and gradient check one rule
+(Dataset.hyperparameters): coreg, given for 2-D observations only, is a finite,
+symmetric (d, d) B, possibly indefinite; the noise is a scalar, (1,) or (d,), every
+entry positive and finite. K has the exact Kronecker-eigen factor IcmFactor
+(Bonilla et al. 2008; Rakitsch et al. 2013): with
 Kxx = U diag(lam) U^T, R^-1/2 B R^-1/2 = Q diag(S) Q^T, P = R^-1/2 Q and the
 n x d matrix D = lam S^T + 1, K^-1 = (P kron U) diag(vec D)^-1 (P kron U)^T,
 and K is positive definite exactly when every entry of D is; the factor
@@ -123,14 +126,19 @@ class Dataset:
     def zvec(self) -> np.ndarray:
         return self.obs if self.obs.ndim == 1 else np.ravel(self.obs, order="F")
 
-    def mixing(self, coreg) -> np.ndarray:
-        """coreg as the (d, d) mixing matrix B, given for multi-output observations only; [[1]] for 1-D."""
+    def hyperparameters(self, coreg, noise):
+        """(B, noise as (d,)) under the module docstring's rule for coreg and noise, else ValueError."""
         if (coreg is None) == self.multi_output:
             raise ValueError("coreg must be given for multi-output observations, and only then")
         B = np.ones((1, 1)) if coreg is None else np.asarray(coreg, dtype=float)
         if B.shape != (self.d, self.d):
             raise ValueError(f"coreg must be ({self.d}, {self.d}), got {B.shape}")
-        return B
+        if not (np.all(np.isfinite(B)) and np.allclose(B, B.T, atol=1e-10)):
+            raise ValueError("coreg must be finite and symmetric")
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape not in ((), (1,), (self.d,)) or not np.all((noise > 0.0) & (noise < np.inf)):
+            raise ValueError(f"noise must be {self.d} positive finite numbers")
+        return B, noise * np.ones(self.d)
 
 
 @dataclass
@@ -234,9 +242,8 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     obs : (n,) array for a single output, (n, d) for d outputs
     kernel : a kernel object from torusgp.kernels
     noise_var : observation-noise variance, scalar or (d,) vector (one per
-        output); all entries must be positive
-    coreg : (d, d) PSD mixing matrix, required iff obs is 2-d; a single
-        output has B = [[1]]
+        output), every entry positive and finite
+    coreg : finite, symmetric (d, d) mixing matrix, required iff obs is 2-d (B = [[1]] for 1-d)
 
     Returns
     -------
@@ -245,15 +252,8 @@ def fit(inputs, obs, kernel, noise_var, coreg=None) -> TrainedGp:
     residual-correction step against K A = K_x A B + A R.
     """
     data = Dataset.from_data(inputs, obs)
-    X, d = data.inputs, data.d
-    coreg = data.mixing(coreg)
-    if not np.allclose(coreg, coreg.T, atol=1e-10):
-        raise ValueError("coreg must be symmetric")
-    noise_var = np.asarray(noise_var, dtype=float)
-    if noise_var.shape not in ((), (1,), (d,)) or not np.all(noise_var > 0.0):
-        raise ValueError(f"noise variances must be {d} positive numbers")
-    noise_var = noise_var * np.ones(d)
-    Y = data.obs.reshape(data.n, d)
+    coreg, noise_var = data.hyperparameters(coreg, noise_var)
+    X, Y = data.inputs, data.obs.reshape(data.n, data.d)
     lifted = kernel.lift(X)
     K_x = kernel.gram_lifted(lifted)
     scale = float(np.mean(np.outer(np.diag(K_x), np.diag(coreg)) + noise_var))

@@ -371,8 +371,7 @@ def _constrained(theta, B, sigma) -> np.ndarray:
 
 def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
     dataset = _as_dataset(dataset)
-    B = dataset.mixing(coreg)
-    sigma = np.asarray(noise_sigma, dtype=float) * np.ones(dataset.d)
+    B, sigma = dataset.hyperparameters(coreg, noise_sigma)
     with np.errstate(all="ignore"):
         return _Problem(dataset, kernel).evaluate(kernel, B, sigma)
 
@@ -380,14 +379,15 @@ def _at_hyperparameters(dataset, kernel, noise_sigma, coreg):
 def objective(dataset, kernel, noise_sigma, coreg=None) -> float:
     """F(theta) for explicit hyperparameters (see the module docstring).
 
-    noise_sigma is the noise standard deviation (scalar, or one per output).
+    noise_sigma holds the noise deviations, a scalar or one per output, each positive and finite; coreg,
+    for 2-D observations only, is finite and symmetric (Dataset.hyperparameters), else ValueError.
     Raises FactorizationError if K is not positive definite.
     """
     return _at_hyperparameters(dataset, kernel, noise_sigma, coreg)[0]
 
 
 def gradient(dataset, kernel, noise_sigma, coreg=None):
-    """Constrained-space gradient of F, as (names, values).
+    """Constrained-space gradient of F, as (names, values), at objective's arguments and rule.
 
     Coordinate order: kernel theta, then vec(B) column-major (multi-output
     only, each entry independent), then the per-output noise deviations.
@@ -402,9 +402,7 @@ def gradient(dataset, kernel, noise_sigma, coreg=None):
 
 
 def _as_dataset(dataset) -> Dataset:
-    if isinstance(dataset, Dataset):
-        return dataset
-    return Dataset.from_data(*dataset)
+    return dataset if isinstance(dataset, Dataset) else Dataset.from_data(*dataset)
 
 
 def _psd_project(B: np.ndarray, floor: float = 1e-10) -> np.ndarray:
@@ -429,6 +427,8 @@ def default_initialization(dataset, family):
     """
     dataset = _as_dataset(dataset)
     kernel = kernels.kernel_from_family(family, dataset.m)
+    if dataset.multi_output and dataset.n < 2:
+        raise FactorizationError(f"{family}: a multi-output fit needs 2 or more observations for their covariance")
     with np.errstate(over="ignore", invalid="ignore"):
         scale = float(np.std(dataset.obs))
         sig = np.atleast_1d(0.1 * np.std(dataset.obs, axis=0))

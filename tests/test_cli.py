@@ -505,6 +505,20 @@ def test_track_refuses_a_model_file_with_a_nan(tmp_path, capsys, toy_models, met
     assert str(bad) in capsys.readouterr().err
 
 
+def test_track_refuses_a_model_file_with_an_infinite_noise(tmp_path, capsys, toy_models):
+    """A noise variance of Infinity breaks the ICM rule: exit 3 naming the file,
+    not a run whose every particle scores -inf."""
+    doc = json.loads((toy_models / "model_hvm.json").read_text())
+    doc["noise_var"][0] = float("inf")
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    cfg = _write_config(tmp_path)
+    argv = ["track", "--config", str(cfg), "--out", str(tmp_path / "x"), "--method", "HvM"]
+    assert cli.main(argv + ["--model", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert str(bad) in err and "noise must be 3 positive finite numbers" in err
+
+
 @pytest.mark.parametrize("case", ["cov-too-small", "asymmetric"])
 def test_track_refuses_a_malformed_parametric_model(tmp_path, capsys, toy_models, case):
     """A parametric cov that does not match the biases, or is not symmetric, exits 3 naming the file."""
@@ -772,3 +786,16 @@ def test_train_on_ranges_whose_statistics_overflow_exits_4(tmp_path, capsys, toy
         assert cli.main(argv + ["--method", method, "--trainset", str(big)]) == 4
     assert capsys.readouterr().err.startswith(f"torusgp: numerical failure: {label}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_train_on_one_observation_exits_4_naming_the_reason(tmp_path, capsys, toy_models):
+    """A one-row training set has no output covariance to start a multi-output
+    fit from: exit 4 saying so, with no RuntimeWarning."""
+    one = tmp_path / "training_set.csv"
+    one.write_text("".join((toy_models / "training_set.csv").read_text().splitlines(keepends=True)[:2]))
+    argv = ["train", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--method", "HvM", "--trainset", str(one)]) == 4
+    message = "torusgp: numerical failure: hvm: a multi-output fit needs 2 or more observations"
+    assert capsys.readouterr().err.startswith(message)

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import warnings
@@ -842,6 +843,69 @@ def test_objective_refuses_coreg_against_the_output_count(d):
     coreg = np.eye(1) if d == 1 else None
     with pytest.raises(ValueError, match="^coreg must be given for multi-output "):
         hyperopt.objective(ds, kernel_from_family("hvm", 2), 0.1, coreg=coreg)
+
+
+NOISE_RULE = "^noise must be {} positive finite numbers$"
+
+
+@pytest.mark.parametrize(
+    "d, noise, coreg, match",
+    [
+        (2, [0.1, -0.1], np.eye(2), NOISE_RULE.format(2)),
+        (2, [0.1, np.inf], np.eye(2), NOISE_RULE.format(2)),
+        (2, [0.1, 0.1, 0.1], np.eye(2), NOISE_RULE.format(2)),
+        (2, 0.1, [[1.0, 0.5], [0.0, 1.0]], "^coreg must be finite and symmetric$"),
+        (1, 0.0, None, NOISE_RULE.format(1)),
+        (1, [0.1, 0.1], None, NOISE_RULE.format(1)),
+    ],
+    ids=[
+        "2d-negative-noise",
+        "2d-infinite-noise",
+        "2d-noise-of-3",
+        "2d-asymmetric-coreg",
+        "1d-zero-noise",
+        "1d-noise-of-2",
+    ],
+)
+def test_objective_and_gradient_refuse_hyperparameters_that_break_the_icm_rule(d, noise, coreg, match):
+    """Dataset.hyperparameters' rule holds for explicit hyperparameters, as in
+    gp.fit: no NaN, -inf or lower-triangle value comes back."""
+    rng = np.random.default_rng(17)
+    ds = hyperopt.Dataset.from_data(_inputs(rng, 6, 2), rng.standard_normal(6 if d == 1 else (6, d)))
+    for evaluate in (hyperopt.objective, hyperopt.gradient):
+        with pytest.raises(ValueError, match=match):
+            evaluate(ds, kernel_from_family("hvm", 2), noise, coreg=coreg)
+
+
+def test_a_multi_output_fit_on_one_observation_fails_typed_without_a_warning():
+    """One row has no sample covariance: the start fails as a FactorizationError
+    naming the family, before np.cov can warn."""
+    rng = np.random.default_rng(18)
+    ds = hyperopt.Dataset.from_data(_inputs(rng, 1, 3), rng.standard_normal((1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gp.FactorizationError, match="^hvm: a multi-output fit needs 2 or more observations"):
+            hyperopt.optimize(ds, "hvm", budget=5, restarts=2, seed=0)
+
+
+def test_a_failed_eigendecomposition_is_the_typed_error(monkeypatch):
+    """LAPACK's eigh can fail to converge: gp.fit raises FactorizationError, and
+    a 2-D probe comes back as a rejected row."""
+    rng = np.random.default_rng(19)
+    X, Z = _inputs(rng, 8, 2), rng.standard_normal((8, 2))
+    kernel = kernel_from_family("hvm", 2)
+    prob = hyperopt._Problem(hyperopt.Dataset.from_data(X, Z), kernel)
+    phi = prob.pack(kernel, np.eye(2), np.full(2, 0.1))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    message = "hvm: eigendecomposition failed (Eigenvalues did not converge)"
+    with pytest.raises(gp.FactorizationError, match=f"^{re.escape(message)}$"):
+        gp.fit(X, Z, kernel, 0.1, coreg=np.eye(2))
+    (row,) = prob.value_and_grad_many(phi[None])
+    assert isinstance(row, gp.FactorizationError) and str(row) == message
 
 
 def test_optimize_raises_the_last_failure_when_every_restart_fails(monkeypatch):
