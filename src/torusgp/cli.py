@@ -437,12 +437,13 @@ def cmd_train(args, config, cfg, out):
     method = normalize_method(args.method)
     methods = list(tracking.METHODS) if method == "all" else [method]
 
-    clocks = {}
+    t1 = time.perf_counter()
+    fits = [(ts, mth, cfg.references_array, {"seed": cfg.seed, **opts}) for mth in methods]
+    fitted = tracking.train_methods(fits)
+    clocks = {"fit": time.perf_counter() - t1}
     artifacts = []
     summary = {}
-    for mth in methods:
-        t1 = time.perf_counter()
-        tm = tracking.train_method(ts, mth, cfg.references_array, seed=cfg.seed, **opts)
+    for mth, tm in zip(methods, fitted):
         model_path = out / f"model_{mth.lower()}.json"
         if tm.gp is not None:
             gp_mod.save_model(tm.gp, model_path)
@@ -462,7 +463,6 @@ def cmd_train(args, config, cfg, out):
             tracking.save_parametric(tm.model, model_path)
             summary[mth] = {"bias": tm.model.bias.tolist(), "cov": tm.model.cov.tolist()}
         artifacts.append(model_path.name)
-        clocks[f"train_{mth.lower()}"] = time.perf_counter() - t1
     resolved = {"scenario": config["scenario"], "optimizer": opts, "train": {"trainset": str(ts_path)}}
     return resolved, artifacts, clocks, summary
 

@@ -65,21 +65,13 @@ when it stalled with a final gradient norm below 1e-4 * (1 + |F|).
 The restarts of a fit share nothing but the dataset, and every start is
 drawn before any restart runs. Each restart is a generator (_steps) that
 yields the point it wants scored, and one driver (_lockstep) runs every
-restart: each round it scores the pending probe of each restart still
-running in one _Problem.value_and_grad_many call. For 1-D observations all
-restarts run in one _lockstep on the calling thread, so each round's probes
-share one stacked evaluation. For 2-D observations each restart is a
-_lockstep of its own, and the restarts run concurrently: the calling thread
-runs restart 0, and up to min(restarts, usable CPUs) - 1 helper threads run
-the others. An ICM probe is almost all LAPACK and BLAS time (the n x n eigh
-in icm_factor), which releases the GIL. Every helper is joined before
-optimize returns or raises. Either way the winner is picked in restart
-order and each restart's arithmetic is the serial one, so the result is
-bit-identical to a serial run.
+restart on the calling thread: each round it scores the pending probe of
+each restart still running in one _Problem.value_and_grad_many call. A
+row's result does not depend on the rows scored beside it, and the winner
+is picked in restart order, so no restart's record depends on the restart
+count.
 """
 
-import os
-import threading
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
@@ -473,14 +465,9 @@ def optimize(
     identical result. Raises FactorizationError if every restart fails at
     its starting point.
 
-    1-D fits run their restarts in lockstep on the calling thread, each
-    round's probes scored in one stacked call; no restart's record depends
-    on the restart count. For 2-D observations the restarts run
-    concurrently, on the calling thread plus up to min(restarts, usable
-    CPUs) - 1 helper threads; the result is the serial one, bit for bit.
-    Any exception other than FactorizationError is raised here, for 2-D
-    observations that of the lowest restart first, and no helper thread
-    outlives the call.
+    All restarts run in one _lockstep on the calling thread (module
+    docstring), and any exception other than FactorizationError is raised
+    at once.
     """
     dataset = _as_dataset(dataset)
     kern0, sig0, B0 = default_initialization(dataset, family)
@@ -490,11 +477,7 @@ def optimize(
 
     rng = np.random.default_rng(seed)
     starts = [phi0] + [phi0 + rng.normal(0.0, 0.5, size=phi0.shape) for _ in range(1, max(1, restarts))]
-    args = (budget, rel_tol, grad_tol)
-    if prob.multi:
-        runs = _ascend_all(prob, starts, min(len(starts), _usable_cpus()), *args)
-    else:
-        runs = _lockstep(prob, starts, *args)
+    runs = _lockstep(prob, starts, budget, rel_tol, grad_tol)
     best = None
     restart_objectives, restart_failures = [], []
     last_error = None
@@ -504,8 +487,6 @@ def optimize(
             restart_objectives.append(float("-inf"))
             restart_failures.append(f"restart {r}: {run}")
             continue
-        if isinstance(run, Exception):
-            raise run
         restart_objectives.append(run["objective"])
         if best is None or run["objective"] > best["objective"]:
             best = run
@@ -522,54 +503,6 @@ def optimize(
         restart_failures=restart_failures,
         **best,
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-def _ascend_all(prob: _Problem, starts: list, workers: int, *args) -> list:
-    """A _lockstep of one start for every start, on the calling thread and
-    workers - 1 helpers.
-
-    Returns each start's outcome from _lockstep, or the exception it
-    raised, by index. The caller runs start 0 and helper k start k; then
-    each thread takes the lowest start no thread has taken yet. After an
-    exception no thread takes a new start, so every start below it still
-    has its outcome, as in a serial loop that stops there. Every helper is
-    joined before this returns or raises.
-    """
-    outcomes = [None] * len(starts)
-    pending = iter(range(len(starts)))
-    lock, stop = threading.Lock(), threading.Event()
-
-    def work(r):
-        while r is not None:
-            try:
-                (outcomes[r],) = _lockstep(prob, starts[r : r + 1], *args)
-            except Exception as err:  # handed to the caller by index
-                outcomes[r] = err
-                stop.set()
-            with lock:
-                r = None if stop.is_set() else next(pending, None)
-
-    first = [next(pending) for _ in range(workers)]
-    helpers = []
-    try:
-        for r in first[1:]:
-            thread = threading.Thread(target=work, args=(r,))
-            thread.start()
-            helpers.append(thread)
-        work(first[0])
-    finally:
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    return outcomes
 
 
 def _norm(x: np.ndarray) -> float:

@@ -87,6 +87,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("arena", self.arena), ("grid", self.grid)):
+            if len(value) != 2:
+                raise ValueError(f"{name} must have 2 entries, got {len(value)}")
         W, H = self.arena
         if not (W > 0 and H > 0):
             raise ValueError("arena sides must be positive")

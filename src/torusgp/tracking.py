@@ -25,7 +25,8 @@ per (method, trajectory, noise, run).
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "save_parametric",
     "load_range_model",
     "train_method",
+    "train_methods",
     "step",
     "run_tracking",
     "campaign",
@@ -229,6 +231,29 @@ def train_method(ts: TrainingSet, method: str, references, **opt) -> TrainedMeth
     return TrainedMethod(GpRangeModel(trained), gp=trained, opt=res)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def train_methods(fits) -> list:
+    """train_method(ts, method, references, **opt) for each (ts, method,
+    references, opt) of fits, the results in the order of fits.
+
+    The fits share nothing, so they run concurrently on min(len(fits),
+    usable CPUs) threads: a GP probe is almost all LAPACK and BLAS time,
+    which releases the GIL. Each fit's arithmetic is the serial one, so no
+    result depends on the thread count. The exception of the first failed
+    fit, in the order of fits, is raised with its type; fits not yet started
+    are cancelled, and every thread is joined before this returns or raises.
+    """
+    with ThreadPoolExecutor(max_workers=min(len(fits), _usable_cpus())) as pool:
+        return list(pool.map(lambda fit: train_method(*fit[:3], **fit[3]), fits))
+
+
 # ---------------------------------------------------------------------------
 # Filtering.
 # ---------------------------------------------------------------------------
@@ -371,9 +396,12 @@ def campaign(
 
     Returns (rows, trained) where rows is the ordered list of summary dicts
     (one per tracking run, CAMPAIGN_HEADER fields) and trained maps
-    (noise_index, method) to the TrainedMethod used. Results are identical
-    for a fixed seed regardless of jobs. A serial campaign (jobs <= 1) keeps
-    its state to itself, so several may run in threads at once.
+    (noise_index, method) to the TrainedMethod used, in noise-then-method
+    order. The fits run concurrently (train_methods) and are all done
+    before any row runs; the rows run in this process (jobs <= 1) or in a
+    pool of min(jobs, rows) processes. Results are identical for a fixed
+    seed, whatever jobs and the CPU count. A serial campaign keeps its state
+    to itself, so several may run in threads at once.
 
     The defaults are acceptance criterion 7's desk campaign (T1, 20 runs);
     the campaign command's are the paper's full grid (T1-T3, 100 runs). An
@@ -392,18 +420,14 @@ def campaign(
     # trajectory depends on its name and the geometry, not on the noise level.
     cfgs = [cfg.with_(noise_xi=float(xi), seed=seed) for xi in noise_levels]
     trajs = [trajectory(cfg.with_(trajectory=tname)) for tname in trajectories]
-    trained = {}
+    keys, fits = [], []
     for ni, cfg_n in enumerate(cfgs):
         ts = build_training_set(cfg_n, rng_for(seed, 0, ni))
         for mi, method in enumerate(methods):
-            trained[(ni, method)] = train_method(
-                ts,
-                method,
-                cfg_n.references_array,
-                budget=opt_budget,
-                restarts=opt_restarts,
-                seed=_int_seed(seed, 1, ni, mi),
-            )
+            opt = dict(budget=opt_budget, restarts=opt_restarts, seed=_int_seed(seed, 1, ni, mi))
+            keys.append((ni, method))
+            fits.append((ts, method, cfg_n.references_array, opt))
+    trained = dict(zip(keys, train_methods(fits)))
     tasks = [
         (ni, ti, run, method)
         for ni in range(len(noise_levels))
@@ -417,7 +441,7 @@ def campaign(
         rows = [_run_row(t, state) for t in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(state,)
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker, initargs=(state,)
         ) as ex:
             rows = list(ex.map(_run_row, tasks))
     return rows, trained

@@ -247,6 +247,8 @@ BAD_VALUES = [
     (["campaign"], {"campaign": {"noise_levels": [0]}}, "campaign.noise_levels"),
     (["campaign"], {"campaign": {"noise_levels": [-0.01]}}, "campaign.noise_levels"),
     (["campaign"], {"campaign": {"methods": ["GP"]}}, "campaign.methods"),
+    (["simulate"], {"scenario": {"arena": [30, 30, 30]}}, "arena must have 2 entries, got 3"),
+    (["simulate"], {"scenario": {"grid": [24]}}, "grid must have 2 entries, got 1"),
 ]
 
 
@@ -706,6 +708,43 @@ def test_case2_outputs_all_sets(tmp_path):
     assert data[0] == "alpha_rad,beta_rad,k,k_normalized"
     assert len(data) == 1 + 13 * 13
     assert max(float(row.split(",")[3]) for row in data[1:]) == 1.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_all_fits_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, toy_models, cpus):
+    """train --method all fits its methods on min(methods, usable CPUs)
+    threads, and writes the model and report files of a one-thread run and
+    of a lone train --method HvM byte for byte; its manifest has one fit clock."""
+    argv = ["train", "--config", str(_write_config(tmp_path)), "--trainset", str(toy_models / "training_set.csv")]
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 1)
+    assert cli.main([*argv, "--method", "all", "--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: cpus)
+    assert cli.main([*argv, "--method", "all", "--out", str(tmp_path / "pooled")]) == 0
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.json") if not p.name.startswith("manifest"))
+    assert len(names) == 9
+    for name in names:
+        assert (tmp_path / "pooled" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
+    for name in ("model_hvm.json", "optreport_hvm.json"):
+        assert (tmp_path / "pooled" / name).read_bytes() == (toy_models / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "pooled" / "manifest_train_all.json").read_text())
+    assert sorted(manifest["wall_clock_s"]) == ["fit", "total"]
+
+
+def test_campaign_exits_4_on_a_factorization_error_in_a_fit(tmp_path, capsys, monkeypatch):
+    """A fit that fails on a worker thread is a numerical failure: exit 4
+    with its message, and no output directory is left behind."""
+    train = tracking.train_method
+
+    def failing(ts, method, *args, **kwargs):
+        if method == "HvM":
+            raise gp.FactorizationError("hvm: system matrix not positive definite")
+        return train(ts, method, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "train_method", failing)
+    out = tmp_path / "out"
+    assert cli.main(["campaign", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "torusgp: numerical failure: hvm: system matrix not positive definite\n"
+    assert not out.exists()
 
 
 def test_campaign_jobs_flag_is_deterministic(tmp_path):

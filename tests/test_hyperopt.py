@@ -1,6 +1,4 @@
-import os
 import re
-import sys
 import threading
 import warnings
 
@@ -489,133 +487,36 @@ def _restart_starts(ds, family, restarts, seed):
 
 
 def test_two_output_fit_record_skips_a_failed_restart(monkeypatch):
-    """A stand-in for _lockstep fails restart 0 at its start, so the winner
-    is a later restart and restart_objectives keeps -inf at index 0.
-    Restarts of a two-output fit run concurrently, each a _lockstep of its
-    own start, so restart 0 is recognized by its start, not by the order of
-    the calls."""
+    """Restart 0's start is scored as a FactorizationError, so the winner is
+    a later restart and restart_objectives keeps -inf at index 0. The
+    failure is injected at start 0's row of value_and_grad_many, recognized
+    by its point, not by its place in the call."""
     ds = _two_output_toy_dataset()
     start0 = _restart_starts(ds, "hvm", 1, 0)[0]
-    lockstep, starts = hyperopt._lockstep, []
+    score, failed = hyperopt._Problem.value_and_grad_many, []
 
-    def fail_first(prob, own, *args):
-        (phi0,) = own
-        starts.append(phi0)
-        if np.array_equal(phi0, start0):
-            return [gp.FactorizationError("objective not finite at the starting point")]
-        return lockstep(prob, own, *args)
+    def fail_start0(prob, phis):
+        out = score(prob, phis)
+        for r, phi in enumerate(phis):
+            if np.array_equal(phi, start0):
+                failed.append(r)
+                out[r] = gp.FactorizationError("objective not finite at the starting point")
+        return out
 
-    monkeypatch.setattr(hyperopt, "_lockstep", fail_first)
+    monkeypatch.setattr(hyperopt._Problem, "value_and_grad_many", fail_start0)
     res = hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
-    assert len(starts) == 3 and res.restart in (1, 2)
+    assert failed == [0] and res.restart in (1, 2)
     assert res.restart_objectives[0] == -np.inf
     assert res.restart_failures == ["restart 0: objective not finite at the starting point"]
     _assert_record_is_the_winning_restart(ds, res)
 
 
-def _lockstep_recording_threads(monkeypatch, ds, family, restarts, seed, fail_at=None):
-    """Replace _lockstep by a stand-in that records, per restart, the thread
-    that runs it and the live thread count, and raises RuntimeError in
-    restart fail_at. Each two-output restart is a _lockstep of its own
-    start. Returns the per-restart records."""
-    starts = _restart_starts(ds, family, restarts, seed)
-    lockstep, ran = hyperopt._lockstep, {}
-
-    def recording(prob, own, *args):
-        (phi0,) = own
-        r = next(i for i, phi in enumerate(starts) if np.array_equal(phi, phi0))
-        ran[r] = (threading.get_ident(), threading.active_count())
-        if r == fail_at:
-            raise RuntimeError(f"restart {r} broke")
-        return lockstep(prob, own, *args)
-
-    monkeypatch.setattr(hyperopt, "_lockstep", recording)
-    return ran
-
-
-@pytest.mark.parametrize("family", ["hvm", "pse"])
-def test_two_output_restarts_run_concurrently_and_match_a_serial_run(monkeypatch, family):
-    """With two CPUs, restart 0 runs on the caller and restart 1 on a helper
-    at the same time; the result equals the one-CPU run bit for bit."""
-    ds = _two_output_toy_dataset()
-    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 1)
-    serial = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
-    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
-    ran = _lockstep_recording_threads(monkeypatch, ds, family, 3, 3)
-    before = threading.active_count()
-    res = hyperopt.optimize(ds, family, restarts=3, budget=25, seed=3)
-    assert threading.active_count() == before
-    assert sorted(ran) == [0, 1, 2]
-    assert ran[0][0] == threading.get_ident() != ran[1][0]
-    assert ran[1][1] == before + 1
-    for field in ("objective", "trace", "restart_objectives", "restart", "evaluations", "backtracks"):
-        assert getattr(res, field) == getattr(serial, field), field
-    for field in ("coreg", "noise_sigma"):
-        assert np.array_equal(getattr(res, field), getattr(serial, field)), field
-    assert np.array_equal(res.kernel.theta, serial.kernel.theta)
-    assert res.restart_failures == serial.restart_failures == []
-
-
-def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_api(monkeypatch):
-    """Where os has no sched_getaffinity (macOS, Windows), the CPU count
-    bounds the restart threads, and 1 when the count is unknown."""
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert hyperopt._usable_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert hyperopt._usable_cpus() == 1
-
-
-def test_an_exception_in_a_helper_restart_reaches_the_caller(monkeypatch):
-    """A RuntimeError in restart 1, which runs on a helper thread, is raised
-    by optimize, and the helper is joined before optimize raises."""
-    ds = _two_output_toy_dataset()
-    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 2)
-    ran = _lockstep_recording_threads(monkeypatch, ds, "hvm", 3, 0, fail_at=1)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="^restart 1 broke$"):
-        hyperopt.optimize(ds, "hvm", restarts=3, budget=25, seed=0)
-    assert threading.active_count() == before
-    assert ran[1][0] != threading.get_ident()
-
-
-def test_concurrent_restarts_take_every_start_once_under_contention(monkeypatch):
-    """Stress the start hand-out: 8 workers (more than the cores), a 1 us
-    switch interval, cheap stand-in restarts. Every start runs exactly once
-    and lands at its own index; after an exception in start 20 every lower
-    start still has its outcome and no thread is left running."""
-    calls, fail_at = [], None
-
-    def double(prob, own, *args):
-        (start,) = own
-        calls.append(start)
-        if start == fail_at:
-            raise RuntimeError("broke")
-        return [2 * start]
-
-    monkeypatch.setattr(hyperopt, "_lockstep", double)
-    before, interval = threading.active_count(), sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for fail_at in [None] * 20 + [20] * 20:
-            calls.clear()
-            out = hyperopt._ascend_all(None, list(range(64)), 8)
-            assert len(calls) == len(set(calls))
-            if fail_at is None:
-                assert out == [2 * r for r in range(64)]
-            else:
-                assert out[:20] == [2 * r for r in range(20)] and isinstance(out[20], RuntimeError)
-            assert threading.active_count() == before
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_one_output_fits_start_no_thread(monkeypatch):
-    """1-D fits score their restarts' probes on the caller, however many CPUs
-    there are: every stacked evaluation runs on the calling thread with no
-    other thread alive, and the first one scores every restart's start."""
-    ds = _toy_dataset(seed=14, n=20)
-    monkeypatch.setattr(hyperopt, "_usable_cpus", lambda: 4)
+@pytest.mark.parametrize("d", [1, 2])
+def test_no_fit_starts_a_thread(monkeypatch, d):
+    """Every probe of a fit, one output or two, is scored on the calling
+    thread with no other thread alive, and the first call scores every
+    restart's start."""
+    ds = _toy_dataset(seed=14, n=20) if d == 1 else _two_output_toy_dataset()
     score, ran = hyperopt._Problem.value_and_grad_many, []
 
     def recording(prob, phis):
@@ -771,11 +672,17 @@ def test_a_stacked_row_is_its_batch_of_one_and_bad_rows_fail_typed():
         assert np.float64(F).tobytes() == np.float64(F1).tobytes() and grad.tobytes() == grad1.tobytes()
 
 
-@pytest.mark.parametrize("family", ["hvm", "pse"])
-def test_restart_0_of_a_one_output_fit_does_not_depend_on_the_restart_count(family):
-    """Lockstep restarts share stacked calls, and restart 0 ends at the same
-    objective, bit for bit, whether 1, 2 or 4 restarts run beside it."""
-    ds = _case_1_dataset()
+@pytest.mark.parametrize(
+    "family, d",
+    [("hvm", 1), ("pse", 1), ("hvm", 2), ("pse", 2)],
+    ids=["hvm", "pse", "hvm-two-outputs", "pse-two-outputs"],
+)
+def test_restart_0_of_a_one_output_fit_does_not_depend_on_the_restart_count(family, d):
+    """Lockstep restarts share the calls that score their probes, and
+    restart 0 ends at the same objective, bit for bit, whether 1, 2 or 4
+    restarts run beside it: for one output (stacked rows) and for two
+    (rows scored one at a time)."""
+    ds = _case_1_dataset() if d == 1 else _two_output_toy_dataset()
     objectives = {
         restarts: hyperopt.optimize(ds, family, restarts=restarts, seed=77).restart_objectives[0]
         for restarts in (1, 2, 4)

@@ -1,9 +1,10 @@
 import gc
+import os
 import sys
 import threading
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -468,6 +469,115 @@ def test_campaign_parallel_matches_serial():
     serial, _ = tracking.campaign(cfg, jobs=1, **kwargs)
     parallel, _ = tracking.campaign(cfg, jobs=2, **kwargs)
     assert serial == parallel
+
+
+POOL_CAMPAIGN = dict(methods=("HvM", "PvM", "Parametric"), runs=1, seed=33, opt_budget=20, opt_restarts=2)
+
+
+def _recording_train_method(monkeypatch, fail=None):
+    """Replace train_method by a stand-in that records the method and thread
+    of each call and raises fail[1] for method fail[0]. Returns the records."""
+    train, ran = tracking.train_method, []
+
+    def recording(ts, method, *args, **kwargs):
+        ran.append((method, threading.get_ident()))
+        if fail is not None and method == fail[0]:
+            raise fail[1]
+        return train(ts, method, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "train_method", recording)
+    return ran
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_campaign_fits_do_not_depend_on_the_thread_count(monkeypatch, cpus):
+    """The fits run on min(fits, usable CPUs) worker threads, never on the
+    caller, and the campaign equals the one-thread campaign bit for bit;
+    every worker is joined before the campaign returns."""
+    cfg = ScenarioConfig(grid=(5, 4), steps=20, seed=0)
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 1)
+    serial_rows, serial = tracking.campaign(cfg, **POOL_CAMPAIGN)
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: cpus)
+    ran = _recording_train_method(monkeypatch)
+    before = threading.active_count()
+    rows, trained = tracking.campaign(cfg, **POOL_CAMPAIGN)
+    assert threading.active_count() == before
+    assert sorted(method for method, _ in ran) == sorted(POOL_CAMPAIGN["methods"])
+    threads = {ident for _, ident in ran}
+    assert threading.get_ident() not in threads and len(threads) <= cpus
+    assert rows == serial_rows
+    assert list(trained) == list(serial) == [(0, method) for method in POOL_CAMPAIGN["methods"]]
+    for key, tm in trained.items():
+        if tm.opt is None:
+            assert tm.model.cov.tobytes() == serial[key].model.cov.tobytes()
+            continue
+        assert tm.opt.theta_vector().tobytes() == serial[key].opt.theta_vector().tobytes(), key
+        assert tm.opt.trace == serial[key].opt.trace and tm.opt.restart == serial[key].opt.restart, key
+
+
+@pytest.mark.parametrize(
+    "error",
+    [gp.FactorizationError("pvm: broke"), RuntimeError("pvm: broke")],
+    ids=["FactorizationError", "RuntimeError"],
+)
+def test_an_exception_in_a_pooled_fit_reaches_the_caller_typed(monkeypatch, error):
+    """A fit that raises on a worker thread raises the same exception, type
+    and message, from the campaign, and every worker is joined first."""
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 2)
+    ran = _recording_train_method(monkeypatch, fail=("PvM", error))
+    before = threading.active_count()
+    cfg = ScenarioConfig(grid=(5, 4), steps=20, seed=0)
+    with pytest.raises(type(error), match="^pvm: broke$"):
+        tracking.campaign(cfg, **POOL_CAMPAIGN)
+    assert threading.active_count() == before
+    assert ("PvM", threading.get_ident()) not in ran and "PvM" in [method for method, _ in ran]
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_api(monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows), the CPU count
+    bounds the fit threads, and 1 when the count is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert tracking._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert tracking._usable_cpus() == 1
+
+
+def _recording_row_pool(monkeypatch):
+    """Replace the campaign's process pool by one that records its
+    max_workers and the threads alive when it is made. Returns the records."""
+    made = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append((max_workers, threading.active_count()))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(tracking, "ProcessPoolExecutor", Recording)
+    return made
+
+
+def test_the_row_pool_starts_no_more_workers_than_rows(monkeypatch):
+    """jobs=8 on a campaign of 2 rows makes a pool of 2 processes, not 8."""
+    made = _recording_row_pool(monkeypatch)
+    cfg = ScenarioConfig(grid=(5, 4), steps=20, seed=0)
+    rows, _ = tracking.campaign(cfg, methods=("Parametric",), runs=2, jobs=8)
+    assert len(rows) == 2 and [workers for workers, _ in made] == [2]
+
+
+def test_no_fit_thread_is_alive_when_the_rows_fork(monkeypatch):
+    """The fit threads are joined before the row pool forks: a jobs=2
+    campaign raises no DeprecationWarning (Python 3.12 warns when a
+    multi-threaded process forks), and the pool is made with no thread
+    alive beside the caller's."""
+    made = _recording_row_pool(monkeypatch)
+    monkeypatch.setattr(tracking, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    cfg = ScenarioConfig(grid=(5, 4), steps=20, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        rows, _ = tracking.campaign(cfg, **{**POOL_CAMPAIGN, "runs": 2}, jobs=2)
+    assert len(rows) == 6 and made == [(2, before)]
 
 
 def test_campaign_csv_format(tmp_path):
