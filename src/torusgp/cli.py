@@ -82,7 +82,7 @@ import numpy as np
 from . import __version__
 from . import gp as gp_mod
 from . import hyperopt, tracking
-from .manifold import GeometryError, embed_angles
+from .manifold import GeometryError, aoa_embedding_batch, embed_angles
 from .simulator import (
     CASE2_PARAM_SETS,
     CircularDensity,
@@ -432,8 +432,12 @@ def cmd_train(args, config, cfg, out):
     opts = config["optimizer"]
     ts_path = Path(args.trainset or config["train"]["trainset"] or out / "training_set.csv")
     ts = _load_artifact(ts_path, "a training set (simulate stage output)", load_training_set)
-    if ts.inputs.shape[1] != cfg.m:
+    # a file that simulate wrote holds these AoA columns bit for bit
+    aoa = aoa_embedding_batch(ts.positions, cfg.references_array)
+    if ts.inputs.shape != aoa.shape:
         raise ConfigError(f"training set has {ts.inputs.shape[1]} references, scenario has {cfg.m}")
+    if not np.allclose(ts.inputs, aoa, rtol=0.0, atol=1e-12):
+        raise ConfigError("scenario.references: the training set was simulated with other references")
     method = normalize_method(args.method)
     methods = list(tracking.METHODS) if method == "all" else [method]
 

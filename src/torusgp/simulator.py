@@ -14,10 +14,10 @@ on S^1 (three von Mises bumps plus one antipodally symmetric bump and
 Gaussian observation noise), and the sweep of four coupled (hvm) kernels
 over two circles, evaluated on a symmetric angle grid.
 
-Every table the package writes, the training set and trajectory included,
-goes through write_csv: headed CSV with LF line ends and full float precision,
-so simulation output can feed the training and tracking stages as files.
-Model files, reports and manifests go through write_json.
+Every table the package writes goes through write_csv: a header, then rows of
+its width, floats at full precision, LF line ends. The training set and
+trajectory load back through one reader that refuses any other shape and a
+NaN or infinite cell. Model files, reports and manifests go through write_json.
 """
 
 import csv
@@ -414,8 +414,7 @@ def write_csv(path, header, rows) -> None:
     """
     rows, parts = iter(rows), [",".join(header) + "\n"]
     while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-        if any(len(row) != len(header) for row in block):
-            raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
+        _refuse_ragged(path, header, block)
         columns = [_column_text(col) for col in zip(*block)]
         parts.append("\n".join(map(",".join, zip(*columns))) + "\n")
     with open(path, "w", newline="") as fh:
@@ -429,15 +428,26 @@ def _column_text(cells) -> list:
     return list(map(repr, map(float, cells)))
 
 
-def _read_csv(path) -> list:
-    """Rows of a CSV file as lists of strings; LF and CRLF line ends both load."""
+def _refuse_ragged(path, header, rows) -> None:
+    """The table rule both ways: every row has the header's width."""
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
+
+
+def _read_table(path, header_of, what) -> np.ndarray:
+    """The data rows of a headed CSV table, LF or CRLF, as an (n, width) float array.
+
+    A file with no data row, a header other than header_of(width), a row of
+    another width or a NaN or infinite cell raises a ValueError naming the file.
+    """
     with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def _finite_cells(path, rows) -> np.ndarray:
-    """The data rows of a table as a float array; a NaN or infinite cell is refused."""
-    data = np.asarray(rows, dtype=float)
+        header, *rows = list(csv.reader(fh)) or [[]]
+    if not rows:
+        raise ValueError(f"{path}: empty {what} file")
+    if header != header_of(len(header)):
+        raise ValueError(f"{path}: unexpected {what} header")
+    _refuse_ragged(path, header, rows)
+    data = np.array(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: a cell is NaN or infinite")
     return data
@@ -459,18 +469,10 @@ def save_training_set(ts: TrainingSet, path) -> None:
 
 
 def load_training_set(path) -> TrainingSet:
-    rows = _read_csv(path)
-    if not rows:
-        raise ValueError(f"{path}: empty training-set file")
-    header = rows[0]
-    m = sum(1 for h in header if h.endswith("_e1"))
-    if header != _training_header(m):
-        raise ValueError(f"{path}: unexpected training-set header {header}")
-    data = _finite_cells(path, rows[1:])
-    pos = data[:, :2]
-    inputs = as_input_array(data[:, 2 : 2 + 2 * m].reshape(-1, m, 2), m)
-    obs = data[:, 2 + 2 * m :]
-    return TrainingSet(positions=pos, inputs=inputs, obs=obs)
+    data = _read_table(path, lambda width: _training_header((width - 2) // 3), "training-set")
+    m = (data.shape[1] - 2) // 3
+    pos, aoa, obs = np.split(data, [2, 2 + 2 * m], axis=1)
+    return TrainingSet(positions=pos, inputs=as_input_array(aoa.reshape(-1, m, 2), m), obs=obs)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
@@ -478,8 +480,5 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path, name: str = "file") -> Trajectory:
-    rows = _read_csv(path)
-    if not rows or rows[0] != _TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: unexpected trajectory header")
-    data = _finite_cells(path, rows[1:])
+    data = _read_table(path, lambda width: _TRAJECTORY_HEADER, "trajectory")
     return Trajectory(name=name, positions=data[:, 1:3])

@@ -173,7 +173,10 @@ class ParametricRangeModel:
 
 
 def fit_parametric(ts: TrainingSet, references) -> ParametricRangeModel:
-    """Bias and covariance of the training residuals z - h(x); FactorizationError if they overflow."""
+    """Bias and covariance of the training residuals z - h(x); FactorizationError
+    on fewer than 2 training rows or if they overflow."""
+    if ts.n < 2:
+        raise gp_mod.FactorizationError("parametric residual: a covariance needs 2 or more training rows")
     h = range_function(ts.positions, np.asarray(references, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         res = ts.obs - h

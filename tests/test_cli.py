@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_simulator import MALFORMED_TABLES
 import torusgp
 from torusgp import cli, gp, hyperopt, kernels, simulator, tracking
 
@@ -789,6 +790,44 @@ def test_train_refuses_a_training_set_with_another_reference_count(tmp_path, cap
     assert capsys.readouterr().err == "torusgp: config error: training set has 3 references, scenario has 4\n"
 
 
+def test_train_refuses_a_training_set_simulated_with_other_references(tmp_path, capsys, toy_models):
+    """References moved by about 1 m keep the count but not the AoA columns:
+    exit 2 naming scenario.references, not a model fitted to other geometry."""
+    moved = dict(TOY_CONFIG["scenario"], references=[[4, 6], [26, 4], [16, 26]])
+    cfg = _write_config(tmp_path, {"scenario": moved})
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    for method in ("HvM", "Parametric"):
+        assert cli.main(argv + ["--method", method, "--trainset", str(toy_models / "training_set.csv")]) == 2
+        message = "scenario.references: the training set was simulated with other references"
+        assert capsys.readouterr().err == f"torusgp: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", ["header-only", "one-cell-more", "one-cell-fewer"])
+@pytest.mark.parametrize(
+    "command, table", [("train", "training_set.csv"), ("track", "trajectory.csv")], ids=["train", "track"]
+)
+def test_a_malformed_table_exits_3_naming_it(tmp_path, capsys, toy_models, command, table, edit):
+    """A header alone or rows one cell wider or narrower than the header: exit 3
+    naming the file and the reason, not a traceback or a model of the wrong width."""
+    lines = (toy_models / table).read_text().splitlines()
+    width = len(lines[0].split(","))
+    reason = "empty" if edit == "header-only" else f"every row must have the header's {width} cells"
+    bad = tmp_path / table
+    bad.write_text("".join(line + "\n" for line in MALFORMED_TABLES[edit](lines)))
+    cfg = _write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "train":
+        runs = [argv + ["--method", m, "--trainset", str(bad)] for m in ("Parametric", "HvM", "all")]
+    else:
+        runs = [argv + ["--model", str(toy_models / "model_hvm.json"), "--trajectory", str(bad)]]
+    for run in runs:
+        assert cli.main(run) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"torusgp: missing artifact: {bad} is not a ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_track_exits_4_when_a_model_file_cannot_be_refitted(tmp_path, capsys, toy_models):
     """A well-formed model file whose mixing matrix is indefinite is a
     numerical failure (exit 4), not a malformed artifact (exit 3)."""
@@ -838,3 +877,27 @@ def test_train_on_one_observation_exits_4_naming_the_reason(tmp_path, capsys, to
         assert cli.main(argv + ["--method", "HvM", "--trainset", str(one)]) == 4
     message = "torusgp: numerical failure: hvm: a multi-output fit needs 2 or more observations"
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("Parametric", "parametric residual: a covariance needs 2 or more training rows"),
+        ("all", "hvm: a multi-output fit needs 2 or more observations"),
+    ],
+    ids=["Parametric", "all"],
+)
+def test_train_parametric_on_one_row_exits_4_with_no_runtime_warning(
+    tmp_path, capsys, toy_models, method, message
+):
+    """The parametric fit refuses one row before np.cov divides by zero degrees
+    of freedom, alone and among all five fits."""
+    one = tmp_path / "training_set.csv"
+    one.write_text("".join((toy_models / "training_set.csv").read_text().splitlines(keepends=True)[:2]))
+    argv = ["train", "--config", str(_write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--method", method, "--trainset", str(one)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"torusgp: numerical failure: {message}")
+    assert "RuntimeWarning" not in err

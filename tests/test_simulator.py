@@ -431,3 +431,34 @@ def test_loaders_refuse_an_empty_training_set_and_a_foreign_trajectory_header(tm
     foreign.write_text("step,x,y\n0,1.0,2.0\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(foreign))}: unexpected trajectory header$"):
         load_trajectory(foreign)
+
+
+# Each edit turns the lines of a table that simulate wrote into a malformed table.
+MALFORMED_TABLES = {
+    "header-only": lambda lines: lines[:1],
+    "one-cell-more": lambda lines: lines[:1] + [line + ",1.0" for line in lines[1:]],
+    "one-cell-fewer": lambda lines: lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]],
+    "one-row-ragged": lambda lines: lines[:2] + [lines[2] + ",1.0"] + lines[3:],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_TABLES)
+@pytest.mark.parametrize("table", ["training-set", "trajectory"])
+def test_loaders_refuse_a_malformed_table_naming_the_file(tmp_path, table, edit):
+    """A header alone, rows one cell wider or narrower than the header (four-
+    and two-cell trajectory rows), or one ragged row: a ValueError naming the file."""
+    cfg = ScenarioConfig(grid=(3, 2), steps=5)
+    path = tmp_path / f"{table}.csv"
+    if table == "training-set":
+        save_training_set(build_training_set(cfg), path)
+        load, width = load_training_set, 11
+    else:
+        save_trajectory(trajectory(cfg), path)
+        load, width = load_trajectory, 3
+    bad = tmp_path / f"{edit}.csv"
+    bad.write_text("".join(line + "\n" for line in MALFORMED_TABLES[edit](path.read_text().splitlines())))
+    reason = f"every row must have the header's {width} cells"
+    if edit == "header-only":
+        reason = f"empty {table} file"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: {re.escape(reason)}$"):
+        load(bad)

@@ -15,7 +15,7 @@ from kernel_oracles import dense_observation_logpdf, dense_observation_posterior
 from torusgp import gp, hyperopt, tracking
 from torusgp.kernels import ExpLinearKernel, kernel_from_family
 from torusgp.manifold import AOA_SINGULARITY_TOL, GeometryError, aoa_embedding_batch
-from torusgp.simulator import ScenarioConfig, build_training_set, measure_range, rng_for, trajectory
+from torusgp.simulator import ScenarioConfig, TrainingSet, build_training_set, measure_range, rng_for, trajectory
 
 TOY = ScenarioConfig(grid=(6, 4), steps=40, seed=3)
 
@@ -625,3 +625,13 @@ def test_fit_parametric_refuses_residuals_whose_statistics_overflow(toy_trainset
         warnings.simplefilter("error")
         with pytest.raises(gp.FactorizationError, match="^parametric residual: "):
             tracking.fit_parametric(big, TOY.references_array)
+
+
+def test_fit_parametric_refuses_one_training_row(toy_trainset):
+    """One row has no residual covariance: a typed numerical failure saying
+    so, raised before numpy divides by zero degrees of freedom."""
+    one = TrainingSet(toy_trainset.positions[:1], toy_trainset.inputs[:1], toy_trainset.obs[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gp.FactorizationError, match="^parametric residual: .*2 or more training rows"):
+            tracking.fit_parametric(one, TOY.references_array)
